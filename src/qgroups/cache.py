@@ -27,6 +27,27 @@ def descriptor_hash(descriptor) -> str:
     return hashlib.sha256(canonical_json(descriptor).encode("utf-8")).hexdigest()
 
 
+def atomic_write(path, text):
+    """Write text to path through a temporary file and an atomic rename.
+
+    The file gets the mode a plain open() would give it under the current
+    umask.  On any failure the temporary file is removed and path is left as
+    it was.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class ResultCache:
     def __init__(self, directory):
         self.directory = directory
@@ -50,14 +71,5 @@ class ResultCache:
     def store(self, descriptor, payload):
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(descriptor)
-        body = canonical_json({"descriptor": descriptor, "payload": payload})
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(path, canonical_json({"descriptor": descriptor, "payload": payload}))
         return path

@@ -3,20 +3,21 @@
 Subcommands build modules, run the verification suites, and report on
 section spaces.  All output is deterministic for a fixed configuration and
 cache state: identical runs produce byte-identical reports.  Exit codes:
-0 success, 1 usage or cache-integrity errors, 2 failed verification,
+0 success, 1 usage, cache-integrity or --out write errors, 2 failed verification,
 3 inconclusive (truncation too small to decide).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 from fractions import Fraction
 
 from .bundle import TruncationPolicy, borel_weil_check, frobenius_maps, invariant_functions
-from .cache import CacheIntegrityError, ResultCache
+from .cache import CacheIntegrityError, ResultCache, atomic_write
 from .cartan import cartan_data
 from .coeff import CoeffAlgebra, CoeffElement, antipode, haar, product, star
 from .parabolic import ParabolicData
@@ -367,13 +368,12 @@ def main(argv=None):
     # config values become subcommand defaults; explicit flags win
     parser = build_parser(config)
     args = parser.parse_args(argv)
-    stream = sys.stdout
-    out_file = None
-    if getattr(args, "out", None):
-        out_file = open(args.out, "w", encoding="utf-8")
-        stream = out_file
+    out = getattr(args, "out", None)
+    # the report is rendered whole before anything is written, so a failed
+    # command leaves no partial --out file
+    stream = io.StringIO() if out else sys.stdout
     try:
-        return args.func(args, stream)
+        code = args.func(args, stream)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -383,9 +383,13 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if out_file is not None:
-            out_file.close()
+    if out:
+        try:
+            atomic_write(out, stream.getvalue())
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

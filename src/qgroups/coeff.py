@@ -168,7 +168,7 @@ class CoeffAlgebra:
                     mat = mat @ m.gen_matrix(gen)
                 if len(self._word_mats) < (1 << 16):
                     self._word_mats[key] = mat
-            total = total + mat.scale(c)
+            total = total + (mat if c.is_one() else mat.scale(c))
         return total
 
     def cg(self, lam, mu):
@@ -461,20 +461,6 @@ def haar_positivity(alg: CoeffAlgebra, a: CoeffElement, v0) -> NumericValue:
 
 def cartan_involution(alg, x):
     return cartan_involution_word(alg.cd, x)
-
-
-def eval_tensor_pair(alg: CoeffAlgebra, t: CoeffTensor, x: AlgebraWord,
-                     y: AlgebraWord) -> RationalFunction:
-    """Pair a two-leg tensor against a pair of words (used by duality checks)."""
-    total = RF_ZERO
-    for (key1, key2), c in t.terms.items():
-        v1 = coeff_eval(alg, CoeffElement({key1: RF_ONE}), x)
-        if not v1:
-            continue
-        v2 = coeff_eval(alg, CoeffElement({key2: RF_ONE}), y)
-        if v2:
-            total = total + c * v1 * v2
-    return total
 
 
 def word_pairing(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement,

@@ -87,6 +87,8 @@ class Mat:
     def scale(self, c: RationalFunction):
         if not c:
             return Mat(self.nrows, self.ncols)
+        if c.is_one():
+            return Mat(self.nrows, self.ncols, self.data)
         return Mat(self.nrows, self.ncols, {rc: c * x for rc, x in self.data.items()})
 
     def __matmul__(self, other):
@@ -296,22 +298,3 @@ def vec_scale(a: dict, c: RationalFunction) -> dict:
     if not c:
         return {}
     return {k: c * x for k, x in a.items()}
-
-
-def vec_sub(a: dict, b: dict) -> dict:
-    return vec_add(a, vec_scale(b, -RF_ONE))
-
-
-def vec_dot(a: dict, b: dict) -> RationalFunction:
-    if len(b) < len(a):
-        a, b = b, a
-    total = RF_ZERO
-    for k, x in a.items():
-        y = b.get(k)
-        if y:
-            total = total + x * y
-    return total
-
-
-def vec_is_zero(a: dict) -> bool:
-    return not any(a.values())

@@ -6,19 +6,42 @@ Laurent polynomial with integer exponents: a Cartan generator acts on a
 weight-mu vector by v^(mu, alpha_i), and (mu, alpha_i) is an integer under
 the normalization (alpha_i, alpha_i) = 2 d_i.
 
-A LaurentPoly is a sparse map {exponent: Fraction}.  A RationalFunction is a
-quotient of two Laurent polynomials kept in a unique normal form:
+A LaurentPoly is a sparse map {exponent: Fraction}.  It is the exchange
+format at the boundary: construction from coefficients, the canonical text
+form and specialization.
 
-  * the denominator is an ordinary polynomial (lowest exponent 0) with a
-    nonzero constant term, monic in its highest coefficient;
-  * gcd(numerator, denominator) = 1.
+A RationalFunction is stored as  c * v^s * N(v) / D(v)  where
 
-Equality of normal forms is therefore plain dict equality.
+  * c = cn / cd is the rational content, a pair of ints with cd > 0 and
+    gcd(cn, cd) = 1; c is nonzero except for zero itself, stored as
+    0 * v^0 * 1 / 1;
+  * s is an integer exponent;
+  * N and D are tuples of integer coefficients, constant term first, of
+    ordinary polynomials that are primitive, have a positive leading
+    coefficient and a nonzero constant term;
+  * gcd(N, D) = 1.
+
+This form is unique, so equality and hashing compare (cn, cd, s, N, D).  The
+arithmetic runs on Python ints only.  A sum cancels by Henrici's rule: after
+g = gcd(D1, D2), only gcd(numerator, g) can remain.  A product cancels the
+two cross gcds.  The inverse swaps N and D, and v -> 1/v reverses both
+coefficient tuples, so neither needs a gcd.  Gcds come from the heuristic
+GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) with the
+primitive PRS as the fallback; both return the two cofactors with the gcd.
+``poly_gcd`` is the same gcd for LaurentPolys, made monic.
+
+``num`` and ``den`` are LaurentPoly views, built on first use, in the
+classical normal form: a monic denominator with lowest exponent 0 and
+gcd(num, den) = 1, with Fraction coefficients.  The text form and
+specialization read them, so they do not depend on the stored form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd as _igcd, lcm as _ilcm
+from operator import add as _add, mul as _mul
 
 
 class LaurentPoly:
@@ -43,10 +66,6 @@ class LaurentPoly:
     def const(cls, c):
         return cls({0: Fraction(c)})
 
-    @classmethod
-    def v_power(cls, e, c=1):
-        return cls({e: Fraction(c)})
-
     def is_zero(self):
         return not self.terms
 
@@ -60,50 +79,6 @@ class LaurentPoly:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return LaurentPoly()
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly(out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return LaurentPoly()
-        return LaurentPoly({e: k * c for e, k in self.terms.items()})
-
-    def shift(self, n):
-        """Multiply by v^n."""
-        return LaurentPoly({e + n: c for e, c in self.terms.items()})
-
-    def bar(self):
-        """The substitution v -> 1/v."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()})
 
     def lowest(self):
         return min(self.terms)
@@ -123,17 +98,6 @@ class LaurentPoly:
         for e, c in self.terms.items():
             total += c * v0 ** e
         return total
-
-    def dense(self):
-        """Coefficient list c[0..deg] after shifting the lowest exponent to 0."""
-        if not self.terms:
-            return [], 0
-        low = self.lowest()
-        deg = self.degree() - low
-        out = [Fraction(0)] * (deg + 1)
-        for e, c in self.terms.items():
-            out[e - low] = c
-        return out, low
 
     def __str__(self):
         if not self.terms:
@@ -156,44 +120,78 @@ LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly.const(1)
 
 
-def _dense_trim(a):
+def _lp(terms):
+    """LaurentPoly over an already clean {exponent: nonzero Fraction} map."""
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    p._hash = None
+    return p
+
+
+# --- dense integer polynomials ------------------------------------------------
+#
+# Tuples of ints, constant term first, with a nonzero last entry.
+
+_ONE = (1,)
+# heuristic gcd evaluation points tried before the PRS fallback
+_HEU_TRIES = 6
+
+
+def _pack(a, k):
+    """The value a(2^k)."""
+    v = 0
+    for c in reversed(a):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v, k):
+    """Balanced base-2^k digits of v, lowest first: the polynomial p with
+    p(2^k) = v and every coefficient in [-2^(k-1), 2^(k-1))."""
+    out = []
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    full = 1 << k
+    while v:
+        d = v & mask
+        v >>= k
+        if d >= half:
+            d -= full
+            v += 1
+        out.append(d)
+    return out
+
+
+def _pmul(a, b):
+    """Product of two dense integer polynomials."""
+    la, lb = len(a), len(b)
+    if la < lb:
+        a, b, la, lb = b, a, lb, la
+    if lb == 1:
+        y = b[0]
+        return a if y == 1 else tuple(map(_mul, a, repeat(y)))
+    out = [0] * (la + lb - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + la] = map(_add, out[j:j + la], map(_mul, a, repeat(y)))
+    return tuple(out)
+
+
+def _primitive(a):
+    """(k, p) with a = k * p and p primitive with a positive leading coefficient."""
+    k = _igcd(*a)
+    if a[-1] < 0:
+        k = -k
+    return k, tuple(a) if k == 1 else tuple(c // k for c in a)
+
+
+def _trim(a):
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _dense_divmod(a, b):
-    """Quotient and remainder of dense Fraction coefficient lists."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / lb
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return _dense_trim(q), _dense_trim(a[:db])
-
-
-def _int_primitive(a):
-    """Strip integer content; normalize the leading coefficient positive."""
-    from math import gcd as igcd
-
-    g = 0
-    for c in a:
-        g = igcd(g, c)
-        if g == 1:
-            break
-    if g == 0:
-        return []
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
-
-def _int_pseudo_rem(a, b):
+def _pseudo_rem(a, b):
     """Pseudo-remainder of integer coefficient lists (b nonzero)."""
     a = list(a)
     db = len(b) - 1
@@ -208,204 +206,331 @@ def _int_pseudo_rem(a, b):
         a[i] = 0
         for j in range(db):
             a[i - db + j] -= head * b[j]
-    return _dense_trim(a)
+    return _trim(a)
 
 
-def _to_int_list(a):
-    lcm = 1
-    for c in a:
-        d = c.denominator
-        if d != 1:
-            from math import gcd as igcd
+def _exact_quo(a, b):
+    """Quotient a / b of integer polynomials; raises unless b divides a."""
+    a = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        f, r = divmod(a[i], lb)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if f:
+            q[i - db] = f
+            a[i - db:i + 1] = map(_add, a[i - db:i + 1], map(_mul, b, repeat(-f)))
+    if any(a[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(q)
 
-            lcm = lcm // igcd(lcm, d) * d
-    return [int(c * lcm) for c in a]
+
+def _prs_gcd(a, b):
+    """(gcd, a / gcd, b / gcd) by the primitive PRS (Collins 1967)."""
+    g, ib = a, b
+    while ib:
+        r = _pseudo_rem(g, ib)
+        g, ib = ib, _primitive(r)[1] if r else ()
+    if len(g) == 1:
+        return _ONE, a, b
+    return g, _exact_quo(a, g), _exact_quo(b, g)
 
 
 def _dense_gcd(a, b):
-    """Monic gcd of dense Fraction coefficient lists, via primitive integer PRS."""
-    a = _dense_trim(list(a))
-    b = _dense_trim(list(b))
-    if not a or not b:
-        g = a or b
-        if g:
-            lc = g[-1]
-            return [c / lc for c in g]
-        return []
-    ia = _int_primitive(_to_int_list(a))
-    ib = _int_primitive(_to_int_list(b))
-    while ib:
-        r = _int_pseudo_rem(ia, ib)
-        ia, ib = ib, _int_primitive(r)
-    lc = Fraction(ia[-1])
-    return [Fraction(c) / lc for c in ia]
+    """(gcd, a / gcd, b / gcd) of primitive polynomials with positive leading
+    coefficients; every result is primitive with a positive leading coefficient.
+
+    GCDHEU: evaluate at 2^k, take the integer gcd, read its balanced digits
+    back as a polynomial and keep the primitive part if it divides both.  For
+    2^k > 2 min(|a|, |b|) + 2 (max-norms) such a divisor is the gcd: the roots
+    of the gcd lie below 2^(k-1), so any missing factor t would have
+    |t(2^k)| > 2^(k-1) and could not divide the candidate's content.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _ONE, a, b
+    if a == b:
+        return a, _ONE, _ONE
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 1
+    for _ in range(_HEU_TRIES):
+        va, vb = _pack(a, k), _pack(b, k)
+        h = _igcd(va, vb)
+        g = _unpack(h, k)
+        if len(g) == 1:
+            return _ONE, a, b
+        cont = _igcd(*g)
+        if cont != 1:
+            g = [c // cont for c in g]
+            h //= cont
+        qa, ra = divmod(va, h)
+        qb, rb = divmod(vb, h)
+        # a zero value (2^k a root of a or b) leaves no cofactor to check
+        if qa and qb and not ra and not rb:
+            g = tuple(g)
+            ca = tuple(_unpack(qa, k))
+            cb = tuple(_unpack(qb, k))
+            if _pmul(g, ca) == a and _pmul(g, cb) == b:
+                return g, ca, cb
+        k += k // 2 + 7
+    return _prs_gcd(a, b)
 
 
-_GCD_CACHE = {}
-_GCD_CACHE_MAX = 1 << 15
+# --- rational functions -------------------------------------------------------
+
+
+def _rf(cn, cd, s, n, d):
+    f = object.__new__(RationalFunction)
+    f._cn = cn
+    f._cd = cd
+    f._s = s
+    f._n = n
+    f._d = d
+    return f
+
+
+def _lp_parts(p):
+    """(k, m, s, N) with p = (k / m) * v^s * N, for a nonzero LaurentPoly p."""
+    terms = p.terms
+    low = min(terms)
+    m = _ilcm(*(c.denominator for c in terms.values()))
+    out = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        out[e - low] = c.numerator * (m // c.denominator)
+    k, n = _primitive(out)
+    return k, m, low, n
+
+
+def _monic_lp(a):
+    """The LaurentPoly a / lc(a) of a dense integer polynomial a."""
+    lc = a[-1]
+    return _lp({i: Fraction(x, lc) for i, x in enumerate(a) if x})
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd of the underlying ordinary polynomials (v-shifts dropped)."""
-    if a.is_zero() or b.is_zero():
-        p = b if a.is_zero() else a
-        d, _ = p.dense()
-        if d:
-            lc = d[-1]
-            d = [c / lc for c in d]
-        return LaurentPoly({i: c for i, c in enumerate(d)})
-    key = (a, b)
-    hit = _GCD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    da, _ = a.dense()
-    db, _ = b.dense()
-    g = _dense_gcd(da, db)
-    out = LaurentPoly({i: c for i, c in enumerate(g)})
-    if len(_GCD_CACHE) < _GCD_CACHE_MAX:
-        _GCD_CACHE[key] = out
-    return out
-
-
-def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division a / b; raises if the division leaves a remainder."""
-    if a.is_zero():
+    if a.is_zero() and b.is_zero():
         return LP_ZERO
-    da, sa = a.dense()
-    db, sb = b.dense()
-    q, r = _dense_divmod(da, db)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return LaurentPoly({i + sa - sb: c for i, c in enumerate(q)})
+    if a.is_zero() or b.is_zero():
+        g = _lp_parts(b if a.is_zero() else a)[3]
+    else:
+        g = _dense_gcd(_lp_parts(a)[3], _lp_parts(b)[3])[0]
+    return _monic_lp(g)
+
+
+def _sum(x, y, ycn):
+    """x + y', where y' is y with content numerator ycn (both nonzero)."""
+    xd, yd = x._d, y._d
+    if xd == yd:
+        g, d1, xn, yn = xd, _ONE, x._n, y._n
+    else:
+        # the sum has denominator d1 * g = lcm(xd, yd)
+        g, xd1, yd1 = _dense_gcd(xd, yd)
+        d1 = _pmul(xd1, yd1)
+        xn, yn = _pmul(x._n, yd1), _pmul(y._n, xd1)
+    xcd, ycd = x._cd, y._cd
+    if xcd == ycd:
+        m, fx, fy = xcd, x._cn, ycn
+    else:
+        t = _igcd(xcd, ycd)
+        m = xcd // t * ycd
+        fx, fy = x._cn * (ycd // t), ycn * (xcd // t)
+    xs, ys = x._s, y._s
+    if xs > ys:
+        xn, yn, fx, fy, xs, ys = yn, xn, fy, fx, ys, xs
+    off = ys - xs
+    lx, ly = len(xn), len(yn)
+    out = list(xn) if fx == 1 else list(map(_mul, xn, repeat(fx)))
+    if lx < off + ly:
+        out.extend(repeat(0, off + ly - lx))
+    out[off:off + ly] = map(_add, out[off:off + ly], map(_mul, yn, repeat(fy)))
+    _trim(out)
+    if not out:
+        return RF_ZERO
+    if not out[0]:
+        i = 1
+        while not out[i]:
+            i += 1
+        del out[:i]
+        xs += i
+    k, n = _primitive(out)
+    t = _igcd(k, m)
+    if len(g) > 1:
+        # Henrici: n is prime to xd1 and to yd1, so only gcd(n, g) can remain
+        _, n, g = _dense_gcd(n, g)
+    return _rf(k // t, m // t, xs, n, _pmul(d1, g))
 
 
 class RationalFunction:
     """Element of Q(v) in normal form; see the module docstring."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("_cn", "_cd", "_s", "_n", "_d", "_hash", "_num", "_den")
 
-    def __init__(self, num, den=None, _normalized=False):
+    def __init__(self, num, den=None):
+        """The quotient num / den of two LaurentPolys; den defaults to 1."""
         if den is None:
             den = LP_ONE
-        if not _normalized:
-            num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
-        self._hash = None
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            cn, cd, s, n, d = 0, 1, 0, _ONE, _ONE
+        else:
+            kn, mn, sn, n = _lp_parts(num)
+            kd, md, sd, d = _lp_parts(den)
+            cn, cd, s = kn * md, mn * kd, sn - sd
+            if cd < 0:
+                cn, cd = -cn, -cd
+            t = _igcd(cn, cd)
+            cn, cd = cn // t, cd // t
+            _, n, d = _dense_gcd(n, d)
+        self._cn = cn
+        self._cd = cd
+        self._s = s
+        self._n = n
+        self._d = d
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c)
-        if not c:
-            return cls(LP_ZERO, LP_ONE, _normalized=True)
-        return cls(LaurentPoly.const(c), LP_ONE, _normalized=True)
+        return cls.v_power(0, c)
 
     @classmethod
     def v_power(cls, e, c=1):
         c = Fraction(c)
         if not c:
-            return cls(LP_ZERO, LP_ONE, _normalized=True)
-        return cls(LaurentPoly.v_power(e, c), LP_ONE, _normalized=True)
+            return _rf(0, 1, 0, _ONE, _ONE)
+        return _rf(c.numerator, c.denominator, e, _ONE, _ONE)
 
     @classmethod
     def of_poly(cls, p: LaurentPoly):
-        return cls(p, LP_ONE, _normalized=True)
+        return cls(p)
+
+    @property
+    def num(self) -> LaurentPoly:
+        """Numerator of the classical normal form (the denominator is monic)."""
+        try:
+            return self._num
+        except AttributeError:
+            pass
+        if not self._cn:
+            p = LP_ZERO
+        else:
+            cn, cd, s = self._cn, self._cd * self._d[-1], self._s
+            p = _lp({i + s: Fraction(x * cn, cd) for i, x in enumerate(self._n) if x})
+        self._num = p
+        return p
+
+    @property
+    def den(self) -> LaurentPoly:
+        """Denominator of the classical normal form: monic, lowest exponent 0."""
+        try:
+            return self._den
+        except AttributeError:
+            pass
+        d = self._d
+        p = LP_ONE if len(d) == 1 else _monic_lp(d)
+        self._den = p
+        return p
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self._cn
 
     def __bool__(self):
-        return bool(self.num)
+        return self._cn != 0
 
     def is_one(self):
-        return self.num == LP_ONE and self.den == LP_ONE
+        return (self._cn == 1 and self._cd == 1 and not self._s
+                and len(self._n) == 1 and len(self._d) == 1)
 
     def is_poly(self):
-        return self.den == LP_ONE
+        return len(self._d) == 1
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self._cn == other._cn and self._s == other._s
+                and self._cd == other._cd and self._n == other._n
+                and self._d == other._d)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = self._hash = hash((self._cn, self._cd, self._s, self._n, self._d))
+        return h
 
     def __add__(self, other):
-        if self.num.is_zero():
+        if not self._cn:
             return other
-        if other.num.is_zero():
+        if not other._cn:
             return self
-        if self.den == LP_ONE and other.den == LP_ONE:
-            return RationalFunction(self.num + other.num, LP_ONE, _normalized=True)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return _sum(self, other, other._cn)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _normalized=True)
+        if not self._cn:
+            return self
+        return _rf(-self._cn, self._cd, self._s, self._n, self._d)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not other._cn:
+            return self
+        if not self._cn:
+            return -other
+        return _sum(self, other, -other._cn)
 
     def __mul__(self, other):
-        if self.num.is_zero() or other.num.is_zero():
+        xcn, ycn = self._cn, other._cn
+        if not xcn or not ycn:
             return RF_ZERO
-        if self.den == LP_ONE and other.den == LP_ONE:
-            return RationalFunction(self.num * other.num, LP_ONE, _normalized=True)
-        # cross-cancel, after which numerator and denominator stay coprime;
-        # the denominator product is monic with nonzero constant term, so the
-        # result is already in normal form
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1 == LP_ONE else poly_exact_div(self.num, g1)
-        d2 = other.den if g1 == LP_ONE else poly_exact_div(other.den, g1)
-        n2 = other.num if g2 == LP_ONE else poly_exact_div(other.num, g2)
-        d1 = self.den if g2 == LP_ONE else poly_exact_div(self.den, g2)
-        return RationalFunction(n1 * n2, d1 * d2, _normalized=True)
+        xcd, ycd = self._cd, other._cd
+        if xcd == 1 and ycd == 1:
+            cn, cd = xcn * ycn, 1
+        else:
+            t1, t2 = _igcd(xcn, ycd), _igcd(ycn, xcd)
+            cn, cd = (xcn // t1) * (ycn // t2), (xcd // t2) * (ycd // t1)
+        xn, xd, yn, yd = self._n, self._d, other._n, other._d
+        if len(yd) > 1 and len(xn) > 1:
+            _, xn, yd = _dense_gcd(xn, yd)
+        if len(xd) > 1 and len(yn) > 1:
+            _, yn, xd = _dense_gcd(yn, xd)
+        # a length-1 factor is the polynomial 1
+        n = yn if len(xn) == 1 else xn if len(yn) == 1 else _pmul(xn, yn)
+        d = yd if len(xd) == 1 else xd if len(yd) == 1 else _pmul(xd, yd)
+        return _rf(cn, cd, self._s + other._s, n, d)
 
     def __truediv__(self, other):
-        if other.num.is_zero():
+        if not other._cn:
             raise ZeroDivisionError("division by the zero rational function")
-        return self * RationalFunction(other.den, other.num)
+        return self * other.inv()
 
     def inv(self):
-        if self.num.is_zero():
+        cn = self._cn
+        if not cn:
             raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
+        if cn < 0:
+            return _rf(-self._cd, -cn, -self._s, self._d, self._n)
+        return _rf(self._cd, cn, -self._s, self._d, self._n)
 
     def bar(self):
         """The field automorphism v -> 1/v."""
-        return RationalFunction(self.num.bar(), self.den.bar())
+        cn = self._cn
+        if not cn:
+            return self
+        n, d = self._n[::-1], self._d[::-1]
+        if n[-1] < 0:
+            n, cn = tuple(-c for c in n), -cn
+        if d[-1] < 0:
+            d, cn = tuple(-c for c in d), -cn
+        return _rf(cn, self._cd, len(d) - len(n) - self._s, n, d)
 
     def __str__(self):
-        if self.den == LP_ONE:
+        if len(self._d) == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
-
-
-def _normalize(num: LaurentPoly, den: LaurentPoly):
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return LP_ZERO, LP_ONE
-    dn, shift_n = num.dense()
-    dd, shift_d = den.dense()
-    g = _dense_gcd(dn, dd)
-    if len(g) > 1:
-        dn, _ = _dense_divmod(dn, g)
-        dd, _ = _dense_divmod(dd, g)
-    lc = dd[-1]
-    shift = shift_n - shift_d
-    num = LaurentPoly({i + shift: c / lc for i, c in enumerate(dn)})
-    den = LaurentPoly({i: c / lc for i, c in enumerate(dd)})
-    return num, den
 
 
 RF_ZERO = RationalFunction.const(0)
@@ -420,9 +545,6 @@ class NumericValue:
     def __init__(self, value, flavor="exact"):
         self.value = value
         self.flavor = flavor
-
-    def as_float(self):
-        return float(self.value)
 
     def __eq__(self, other):
         if isinstance(other, NumericValue):
@@ -459,15 +581,10 @@ def q_integer(n: int, d: int = 1) -> RationalFunction:
     sign = 1
     if n < 0:
         sign, n = -1, -n
-    terms = {2 * d * (n - 1 - 2 * j): Fraction(sign) for j in range(n)}
-    return RationalFunction.of_poly(LaurentPoly(terms))
-
-
-def q_factorial(n: int, d: int = 1) -> RationalFunction:
-    out = RF_ONE
-    for k in range(2, n + 1):
-        out = out * q_integer(k, d)
-    return out
+    # v^(-2d(n-1)) * (1 + v^(4d) + ... + v^(4d(n-1)))
+    coeffs = [0] * (4 * d * (n - 1) + 1)
+    coeffs[::4 * d] = repeat(1, n)
+    return _rf(sign, 1, -2 * d * (n - 1), tuple(coeffs), _ONE)
 
 
 def gauss_binomial(m: int, t: int, d: int = 1) -> RationalFunction:

@@ -254,7 +254,8 @@ def cg_from_json(obj, irrep_cache) -> CGDecomposition:
                 block_index[off + k] = (nu, c, k)
         components.append((nu, copies, canon))
     return CGDecomposition(
-        t, components, _mat_from_json(obj["basis"]), _mat_from_json(obj["basis_inv"]),
+        t, components, _mat_from_json(obj["basis"], "basis"),
+        _mat_from_json(obj["basis_inv"], "basis_inv"),
         block_index,
     )
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 
+from .cache import CacheIntegrityError
 from .cartan import CartanData
 from .linalg import Mat, vec_add, vec_scale
 from .scalar import (
@@ -505,7 +506,7 @@ def act_word(m: IrrepModule, x: AlgebraWord) -> Mat:
         acc = Mat.identity(m.dim)
         for gen in word:
             acc = acc @ m.gen_matrix(gen)
-        out = out + acc.scale(c)
+        out = out + (acc if c.is_one() else acc.scale(c))
     return out
 
 
@@ -663,14 +664,6 @@ def _mat_to_json(m: Mat):
     }
 
 
-def _mat_from_json(obj) -> Mat:
-    nr, nc = obj["shape"]
-    m = Mat(nr, nc)
-    for r, c, text in obj["entries"]:
-        m.data[(int(r), int(c))] = rf_from_text(text)
-    return m
-
-
 def irrep_to_json(m: IrrepModule) -> dict:
     return {
         "algebra": m.cd.name,
@@ -686,19 +679,94 @@ def irrep_to_json(m: IrrepModule) -> dict:
     }
 
 
+_PAYLOAD_KEYS = ("algebra", "highest_weight", "lowering", "weights", "E", "F",
+                 "gram", "constructions")
+
+
+def _require(ok, what):
+    if not ok:
+        raise CacheIntegrityError(f"malformed cache payload: {what}")
+
+
+def _is_ints(obj, n=None):
+    return (isinstance(obj, list) and (n is None or len(obj) == n)
+            and all(type(x) is int for x in obj))
+
+
+def _rf_field(text, what):
+    _require(isinstance(text, str), f"{what} is not text")
+    try:
+        return rf_from_text(text)
+    except (ValueError, ZeroDivisionError):
+        raise CacheIntegrityError(
+            f"malformed cache payload: {what} is not a rational function: {text!r}"
+        ) from None
+
+
+def _mat_from_json(obj, what="matrix", shape=None) -> Mat:
+    """Matrix from a ``_mat_to_json`` payload, which comes from a file.
+
+    A shape other than ``shape`` (when given), an index outside the shape or
+    text that is not a rational function raises CacheIntegrityError.
+    """
+    _require(isinstance(obj, dict) and isinstance(obj.get("entries"), list), what)
+    dims = obj.get("shape")
+    _require(_is_ints(dims, 2) and min(dims) >= 0
+             and (shape is None or tuple(dims) == shape), f"{what} shape")
+    nr, nc = dims
+    m = Mat(nr, nc)
+    for entry in obj["entries"]:
+        _require(isinstance(entry, list) and len(entry) == 3 and _is_ints(entry[:2])
+                 and 0 <= entry[0] < nr and 0 <= entry[1] < nc, what)
+        m.data[(entry[0], entry[1])] = _rf_field(entry[2], what)
+    return m
+
+
 def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
-    if obj["algebra"] != cd.name:
-        raise ValueError("algebra mismatch in serialized module")
+    """Module from an ``irrep_to_json`` payload.
+
+    The payload is read from a cache file, so its shape is checked: a missing
+    key, a wrong type or size, or text that is not a rational function raises
+    CacheIntegrityError.
+    """
+    _require(isinstance(obj, dict), "not an object")
+    missing = [k for k in _PAYLOAD_KEYS if k not in obj]
+    _require(not missing, f"missing {', '.join(missing)}")
+    _require(obj["algebra"] == cd.name, "algebra mismatch")
+    rank = cd.rank
+    _require(_is_ints(obj["highest_weight"], rank), "highest_weight")
+    lowering = obj["lowering"]
+    _require(_is_ints(lowering) and all(1 <= i <= rank for i in lowering), "lowering")
+    weights = obj["weights"]
+    _require(isinstance(weights, list) and all(_is_ints(w, rank) for w in weights),
+             "weights")
+    dim = len(weights)
+    mats = {}
+    for name in ("E", "F"):
+        table = obj[name]
+        _require(isinstance(table, dict)
+                 and sorted(table) == sorted(str(i) for i in lowering), name)
+        mats[name] = {int(i): _mat_from_json(mj, f"{name}[{i}]", (dim, dim))
+                      for i, mj in table.items()}
+    gram = obj["gram"]
+    _require(isinstance(gram, list) and len(gram) == dim, "gram")
+    constructions = obj["constructions"]
+    _require(isinstance(constructions, list) and len(constructions) == dim,
+             "constructions")
+    for entry in constructions:
+        _require(isinstance(entry, list)
+                 and all(isinstance(t, list) and len(t) == 3 and _is_ints(t[:2])
+                         for t in entry), "constructions")
     return IrrepModule(
         cd,
         tuple(obj["highest_weight"]),
-        tuple(obj["lowering"]),
-        [tuple(w) for w in obj["weights"]],
-        {int(i): _mat_from_json(mj) for i, mj in obj["E"].items()},
-        {int(i): _mat_from_json(mj) for i, mj in obj["F"].items()},
-        [rf_from_text(t) for t in obj["gram"]],
+        tuple(lowering),
+        [tuple(w) for w in weights],
+        mats["E"],
+        mats["F"],
+        [_rf_field(t, "gram") for t in gram],
         [
-            [(int(p), int(i), rf_from_text(t)) for p, i, t in entry]
-            for entry in obj["constructions"]
+            [(p, i, _rf_field(t, "constructions")) for p, i, t in entry]
+            for entry in constructions
         ],
     )

@@ -167,6 +167,10 @@ def test_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_OK
     assert json.loads(target.read_text())["dimension"] == 2
+    # written atomically, but with the mode a plain open() gives
+    plain = tmp_path / "plain.json"
+    plain.write_text("")
+    assert target.stat().st_mode == plain.stat().st_mode
 
 
 def test_frobenius_inconclusive_when_truncation_too_small(capsys):
@@ -174,3 +178,49 @@ def test_frobenius_inconclusive_when_truncation_too_small(capsys):
                  "--v", "1", "--trunc", "2"])
     capsys.readouterr()
     assert code == EXIT_INCONCLUSIVE
+
+
+def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["verify", "--quick", "--check", "schur", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_failing_command_leaves_no_out_file(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code = main(["irrep", "--algebra", "A1", "--weight", "-1", "--out", str(target)])
+    capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+def edit_cached_payload(cache_dir, edit):
+    entry = next(cache_dir.glob("*.json"))
+    obj = json.loads(entry.read_text())
+    edit(obj["payload"])
+    entry.write_text(json.dumps(obj))
+
+
+def test_cache_payload_missing_key_is_an_integrity_error(tmp_path, capsys):
+    args = ["irrep", "--algebra", "A1", "--weight", "2", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    edit_cached_payload(tmp_path, lambda payload: payload.pop("gram"))
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    assert "cache integrity error" in capsys.readouterr().err
+
+
+def test_cache_payload_garbled_entry_is_an_integrity_error(tmp_path, capsys):
+    args = ["irrep", "--algebra", "A1", "--weight", "2", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+
+    def garble(payload):
+        payload["E"]["1"]["entries"][0][2] = "1*v^0 / 0"
+
+    edit_cached_payload(tmp_path, garble)
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    assert "not a rational function" in capsys.readouterr().err
