@@ -190,17 +190,14 @@ def circ_on_section(zeta: Section, x: AlgebraWord) -> Section:
     alg = zeta.alg
     out = {}
     for (lam, a, b), vec in zeta.data.items():
-        mat = alg.word_matrix(lam, x)
-        for (k0, b0), m in mat.data.items():
-            if b0 == b - 1:
-                key = (lam, a, k0 + 1)
-                cur = out.setdefault(key, {})
-                for r, xx in vec.items():
-                    s = cur.get(r, RF_ZERO) + m * xx
-                    if s:
-                        cur[r] = s
-                    else:
-                        cur.pop(r, None)
+        for k0, m in alg.word_matrix(lam, x, b - 1, "col").items():
+            cur = out.setdefault((lam, a, k0 + 1), {})
+            for r, xx in vec.items():
+                s = cur.get(r, RF_ZERO) + m * xx
+                if s:
+                    cur[r] = s
+                else:
+                    cur.pop(r, None)
     return zeta.copy_with(out)
 
 
@@ -235,17 +232,14 @@ def dot_on_section(x: AlgebraWord, zeta: Section) -> Section:
     xs = antipode_inv_word(alg.cd, x)
     out = {}
     for (lam, a, b), vec in zeta.data.items():
-        mat = alg.word_matrix(lam, xs)
-        for (a0, k0), m in mat.data.items():
-            if a0 == a - 1:
-                key = (lam, k0 + 1, b)
-                cur = out.setdefault(key, {})
-                for r, xx in vec.items():
-                    s = cur.get(r, RF_ZERO) + m * xx
-                    if s:
-                        cur[r] = s
-                    else:
-                        cur.pop(r, None)
+        for k0, m in alg.word_matrix(lam, xs, a - 1, "row").items():
+            cur = out.setdefault((lam, k0 + 1, b), {})
+            for r, xx in vec.items():
+                s = cur.get(r, RF_ZERO) + m * xx
+                if s:
+                    cur[r] = s
+                else:
+                    cur.pop(r, None)
     return zeta.copy_with(out)
 
 
@@ -294,17 +288,14 @@ def omega_compatible(zeta: Section, flavor="levi") -> bool:
         word = AlgebraWord.of_gen(gen)
         lhs = {}
         for (key1, (lam, k, b)), vec in om.items():
-            mat = alg.word_matrix(lam, word)
-            for (k0, b0), m in mat.data.items():
-                if b0 == b - 1:
-                    key = (key1, (lam, k, k0 + 1))
-                    cur = lhs.setdefault(key, {})
-                    for r, x in vec.items():
-                        s = cur.get(r, RF_ZERO) + m * x
-                        if s:
-                            cur[r] = s
-                        else:
-                            cur.pop(r, None)
+            for k0, m in alg.word_matrix(lam, word, b - 1, "col").items():
+                cur = lhs.setdefault((key1, (lam, k, k0 + 1)), {})
+                for r, x in vec.items():
+                    s = cur.get(r, RF_ZERO) + m * x
+                    if s:
+                        cur[r] = s
+                    else:
+                        cur.pop(r, None)
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = omega_coaction(value_action(zeta, antipode_word(cd, word)))
         if lhs != rhs:

@@ -3,8 +3,8 @@
 Subcommands build modules, run the verification suites, and report on
 section spaces.  All output is deterministic for a fixed configuration and
 cache state: identical runs produce byte-identical reports.  Exit codes:
-0 success, 1 usage, cache-integrity or --out write errors, 2 failed verification,
-3 inconclusive (truncation too small to decide).
+0 success, 1 usage, cache-integrity or --out write errors, 2 failed verification
+or internal invariant failure, 3 inconclusive (truncation too small to decide).
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ def parse_weight(text, rank):
     if len(coords) != rank:
         raise UsageError(f"weight {text!r} needs {rank} coordinates")
     return coords
+
+
+def parse_v0(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse v0 {text!r}") from None
 
 
 def parse_theta(text, rank):
@@ -106,7 +113,7 @@ def cmd_irrep(args, stream):
                 [cd.name, args.weight, module.dim, ok]],
     }
     if args.v0:
-        obj["quantum_dimension_at_v0"] = str(specialize(qdim, Fraction(args.v0)).value)
+        obj["quantum_dimension_at_v0"] = str(specialize(qdim, parse_v0(args.v0)).value)
     lines = [
         f"algebra: {cd.name}",
         f"highest weight: {weight}",
@@ -275,7 +282,7 @@ def cmd_haar(args, stream):
     }
     lines = [f"integral of ({args.pair[0]}) * ({args.pair[1]}) = {value}"]
     if args.v0:
-        num = specialize(value, Fraction(args.v0))
+        num = specialize(value, parse_v0(args.v0))
         obj["value_at_v0"] = str(num.value)
         lines.append(f"  at v = {args.v0}: {num.value}")
     emit(obj, args.format, lines, stream)
@@ -383,6 +390,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     if out:
         try:
             atomic_write(out, stream.getvalue())

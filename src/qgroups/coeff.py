@@ -18,11 +18,17 @@ dict equality:
 The Haar functional reads off the coefficient of the unit; Schur
 orthogonality closed forms live here too, next to the left and right
 translation actions.
+
+Pairing t^(lam)_{ij} with an algebra element x reads one entry of the
+module matrix of x, and the translation actions and the section
+equivariance checks need one column or one row of it.  So the evaluator
+``CoeffAlgebra.word_matrix`` never forms a whole word matrix: it applies
+the generators of each word to one basis vector, right to left for a
+column and left to right for a row.  The name is kept because the
+benchmark's layer map refers to it.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .cartan import CartanData, dual_weight
 from .linalg import Mat, invert, kernel_basis
@@ -146,30 +152,78 @@ class CoeffAlgebra:
     def __init__(self, cd: CartanData, irreps: IrrepCache | None = None):
         self.cd = cd
         self.irreps = irreps or IrrepCache()
-        self._lock = threading.Lock()
         self._cg = {}
         self._dual = {}
-        self._word_mats = {}
+        self._gen_lines = {}
+        self._word_vecs = {}
         self.zero_weight = (0,) * cd.rank
 
     def irrep(self, lam) -> IrrepModule:
         return self.irreps.irrep(self.cd, tuple(lam))
 
-    def word_matrix(self, lam, x: AlgebraWord) -> Mat:
-        """Matrix of a word combination on one module, memoized per word."""
-        m = self.irrep(lam)
-        total = Mat.zero(m.dim, m.dim)
-        for word, c in x.terms.items():
-            key = (lam, word)
-            mat = self._word_mats.get(key)
-            if mat is None:
-                mat = Mat.identity(m.dim)
-                for gen in word:
-                    mat = mat @ m.gen_matrix(gen)
-                if len(self._word_mats) < (1 << 16):
-                    self._word_mats[key] = mat
-            total = total + (mat if c.is_one() else mat.scale(c))
-        return total
+    def word_matrix(self, lam, x, index, side="col") -> dict:
+        """Column ``index`` (or row, for side="row") of the matrix of x on lam.
+
+        x is an AlgebraWord or a single word (a tuple of generators, with
+        coefficient one); positions are 0-based and the result is a fresh
+        sparse {position: RationalFunction} dict.  Only one basis vector is
+        pushed through each word; the vector of every word and of its
+        suffixes (prefixes, for rows) is memoized.  The name is older than
+        this contract and stays because the benchmark's layer map uses it.
+        """
+        terms = {x: RF_ONE} if isinstance(x, tuple) else x.terms
+        out = {}
+        for word, c in terms.items():
+            vec = self._word_vec(lam, word, index, side)
+            unit = c.is_one()
+            for r, y in vec.items():
+                y = y if unit else c * y
+                s = out.get(r)
+                s = y if s is None else s + y
+                if s:
+                    out[r] = s
+                else:
+                    del out[r]
+        return out
+
+    def _word_vec(self, lam, word, index, side):
+        key = (lam, word, index, side)
+        vec = self._word_vecs.get(key)
+        if vec is not None:
+            return vec
+        if not word:
+            vec = {index: RF_ONE}
+        else:
+            # a column takes the leftmost generator last, a row the rightmost
+            gen, rest = (word[0], word[1:]) if side == "col" else (word[-1], word[:-1])
+            vec = self._apply_gen(lam, gen, self._word_vec(lam, rest, index, side), side)
+        if len(self._word_vecs) < (1 << 16):
+            self._word_vecs[key] = vec
+        return vec
+
+    def _apply_gen(self, lam, gen, vec, side):
+        """One generator on a column vector (side="col") or a row vector."""
+        key = (lam, gen, side)
+        lines = self._gen_lines.get(key)
+        if lines is None:
+            lines = {}
+            for (r, c), x in self.irrep(lam).gen_matrix(gen).data.items():
+                if side == "col":
+                    lines.setdefault(c, []).append((r, x))
+                else:
+                    lines.setdefault(r, []).append((c, x))
+            self._gen_lines[key] = lines
+        out = {}
+        for a, y in vec.items():
+            for b, x in lines.get(a, ()):
+                p = x * y
+                s = out.get(b)
+                s = p if s is None else s + p
+                if s:
+                    out[b] = s
+                else:
+                    del out[b]
+        return out
 
     def cg(self, lam, mu):
         """Cached decomposition data for the product of two modules.
@@ -192,9 +246,7 @@ class CoeffAlgebra:
         for (r, c), y in cgd.basis_inv.data.items():
             nu, copy, b = cgd.block_index[r]
             col_map.setdefault(c, []).append((nu, copy, b, y))
-        out = (cgd, row_map, col_map)
-        with self._lock:
-            return self._cg.setdefault(key, out)
+        return self._cg.setdefault(key, (cgd, row_map, col_map))
 
     def dual_data(self, lam):
         """Intertwiner between the canonical dual-weight module and the dual rep.
@@ -252,9 +304,7 @@ class CoeffAlgebra:
         for c, col in enumerate(cols):
             q.set_column(c, col)
         qinv = invert(q)
-        out = (lam_dual, q, qinv)
-        with self._lock:
-            return self._dual.setdefault(lam, out)
+        return self._dual.setdefault(lam, (lam_dual, q, qinv))
 
     def unit(self) -> CoeffElement:
         return CoeffElement.unit(self.cd)
@@ -263,18 +313,21 @@ class CoeffAlgebra:
 # --- evaluation and Hopf operations -------------------------------------------
 
 
-def coeff_eval(alg: CoeffAlgebra, a: CoeffElement, x: AlgebraWord) -> RationalFunction:
-    """Pairing of a coefficient element against an algebra word."""
-    by_weight = {}
-    for (lam, i, j), c in a.terms.items():
-        by_weight.setdefault(lam, []).append((i, j, c))
+def coeff_eval(alg: CoeffAlgebra, a: CoeffElement, x) -> RationalFunction:
+    """Pairing of a coefficient element against an algebra word.
+
+    x is an AlgebraWord or a single word; each (lam, j) column is evaluated
+    once and t^(lam)_{ij} reads its entry i.
+    """
+    cols = {}
     total = RF_ZERO
-    for lam, entries in by_weight.items():
-        mat = alg.word_matrix(lam, x)
-        for i, j, c in entries:
-            mij = mat[(i - 1, j - 1)]
-            if mij:
-                total = total + c * mij
+    for (lam, i, j), c in a.terms.items():
+        col = cols.get((lam, j))
+        if col is None:
+            col = cols[(lam, j)] = alg.word_matrix(lam, x, j - 1)
+        mij = col.get(i - 1)
+        if mij:
+            total = total + c * mij
     return total
 
 
@@ -418,12 +471,7 @@ def circ_action(alg: CoeffAlgebra, x: AlgebraWord, a: CoeffElement) -> CoeffElem
     """Right-translation action: x acts through the second coefficient index."""
     out = {}
     for (lam, i, j), c in a.terms.items():
-        mat = alg.word_matrix(lam, x)
-        col = {}
-        for (r, cc), val in mat.data.items():
-            if cc == j - 1:
-                col[r] = val
-        for k0, val in col.items():
+        for k0, val in alg.word_matrix(lam, x, j - 1, "col").items():
             key = (lam, i, k0 + 1)
             s = out.get(key, RF_ZERO) + c * val
             if s:
@@ -438,12 +486,7 @@ def dot_action(alg: CoeffAlgebra, x: AlgebraWord, a: CoeffElement) -> CoeffEleme
     xs = antipode_inv_word(alg.cd, x)
     out = {}
     for (lam, i, j), c in a.terms.items():
-        mat = alg.word_matrix(lam, xs)
-        row = {}
-        for (r, cc), val in mat.data.items():
-            if r == i - 1:
-                row[cc] = val
-        for k0, val in row.items():
+        for k0, val in alg.word_matrix(lam, xs, i - 1, "row").items():
             key = (lam, k0 + 1, j)
             s = out.get(key, RF_ZERO) + c * val
             if s:
@@ -468,10 +511,10 @@ def word_pairing(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement,
     """Evaluate a (x) b against the coproduct of a word."""
     total = RF_ZERO
     for (w1, w2), c in coproduct_word(alg.cd, x).items():
-        v1 = coeff_eval(alg, a, AlgebraWord({w1: RF_ONE}))
+        v1 = coeff_eval(alg, a, w1)
         if not v1:
             continue
-        v2 = coeff_eval(alg, b, AlgebraWord({w2: RF_ONE}))
+        v2 = coeff_eval(alg, b, w2)
         if v2:
             total = total + c * v1 * v2
     return total

@@ -213,53 +213,6 @@ def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
     return CGDecomposition(t, components, basis, basis_inv, block_index)
 
 
-def cg_to_json(cg: CGDecomposition) -> dict:
-    """Canonical JSON form, keyed by the factor data."""
-    from .uqrep import _mat_to_json
-
-    return {
-        "algebra": cg.t.cd.name,
-        "factors": [list(cg.t.a.hw), list(cg.t.b.hw)],
-        "lowering": list(cg.t.lowering),
-        "components": [
-            {"weight": list(nu), "copies": list(copies)}
-            for nu, copies, _ in cg.components
-        ],
-        "basis": _mat_to_json(cg.basis),
-        "basis_inv": _mat_to_json(cg.basis_inv),
-    }
-
-
-def cg_from_json(obj, irrep_cache) -> CGDecomposition:
-    from .cartan import cartan_data
-    from .uqrep import _mat_from_json
-
-    cd = cartan_data(obj["algebra"])
-    lowering = tuple(obj["lowering"])
-    full = len(lowering) == cd.rank
-    hw_a, hw_b = (tuple(w) for w in obj["factors"])
-    if full:
-        a, b = irrep_cache.irrep(cd, hw_a), irrep_cache.irrep(cd, hw_b)
-    else:
-        a, b = irrep_cache.levi(cd, lowering, hw_a), irrep_cache.levi(cd, lowering, hw_b)
-    t = TensorModule(a, b)
-    components = []
-    block_index = {}
-    for comp in obj["components"]:
-        nu = tuple(comp["weight"])
-        canon = irrep_cache.irrep(cd, nu) if full else irrep_cache.levi(cd, lowering, nu)
-        copies = list(comp["copies"])
-        for c, off in enumerate(copies):
-            for k in range(canon.dim):
-                block_index[off + k] = (nu, c, k)
-        components.append((nu, copies, canon))
-    return CGDecomposition(
-        t, components, _mat_from_json(obj["basis"], "basis"),
-        _mat_from_json(obj["basis_inv"], "basis_inv"),
-        block_index,
-    )
-
-
 def _invert_by_form(t, components, basis, block_index):
     gram = t.gram_diag()
     n = t.dim

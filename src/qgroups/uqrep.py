@@ -21,8 +21,6 @@ S(e_i) = -q_i e_i, S(f_i) = -q_i^-1 f_i, S(k_i) = k_i^-1 with q_i = v^(2 d_i).
 
 from __future__ import annotations
 
-import threading
-
 from .cache import CacheIntegrityError
 from .cartan import CartanData
 from .linalg import Mat, vec_add, vec_scale
@@ -194,36 +192,26 @@ def coproduct_word(cd, x: AlgebraWord) -> dict:
     """Coproduct as {(word_left, word_right): coefficient}.
 
     Delta(e_i) = e_i (x) k_i + k_i^-1 (x) e_i, Delta(f_i) likewise, the
-    Cartan generators are grouplike.
+    Cartan generators are grouplike.  Every piece has coefficient one, and
+    the pieces of one word give distinct leg pairs, so each pair carries the
+    word's own coefficient; only different words can meet on a pair.
     """
     out = {}
     for word, c in x.terms.items():
-        partial = {((), ()): c}
+        legs = [((), ())]
         for kind, i in word:
-            if kind == "e":
-                pieces = [((("e", i),), (("k", i),), RF_ONE),
-                          ((("K", i),), (("e", i),), RF_ONE)]
-            elif kind == "f":
-                pieces = [((("f", i),), (("k", i),), RF_ONE),
-                          ((("K", i),), (("f", i),), RF_ONE)]
+            if kind in ("e", "f"):
+                pieces = ((((kind, i),), (("k", i),)), ((("K", i),), ((kind, i),)))
             else:
-                pieces = [(((kind, i),), ((kind, i),), RF_ONE)]
-            nxt = {}
-            for (w1, w2), cc in partial.items():
-                for p1, p2, pc in pieces:
-                    key = (w1 + p1, w2 + p2)
-                    s = nxt.get(key, RF_ZERO) + cc * pc
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            partial = nxt
-        for key, cc in partial.items():
-            s = out.get(key, RF_ZERO) + cc
+                pieces = ((((kind, i),), ((kind, i),)),)
+            legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
+        for key in legs:
+            s = out.get(key)
+            s = c if s is None else s + c
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
+                del out[key]
     return out
 
 
@@ -635,10 +623,9 @@ def quantum_dimension(m: IrrepModule) -> RationalFunction:
 
 
 class IrrepCache:
-    """Shared store of built modules; concurrent readers, locked insertion."""
+    """Shared store of built modules, keyed by algebra, weight and lowering set."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._store = {}
 
     def irrep(self, cd: CartanData, hw) -> IrrepModule:
@@ -652,9 +639,7 @@ class IrrepCache:
         m = self._store.get(key)
         if m is not None:
             return m
-        m = build_module(cd, hw, lowering)
-        with self._lock:
-            return self._store.setdefault(key, m)
+        return self._store.setdefault(key, build_module(cd, hw, lowering))
 
 
 def _mat_to_json(m: Mat):

@@ -5,7 +5,9 @@ import os
 import pytest
 
 from qgroups.cache import ResultCache, descriptor_hash
+from qgroups import cli
 from qgroups.cli import (
+    EXIT_FAILED,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
@@ -151,6 +153,12 @@ def test_haar_rejects_bad_expression(capsys):
     assert code == EXIT_USAGE
 
 
+def test_zero_denominator_v0_is_a_usage_error(capsys):
+    code = main(["irrep", "--algebra", "A1", "--weight", "1", "--v0", "1/0"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: cannot parse v0 '1/0'\n"
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": "json"}))
@@ -194,6 +202,21 @@ def test_failing_command_leaves_no_out_file(tmp_path, capsys):
     code = main(["irrep", "--algebra", "A1", "--weight", "-1", "--out", str(target)])
     capsys.readouterr()
     assert code == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_internal_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
+    message = "isotypic dimensions sum to 3, product dimension is 4"
+
+    def broken(module):
+        raise ArithmeticError(message)
+
+    monkeypatch.setattr(cli, "check_serre", broken)
+    target = tmp_path / "report.json"
+    code = main(["irrep", "--algebra", "A1", "--weight", "1", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == EXIT_FAILED
+    assert err == f"internal error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

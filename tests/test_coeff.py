@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 from qgroups.coeff import (
+    CoeffAlgebra,
     CoeffElement,
     antipode,
     circ_action,
@@ -20,6 +21,7 @@ from qgroups.coeff import (
 from qgroups.scalar import LaurentPoly, RF_ONE, RF_ZERO, RationalFunction
 from qgroups.uqrep import (
     AlgebraWord,
+    act_word,
     antipode_word,
     cartan_involution_word,
     gen_e,
@@ -291,3 +293,30 @@ def test_duality_through_multiplicity_two_component(a2):
     got = haar(a2, product(a2, CoeffElement.basis(lam, 1, 1),
                            antipode(a2, CoeffElement.basis(lam, 1, 1))))
     assert got == schur_pair(a2, lam, 1, 1, 1, 1, lam, "t_dual")
+
+
+def assert_lines_match(alg, lam, x):
+    """Every column and row of word_matrix against the whole act_word matrix."""
+    mat = act_word(alg.irrep(lam), x)
+    for c in range(mat.ncols):
+        assert alg.word_matrix(lam, x, c) == mat.column(c), (lam, x, c)
+    for r in range(mat.nrows):
+        row = {cc: y for (rr, cc), y in mat.data.items() if rr == r}
+        assert alg.word_matrix(lam, x, r, "row") == row, (lam, x, r)
+
+
+def test_word_matrix_lines_match_act_word(a1, a2):
+    # a fresh algebra, so no vector comes from another test's memo
+    for shared, lam in [(a1, (2,)), (a2, (1, 1))]:
+        alg = CoeffAlgebra(shared.cd, shared.irreps)
+        rank = alg.cd.rank
+        gens = [g(i) for i in range(1, rank + 1)
+                for g in (gen_e, gen_f, gen_k, gen_kinv)]
+        for n in range(4):
+            for word in itertools.product(gens, repeat=n):
+                assert_lines_match(alg, lam, AlgebraWord.of_word(*word))
+        e, f, k = gen_e(rank), gen_f(1), gen_k(1)
+        c = RationalFunction(LaurentPoly({0: 1, 2: 1}), LaurentPoly({0: 1, 1: -1}))
+        x = AlgebraWord({(e, f): c, (f, e): v(-2), (k, k, f): -RF_ONE,
+                         (): RationalFunction.const(Fraction(3, 2))})
+        assert_lines_match(alg, lam, x)

@@ -4,7 +4,9 @@ The digests were taken with the Fraction-based kernel that the integer
 kernel replaced.  They cover the canonical JSON of four module payloads
 (B2 (2,1) carries denominators of degree 32 and numerators spanning 80
 powers of v) and the quick verification report.  Any change in the normal
-form, the text form or an iteration order shows up here.
+form, the text form or an iteration order shows up here.  The full-grid
+report digest was taken with the whole-matrix word evaluator that the
+one-vector evaluator replaced.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ PAYLOAD_DIGESTS = {
     ("A3", (1, 0, 1)): "5794956b649d27d74d4e759d6df9adc32314a0d96fb63a48666425c8704339b0",
 }
 QUICK_REPORT_DIGEST = "3f6ed72ac71d3aa78949e67d71cee2a3e378946ccfcfdf95c74889b945f4be8e"
+FULL_REPORT_DIGEST = "80d3675f96c3011d460e4c30faec17d8f5976779c35aa80586b743a717ee8f0b"
 
 
 def sha256(text):
@@ -42,6 +45,11 @@ def test_irrep_payload_digest(name, weight):
 def test_quick_report_digest(capsys):
     assert main(["verify", "--quick", "--format", "json"]) == EXIT_OK
     assert sha256(capsys.readouterr().out) == QUICK_REPORT_DIGEST
+
+
+def test_full_report_digest(capsys):
+    assert main(["verify", "--format", "json"]) == EXIT_OK
+    assert sha256(capsys.readouterr().out) == FULL_REPORT_DIGEST
 
 
 def test_report_independent_of_hash_seed():

@@ -122,27 +122,3 @@ def test_multiplicity_space_ordering_is_reproducible(a2):
     assert cg1.basis == cg2.basis and cg1.basis_inv == cg2.basis_inv
 
 
-def test_cg_json_round_trip(a2):
-    from qgroups.tensor import cg_from_json, cg_to_json
-
-    t = tensor_module(a2.irrep((1, 0)), a2.irrep((0, 1)))
-    cg = decompose(t, a2.irreps)
-    back = cg_from_json(cg_to_json(cg), a2.irreps)
-    assert back.basis == cg.basis and back.basis_inv == cg.basis_inv
-    assert back.multiplicities() == cg.multiplicities()
-    assert back.block_index == cg.block_index
-
-
-def test_cg_json_matrices_are_checked(a2):
-    from qgroups.cache import CacheIntegrityError
-    from qgroups.tensor import cg_from_json, cg_to_json
-
-    t = tensor_module(a2.irrep((1, 0)), a2.irrep((0, 1)))
-    obj = cg_to_json(decompose(t, a2.irreps))
-    obj["basis"]["entries"][0][2] = "1*v^0 / 0"
-    with pytest.raises(CacheIntegrityError, match="basis is not a rational function"):
-        cg_from_json(obj, a2.irreps)
-    obj = cg_to_json(decompose(t, a2.irreps))
-    obj["basis_inv"]["entries"][0][1] = 99
-    with pytest.raises(CacheIntegrityError, match="payload: basis_inv$"):
-        cg_from_json(obj, a2.irreps)
