@@ -4,15 +4,28 @@ Weights live in fundamental coordinates (integer tuples); roots are kept in
 simple-root coordinates.  The supported types are hard-coded data tables for
 A1, A2, A3 and B2 (Bourbaki numbering, so for B2 the first simple root is
 long).  The symmetrizers d_i satisfy (alpha_i, alpha_i) = 2 d_i.
+
+Each CartanData carries an integer form of the inner product: with D the
+least common denominator of the inverse Cartan matrix, D (lam, mu) =
+lam^T G mu for an integer matrix G.  The Weyl-dimension and Freudenthal
+oracles run on it in Python ints only, and stay independent of the deformed
+layers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class CartanData:
-    """Rank, Cartan matrix, symmetrizers, positive roots, 2*rho, highest root."""
+    """Rank, Cartan matrix, symmetrizers, positive roots, 2*rho, highest root.
+
+    Also the integer form: ``denom`` D, ``gram`` G and, per positive root
+    alpha, ``root_forms`` (alpha, its fundamental coordinates, the
+    coefficients alpha_j d_j of (., alpha), (alpha, alpha), its height).
+    ``cartan_data`` shares one instance per type; do not mutate it.
+    """
 
     __slots__ = (
         "letter",
@@ -22,7 +35,10 @@ class CartanData:
         "positive_roots",
         "two_rho",
         "highest_root",
-        "_inv_cartan",
+        "denom",
+        "gram",
+        "root_forms",
+        "_inv_scaled",
     )
 
     def __init__(self, letter, rank, cartan, d, positive_roots, highest_root):
@@ -35,7 +51,22 @@ class CartanData:
             sum(root[i] for root in self.positive_roots) for i in range(rank)
         )
         self.highest_root = tuple(highest_root)
-        self._inv_cartan = _invert_rational(self.cartan)
+        # C^-1 = adj(C) / det(C), reduced to the least common denominator
+        det = _det(self.cartan)
+        adj = [[(-1) ** (i + j) * _det(_minor(self.cartan, j, i)) for j in range(rank)]
+               for i in range(rank)]
+        g = gcd(det, *(x for row in adj for x in row))
+        self.denom = det // g
+        self._inv_scaled = tuple(tuple(x // g for x in row) for row in adj)
+        self.gram = tuple(
+            tuple(self.d[i] * x for x in row) for i, row in enumerate(self._inv_scaled)
+        )
+        forms = []
+        for root in self.positive_roots:
+            af = self.root_to_fundamental(root)
+            ad = tuple(c * dj for c, dj in zip(root, self.d))
+            forms.append((root, af, ad, sum(a * x for a, x in zip(ad, af)), sum(root)))
+        self.root_forms = tuple(forms)
 
     @property
     def name(self):
@@ -48,13 +79,6 @@ class CartanData:
         """Fundamental coordinates of sum(c_j alpha_j): component i is sum_j a_ij c_j."""
         return tuple(
             sum(self.cartan[i][j] * root[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-
-    def fundamental_to_root(self, weight):
-        """Simple-root coordinates (rational) of a weight given in fundamental ones."""
-        return tuple(
-            sum(self._inv_cartan[i][j] * weight[j] for j in range(self.rank))
             for i in range(self.rank)
         )
 
@@ -77,20 +101,15 @@ class CartanData:
         return f"CartanData({self.name})"
 
 
-def _invert_rational(a):
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-            for i, row in enumerate(a)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if work[i][c])
-        work[c], work[pr] = work[pr], work[c]
-        piv = work[c][c]
-        work[c] = [x / piv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return tuple(tuple(row[n:]) for row in work)
+def _minor(a, i, j):
+    return [row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i]
+
+
+def _det(a):
+    """Determinant by cofactor expansion (the matrices here have rank <= 3)."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * _det(_minor(a, 0, j)) for j, x in enumerate(a[0]))
 
 
 _TABLES = {
@@ -124,15 +143,21 @@ _TABLES = {
 }
 
 
+# one shared instance per type, so the integer form is built once
+_DATA = {
+    name: CartanData(name[0], int(name[1:]), t["cartan"], t["d"], t["positive_roots"],
+                     t["highest_root"])
+    for name, t in _TABLES.items()
+}
+
+
 def cartan_data(name: str) -> CartanData:
     """Look up a supported type by its name, e.g. "A2"."""
     name = name.strip().upper()
-    if name not in _TABLES:
+    if name not in _DATA:
         supported = ", ".join(sorted(_TABLES))
         raise ValueError(f"unsupported algebra {name!r} (supported: {supported})")
-    t = _TABLES[name]
-    return CartanData(name[0], int(name[1:]), t["cartan"], t["d"],
-                      t["positive_roots"], t["highest_root"])
+    return _DATA[name]
 
 
 SUPPORTED_TYPES = tuple(sorted(_TABLES))
@@ -141,21 +166,19 @@ SUPPORTED_TYPES = tuple(sorted(_TABLES))
 # --- weight operations (weights are integer tuples in fundamental coords) ---
 
 
+def inner_scaled(cd: CartanData, lam, mu) -> int:
+    """D (lam, mu), an integer; orders weights as ``inner`` does."""
+    return sum(x * g * y for x, row in zip(lam, cd.gram) for g, y in zip(row, mu))
+
+
 def inner(cd: CartanData, lam, mu) -> Fraction:
     """Inner product (lam, mu) induced by the normalization (a_i, a_i) = 2 d_i."""
-    c = cd.fundamental_to_root(mu)
-    return sum(
-        (Fraction(c[j]) * lam[j] * cd.d[j] for j in range(cd.rank)),
-        Fraction(0),
-    )
+    return Fraction(inner_scaled(cd, lam, mu), cd.denom)
 
 
-def inner_with_root(cd: CartanData, lam, root) -> Fraction:
-    """(lam, alpha) with alpha in simple-root coordinates."""
-    return sum(
-        (Fraction(root[j]) * lam[j] * cd.d[j] for j in range(cd.rank)),
-        Fraction(0),
-    )
+def inner_with_root(cd: CartanData, lam, root) -> int:
+    """(lam, alpha) with alpha in simple-root coordinates; integral for integral lam."""
+    return sum(c * x * dj for c, x, dj in zip(root, lam, cd.d))
 
 
 def reflect(cd: CartanData, lam, i):
@@ -174,17 +197,22 @@ def _require_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
 
 
+def reflect_to_antidominant(cd: CartanData, mu, theta):
+    """Apply the simple reflections s_j, j in theta, until mu_j <= 0 for all j in theta."""
+    cur = tuple(mu)
+    while True:
+        for j in theta:
+            if cur[j - 1] > 0:
+                cur = reflect(cd, cur, j)
+                break
+        else:
+            return cur
+
+
 def lowest_weight(cd: CartanData, lam):
     """Image of a dominant weight under the longest Weyl element."""
     _require_dominant(lam)
-    mu = tuple(lam)
-    while True:
-        for i in range(cd.rank):
-            if mu[i] > 0:
-                mu = reflect(cd, mu, i + 1)
-                break
-        else:
-            return mu
+    return reflect_to_antidominant(cd, lam, cd.simple_indices())
 
 
 def dual_weight(cd: CartanData, lam):
@@ -227,14 +255,15 @@ def weyl_orbit(cd: CartanData, mu):
 def weyl_dim(cd: CartanData, lam) -> int:
     """Classical Weyl dimension of the highest-weight module."""
     _require_dominant(lam)
-    rho = (1,) * cd.rank
-    lam_rho = tuple(lam[i] + 1 for i in range(cd.rank))
-    num = Fraction(1)
-    for alpha in cd.positive_roots:
-        num *= inner_with_root(cd, lam_rho, alpha) / inner_with_root(cd, rho, alpha)
-    if num.denominator != 1 or num <= 0:
-        raise ArithmeticError(f"Weyl dimension came out as {num}")
-    return int(num)
+    num = den = 1
+    for _, _, ad, _, _ in cd.root_forms:
+        rho_alpha = sum(ad)
+        num *= rho_alpha + sum(a * x for a, x in zip(ad, lam))
+        den *= rho_alpha
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
+        raise ArithmeticError(f"Weyl dimension came out as {Fraction(num, den)}")
+    return dim
 
 
 def weight_multiplicities(cd: CartanData, lam) -> dict:
@@ -244,50 +273,72 @@ def weight_multiplicities(cd: CartanData, lam) -> dict:
     the deformed modules.
     """
     _require_dominant(lam)
-    rho = (1,) * cd.rank
-    lam_rho = tuple(x + 1 for x in lam)
-    c_top = inner(cd, lam_rho, lam_rho)
-    low = lowest_weight(cd, lam)
-    height_bound = sum(cd.fundamental_to_root(tuple(
-        lam[i] - low[i] for i in range(cd.rank))))
-    if height_bound != int(height_bound):
-        raise ArithmeticError("non-integral height bound")
-    height_bound = int(height_bound)
+    return freudenthal(cd, lam, cd.simple_indices())
 
-    mults = {tuple(lam): 1}
-    alphas = [cd.alpha_fundamental(i) for i in range(1, cd.rank + 1)]
-    level = {tuple(lam)}
-    for _ in range(height_bound):
+
+def freudenthal(cd: CartanData, lam, theta) -> dict:
+    """Weight multiplicities of the irreducible module of highest weight lam
+    for the subsystem with simple roots theta (1-based): the module of g for
+    all indices, a Levi irreducible (lam theta-dominant) otherwise.
+
+    Freudenthal's recursion with the positive roots supported on theta and
+    their half sum rho_theta, every norm multiplied by D, so that all terms
+    are ints.  A candidate at depth L below lam only looks up root strings
+    with k <= L // ht(alpha): weights above lam have multiplicity 0.
+    """
+    lam = tuple(lam)
+    roots = [(af, ad, aa, ht) for root, af, ad, aa, ht in cd.root_forms
+             if all(c == 0 or j + 1 in theta for j, c in enumerate(root))]
+    low = reflect_to_antidominant(cd, lam, theta)
+    diff = [a - b for a, b in zip(lam, low)]
+    height, rem = divmod(
+        sum(x * y for row in cd._inv_scaled for x, y in zip(row, diff)), cd.denom)
+    if rem:
+        raise ArithmeticError("non-integral height bound")
+
+    gram = cd.gram
+    two_rho = [sum(r[0][t] for r in roots) for t in range(cd.rank)]
+    lin = [sum(g * x for g, x in zip(row, two_rho)) for row in gram]
+
+    def norm(w):
+        # D |w + rho_theta|^2, up to a constant that cancels in the differences
+        return sum(x * (c + sum(g * y for g, y in zip(row, w)))
+                   for x, c, row in zip(w, lin, gram))
+
+    top = norm(lam)
+    scale = 2 * cd.denom
+    alphas = [cd.alpha_fundamental(j) for j in theta]
+    mults = {lam: 1}
+    level = {lam}
+    for depth in range(1, height + 1):
         candidates = set()
-        for mu in level:
+        for w in level:
             for a in alphas:
-                candidates.add(tuple(mu[k] - a[k] for k in range(cd.rank)))
+                candidates.add(tuple([x - y for x, y in zip(w, a)]))
         nxt = set()
         for mu in candidates:
-            mu_rho = tuple(x + 1 for x in mu)
-            denom = c_top - inner(cd, mu_rho, mu_rho)
-            total = Fraction(0)
-            for alpha in cd.positive_roots:
-                af = cd.root_to_fundamental(alpha)
-                k = 1
-                while True:
-                    nu = tuple(mu[t] + k * af[t] for t in range(cd.rank))
-                    m = mults.get(nu, 0)
-                    if m == 0 and k > height_bound:
-                        break
+            total = 0
+            for af, ad, aa, ht in roots:
+                nu = mu
+                pair = sum(a * x for a, x in zip(ad, mu))  # (mu + k alpha, alpha)
+                for _ in range(depth // ht):
+                    nu = tuple([x + y for x, y in zip(nu, af)])
+                    pair += aa
+                    m = mults.get(nu)
                     if m:
-                        total += 2 * m * inner_with_root(cd, nu, alpha)
-                    k += 1
-            if total == 0:
+                        total += m * pair
+            if not total:
                 continue
-            if denom == 0:
+            denom = top - norm(mu)
+            if not denom:
                 raise ArithmeticError("Freudenthal denominator vanished")
-            m = total / denom
-            if m.denominator != 1:
+            m, rem = divmod(scale * total, denom)
+            if rem:
                 raise ArithmeticError("non-integral Freudenthal multiplicity")
-            if m > 0:
-                mults[mu] = int(m)
-                nxt.add(mu)
+            if m < 0:
+                raise ArithmeticError(f"negative Freudenthal multiplicity {m}")
+            mults[mu] = m
+            nxt.add(mu)
         level = nxt
         if not level:
             break
@@ -319,7 +370,7 @@ def char_decompose_oracle(cd: CartanData, lam, mu) -> dict:
     rho = (1,) * cd.rank
     while remaining:
         # a weight of maximal height is dominant and leads an irreducible character
-        lead = max(remaining, key=lambda w: (inner(cd, tuple(x + 1 for x in w), rho), w))
+        lead = max(remaining, key=lambda w: (inner_scaled(cd, w, rho), w))
         if not is_dominant(lead):
             raise ArithmeticError(f"leading weight {lead} not dominant")
         mult = remaining[lead]

@@ -16,14 +16,15 @@ import os
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .bundle import TruncationPolicy, borel_weil_check, frobenius_maps, invariant_functions
 from .cache import CacheIntegrityError, ResultCache, atomic_write
 from .cartan import cartan_data
 from .coeff import CoeffAlgebra, CoeffElement, antipode, haar, product, star
 from .parabolic import ParabolicData
 from .scalar import rf_to_text, specialize
-from .uqrep import check_serre, irrep_from_json, irrep_to_json, quantum_dimension
-from .verify import run_checks
+from .uqrep import (IRREP_SCHEMA, check_serre, irrep_from_json, irrep_to_json,
+                    quantum_dimension)
 
 CACHE_ENV = "QGROUPS_CACHE_DIR"
 EXIT_OK = 0
@@ -34,6 +35,15 @@ EXIT_INCONCLUSIVE = 3
 
 class UsageError(RuntimeError):
     pass
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse with its usage errors mapped to EXIT_USAGE instead of 2,
+    which is the code of a failed verification."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def parse_weight(text, rank):
@@ -86,7 +96,9 @@ def cmd_irrep(args, stream):
     if any(c < 0 for c in weight):
         raise UsageError(f"weight {weight} is not dominant")
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    descriptor = {"kind": "irrep", "algebra": cd.name, "weight": list(weight)}
+    # entries written by another version or payload schema are misses
+    descriptor = {"kind": "irrep", "version": __version__, "schema": IRREP_SCHEMA,
+                  "algebra": cd.name, "weight": list(weight)}
     module = None
     if cache is not None:
         payload = cache.load(descriptor)
@@ -129,6 +141,10 @@ def cmd_irrep(args, stream):
 
 
 def cmd_verify(args, stream):
+    # imported here: no other command needs the suites, and every process
+    # would otherwise pay for loading them
+    from .verify import run_checks
+
     names = args.check or None
     report = run_checks(names, quick=args.quick, algebra=args.algebra,
                         max_weight=args.max_weight)
@@ -291,7 +307,7 @@ def cmd_haar(args, stream):
 
 def build_parser(config=None):
     config = {k: v for k, v in (config or {}).items() if k != "func"}
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="qgroups",
         description="Exact computations with quantized enveloping algebras, "
                     "their matrix-coefficient quantum groups, and induced "
@@ -361,7 +377,7 @@ def build_parser(config=None):
 
 
 def main(argv=None):
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     config = None

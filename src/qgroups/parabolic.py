@@ -13,9 +13,13 @@ the full modules, restricted to lowering indices in Theta.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cartan import CartanData, inner, inner_with_root, weight_multiplicities
+from .cartan import (
+    CartanData,
+    freudenthal,
+    inner_scaled,
+    reflect_to_antidominant,
+    weight_multiplicities,
+)
 from .linalg import Mat, kernel_basis
 from .scalar import RF_ZERO
 from .uqrep import IrrepCache, IrrepModule
@@ -65,90 +69,20 @@ class ParabolicData:
         return f"ParabolicData({self.cd.name}, theta={self.theta})"
 
 
-def levi_reflect_to_antidominant(p: ParabolicData, mu):
-    """Apply Theta-reflections until all Theta coordinates are nonpositive."""
-    cd = p.cd
-    cur = tuple(mu)
-    while True:
-        for j in p.theta:
-            if cur[j - 1] > 0:
-                alpha = cd.alpha_fundamental(j)
-                c = cur[j - 1]
-                cur = tuple(cur[t] - c * alpha[t] for t in range(cd.rank))
-                break
-        else:
-            return cur
-
-
 def levi_lowest_weight(p: ParabolicData, mu):
     """Lowest weight of the Levi irreducible with highest weight mu."""
     for j in p.theta:
         if mu[j - 1] < 0:
             raise ValueError(f"{mu} is not Theta-dominant for {p.theta}")
-    return levi_reflect_to_antidominant(p, mu)
+    return reflect_to_antidominant(p.cd, mu, p.theta)
 
 
 def levi_weight_multiplicities(p: ParabolicData, mu) -> dict:
     """Freudenthal recursion inside the Theta subsystem, ambient coordinates."""
-    cd = p.cd
     for j in p.theta:
         if mu[j - 1] < 0:
             raise ValueError(f"{mu} is not Theta-dominant")
-    pos = p.sub_positive_roots()
-    if not pos:
-        return {tuple(mu): 1}
-    rho_sub = tuple(
-        Fraction(sum(r[t] for r in pos), 2) for t in range(cd.rank)
-    )  # simple-root coordinates
-
-    def inner_rho(w):
-        # (w + rho_sub, w + rho_sub) with rho_sub given on the root side
-        wr = cd.fundamental_to_root(w)
-        tot = Fraction(0)
-        full = [wr[t] + rho_sub[t] for t in range(cd.rank)]
-        for s in range(cd.rank):
-            for t in range(cd.rank):
-                tot += full[s] * full[t] * cd.d[t] * cd.cartan[t][s]
-        return tot
-
-    low = levi_reflect_to_antidominant(p, mu)
-    diff = cd.fundamental_to_root(tuple(mu[t] - low[t] for t in range(cd.rank)))
-    height_bound = int(sum(diff))
-
-    c_top = inner_rho(mu)
-    mults = {tuple(mu): 1}
-    alphas = [cd.alpha_fundamental(j) for j in p.theta]
-    level = {tuple(mu)}
-    for _ in range(height_bound):
-        candidates = set()
-        for w in level:
-            for a in alphas:
-                candidates.add(tuple(w[t] - a[t] for t in range(cd.rank)))
-        nxt = set()
-        for w in candidates:
-            total = Fraction(0)
-            for root in pos:
-                af = cd.root_to_fundamental(root)
-                for k in range(1, height_bound + 1):
-                    nu = tuple(w[t] + k * af[t] for t in range(cd.rank))
-                    m = mults.get(nu, 0)
-                    if m:
-                        total += 2 * m * inner_with_root(cd, nu, root)
-            if total == 0:
-                continue
-            denom = c_top - inner_rho(w)
-            if denom == 0:
-                raise ArithmeticError("branching Freudenthal denominator vanished")
-            m = total / denom
-            if m.denominator != 1 or m < 0:
-                raise ArithmeticError(f"bad Levi multiplicity {m}")
-            if m:
-                mults[w] = int(m)
-                nxt.add(w)
-        level = nxt
-        if not level:
-            break
-    return mults
+    return freudenthal(p.cd, mu, p.theta)
 
 
 def branching_oracle(cd: CartanData, p: ParabolicData, lam) -> dict:
@@ -157,7 +91,7 @@ def branching_oracle(cd: CartanData, p: ParabolicData, lam) -> dict:
     rho = (1,) * cd.rank
     out = {}
     while remaining:
-        lead = max(remaining, key=lambda w: (inner(cd, w, rho), w))
+        lead = max(remaining, key=lambda w: (inner_scaled(cd, w, rho), w))
         mult = remaining[lead]
         for j in p.theta:
             if lead[j - 1] < 0:
@@ -225,7 +159,7 @@ def restrict_levi(m: IrrepModule, p: ParabolicData, cache: IrrepCache) -> LeviBr
     cd = p.cd
     rho = (1,) * cd.rank
     spaces = m.weight_spaces()
-    order = sorted(spaces, key=lambda w: (-inner(cd, w, rho), tuple(-c for c in w)))
+    order = sorted(spaces, key=lambda w: (-inner_scaled(cd, w, rho), tuple(-c for c in w)))
     summands = []
     covered = 0
     for w in order:

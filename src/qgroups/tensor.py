@@ -16,7 +16,7 @@ the canonical diagonal Gram.
 
 from __future__ import annotations
 
-from .cartan import CartanData, inner
+from .cartan import CartanData, inner_scaled
 from .linalg import Mat, invert, kernel_basis
 from .scalar import RF_ONE, RF_ZERO, RationalFunction
 from .uqrep import IrrepModule
@@ -160,7 +160,7 @@ class CGDecomposition:
 
 def _height_key(cd: CartanData, w):
     rho = (1,) * cd.rank
-    return (-inner(cd, w, rho), tuple(-c for c in w))
+    return (-inner_scaled(cd, w, rho), tuple(-c for c in w))
 
 
 def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:

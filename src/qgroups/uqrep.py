@@ -649,6 +649,10 @@ def _mat_to_json(m: Mat):
     }
 
 
+# names the layout of irrep_to_json payloads; change it with the layout
+IRREP_SCHEMA = "qgroups-irrep/1"
+
+
 def irrep_to_json(m: IrrepModule) -> dict:
     return {
         "algebra": m.cd.name,

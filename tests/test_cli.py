@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +249,46 @@ def test_cache_payload_garbled_entry_is_an_integrity_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(args) == EXIT_USAGE
     assert "not a rational function" in capsys.readouterr().err
+
+
+def test_argparse_usage_error_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["irrep", "--algebra", "A1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert err.startswith("usage: qgroups irrep [-h] --algebra ALGEBRA --weight WEIGHT")
+    assert err.endswith("qgroups irrep: error: the following arguments are required: --weight\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["nonsense"])
+    assert exc.value.code == EXIT_USAGE
+    assert "qgroups: error: argument command: invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    capsys.readouterr()
+
+
+def test_importing_cli_does_not_load_verify():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, qgroups.cli; print('qgroups.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("stamp", ["__version__", "IRREP_SCHEMA"])
+def test_cache_entry_of_another_version_is_rebuilt(tmp_path, capsys, monkeypatch, stamp):
+    args = ["irrep", "--algebra", "A1", "--weight", "2", "--format", "json"]
+    expected = run_cli(args, capsys)
+    cached = args + ["--cache-dir", str(tmp_path)]
+    with monkeypatch.context() as m:
+        m.setattr(cli, stamp, "older")
+        assert main(cached) == EXIT_OK
+        capsys.readouterr()
+    (old_entry,) = tmp_path.glob("*.json")
+    # reusing this entry would be a cache integrity error
+    edit_cached_payload(tmp_path, lambda payload: payload.pop("gram"))
+    assert run_cli(cached, capsys) == expected
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert run_cli(cached, capsys) == expected
+    assert old_entry.exists()
