@@ -9,7 +9,6 @@ checked on load to catch corruption or hash collisions.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -24,6 +23,9 @@ def canonical_json(obj) -> str:
 
 
 def descriptor_hash(descriptor) -> str:
+    # imported here: loading _hashlib costs every process that never hashes
+    import hashlib
+
     return hashlib.sha256(canonical_json(descriptor).encode("utf-8")).hexdigest()
 
 

@@ -377,7 +377,7 @@ def build_parser(config=None):
 
 
 def main(argv=None):
-    pre = ArgumentParser(add_help=False)
+    pre = ArgumentParser(prog="qgroups", add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     config = None

@@ -37,6 +37,7 @@ from .scalar import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
+    memo_put,
     rf_from_text,
     rf_to_text,
     specialize,
@@ -197,9 +198,7 @@ class CoeffAlgebra:
             # a column takes the leftmost generator last, a row the rightmost
             gen, rest = (word[0], word[1:]) if side == "col" else (word[-1], word[:-1])
             vec = self._apply_gen(lam, gen, self._word_vec(lam, rest, index, side), side)
-        if len(self._word_vecs) < (1 << 16):
-            self._word_vecs[key] = vec
-        return vec
+        return memo_put(self._word_vecs, key, vec)
 
     def _apply_gen(self, lam, gen, vec, side):
         """One generator on a column vector (side="col") or a row vector."""

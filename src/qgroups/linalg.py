@@ -94,27 +94,21 @@ class Mat:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
+        # the right operand's rows, indexed once; the left one is walked as stored
         rows = {}
-        for (r, k), x in self.data.items():
-            rows.setdefault(r, []).append((k, x))
-        cols = {}
         for (k, c), y in other.data.items():
-            cols.setdefault(k, []).append((c, y))
+            rows.setdefault(k, []).append((c, y))
         out = Mat(self.nrows, other.ncols)
         acc = out.data
-        for r, row in rows.items():
-            for k, x in row:
-                col = cols.get(k)
-                if not col:
-                    continue
-                for c, y in col:
-                    key = (r, c)
-                    s = acc.get(key)
-                    s = x * y if s is None else s + x * y
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
+        for (r, k), x in self.data.items():
+            for c, y in rows.get(k, ()):
+                key = (r, c)
+                s = acc.get(key)
+                s = x * y if s is None else s + x * y
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
         return out
 
     def transpose(self):

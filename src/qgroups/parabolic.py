@@ -56,15 +56,6 @@ class ParabolicData:
     def parabolic_generators(self):
         return self.levi_generators() + [("e", j) for j in self.complement]
 
-    def sub_positive_roots(self):
-        """Positive roots of the ambient system supported on Theta."""
-        theta = set(self.theta)
-        out = []
-        for root in self.cd.positive_roots:
-            if all(c == 0 or (j + 1) in theta for j, c in enumerate(root)):
-                out.append(root)
-        return tuple(out)
-
     def __repr__(self):
         return f"ParabolicData({self.cd.name}, theta={self.theta})"
 

@@ -30,6 +30,12 @@ GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) with the
 primitive PRS as the fallback; both return the two cofactors with the gcd.
 ``poly_gcd`` is the same gcd for LaurentPolys, made monic.
 
+The same operand pairs recur across a computation, so the arithmetic reaches
+the gcd and the products of two non-constant polynomials through bounded
+memos (``_gcd``, ``_prod``).  ``memo_put`` is the one memo policy of the
+package: a memo takes new entries until it holds ``MEMO_MAX`` of them and is
+then left as it is.  The raw ``_dense_gcd`` and ``_pmul`` stay unmemoized.
+
 ``num`` and ``den`` are LaurentPoly views, built on first use, in the
 classical normal form: a monic denominator with lowest exponent 0 and
 gcd(num, den) = 1, with Fraction coefficients.  The text form and
@@ -133,6 +139,22 @@ def _lp(terms):
 # Tuples of ints, constant term first, with a nonzero last entry.
 
 _ONE = (1,)
+
+# bound of every memo filled through memo_put
+MEMO_MAX = 1 << 16
+_GCD_MEMO = {}
+_PROD_MEMO = {}
+
+
+def memo_put(memo, key, value):
+    """Store value under key unless memo is full; return value.
+
+    A full memo takes no new entries and keeps the ones it has.
+    """
+    if len(memo) < MEMO_MAX:
+        memo[key] = value
+    return value
+
 # heuristic gcd evaluation points tried before the PRS fallback
 _HEU_TRIES = 6
 
@@ -175,6 +197,19 @@ def _pmul(a, b):
         if y:
             out[j:j + la] = map(_add, out[j:j + la], map(_mul, a, repeat(y)))
     return tuple(out)
+
+
+def _prod(a, b):
+    """Memoized product of two normalized polynomials; a length-1 factor is 1."""
+    if len(a) == 1:
+        return b
+    if len(b) == 1:
+        return a
+    key = (a, b)
+    hit = _PROD_MEMO.get(key)
+    if hit is None:
+        hit = memo_put(_PROD_MEMO, key, _pmul(a, b))
+    return hit
 
 
 def _primitive(a):
@@ -276,6 +311,16 @@ def _dense_gcd(a, b):
     return _prs_gcd(a, b)
 
 
+def _gcd(a, b):
+    """Memoized ``_dense_gcd``, looked up as a module global on a miss, so
+    that a function rebound to that name sees only the misses."""
+    key = (a, b)
+    hit = _GCD_MEMO.get(key)
+    if hit is None:
+        hit = memo_put(_GCD_MEMO, key, _dense_gcd(a, b))
+    return hit
+
+
 # --- rational functions -------------------------------------------------------
 
 
@@ -325,9 +370,9 @@ def _sum(x, y, ycn):
         g, d1, xn, yn = xd, _ONE, x._n, y._n
     else:
         # the sum has denominator d1 * g = lcm(xd, yd)
-        g, xd1, yd1 = _dense_gcd(xd, yd)
-        d1 = _pmul(xd1, yd1)
-        xn, yn = _pmul(x._n, yd1), _pmul(y._n, xd1)
+        g, xd1, yd1 = _gcd(xd, yd)
+        d1 = _prod(xd1, yd1)
+        xn, yn = _prod(x._n, yd1), _prod(y._n, xd1)
     xcd, ycd = x._cd, y._cd
     if xcd == ycd:
         m, fx, fy = xcd, x._cn, ycn
@@ -357,8 +402,8 @@ def _sum(x, y, ycn):
     t = _igcd(k, m)
     if len(g) > 1:
         # Henrici: n is prime to xd1 and to yd1, so only gcd(n, g) can remain
-        _, n, g = _dense_gcd(n, g)
-    return _rf(k // t, m // t, xs, n, _pmul(d1, g))
+        _, n, g = _gcd(n, g)
+    return _rf(k // t, m // t, xs, n, _prod(d1, g))
 
 
 class RationalFunction:
@@ -382,7 +427,7 @@ class RationalFunction:
                 cn, cd = -cn, -cd
             t = _igcd(cn, cd)
             cn, cd = cn // t, cd // t
-            _, n, d = _dense_gcd(n, d)
+            _, n, d = _gcd(n, d)
         self._cn = cn
         self._cd = cd
         self._s = s
@@ -492,13 +537,10 @@ class RationalFunction:
             cn, cd = (xcn // t1) * (ycn // t2), (xcd // t2) * (ycd // t1)
         xn, xd, yn, yd = self._n, self._d, other._n, other._d
         if len(yd) > 1 and len(xn) > 1:
-            _, xn, yd = _dense_gcd(xn, yd)
+            _, xn, yd = _gcd(xn, yd)
         if len(xd) > 1 and len(yn) > 1:
-            _, yn, xd = _dense_gcd(yn, xd)
-        # a length-1 factor is the polynomial 1
-        n = yn if len(xn) == 1 else xn if len(yn) == 1 else _pmul(xn, yn)
-        d = yd if len(xd) == 1 else xd if len(yd) == 1 else _pmul(xd, yd)
-        return _rf(cn, cd, self._s + other._s, n, d)
+            _, yn, xd = _gcd(yn, xd)
+        return _rf(cn, cd, self._s + other._s, _prod(xn, yn), _prod(xd, yd))
 
     def __truediv__(self, other):
         if not other._cn:

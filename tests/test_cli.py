@@ -276,6 +276,24 @@ def test_importing_cli_does_not_load_verify():
     assert proc.stdout == "False\n"
 
 
+def test_importing_cli_does_not_load_hashlib():
+    # -S: no site hooks, which may import hashlib on their own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import qgroups.cli; print('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_config_usage_error_names_qgroups(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage: qgroups [--config CONFIG]\n"
+        "qgroups: error: argument --config: expected one argument\n")
+
+
 @pytest.mark.parametrize("stamp", ["__version__", "IRREP_SCHEMA"])
 def test_cache_entry_of_another_version_is_rebuilt(tmp_path, capsys, monkeypatch, stamp):
     args = ["irrep", "--algebra", "A1", "--weight", "2", "--format", "json"]

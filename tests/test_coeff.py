@@ -18,6 +18,7 @@ from qgroups.coeff import (
     star,
     word_pairing,
 )
+from qgroups import scalar
 from qgroups.scalar import LaurentPoly, RF_ONE, RF_ZERO, RationalFunction
 from qgroups.uqrep import (
     AlgebraWord,
@@ -320,3 +321,13 @@ def test_word_matrix_lines_match_act_word(a1, a2):
         x = AlgebraWord({(e, f): c, (f, e): v(-2), (k, k, f): -RF_ONE,
                          (): RationalFunction.const(Fraction(3, 2))})
         assert_lines_match(alg, lam, x)
+
+
+def test_word_vector_memo_stops_at_its_bound(a1, monkeypatch):
+    monkeypatch.setattr(scalar, "MEMO_MAX", 5)
+    alg = CoeffAlgebra(a1.cd, a1.irreps)
+    gens = [gen_e(1), gen_f(1), gen_k(1), gen_kinv(1)]
+    for n in range(3):
+        for word in itertools.product(gens, repeat=n):
+            assert_lines_match(alg, (2,), AlgebraWord.of_word(*word))
+    assert len(alg._word_vecs) == 5

@@ -20,7 +20,6 @@ def test_parabolic_data(a2):
     assert p.complement == (2,)
     assert ("e", 2) in p.parabolic_generators()
     assert ("e", 2) not in p.levi_generators()
-    assert p.sub_positive_roots() == ((1, 0),)
     with pytest.raises(ValueError):
         ParabolicData(a2.cd, (3,))
 

@@ -186,3 +186,46 @@ def test_text_round_trip_on_adversarial_inputs(num, den):
         assert rf_to_text(rf_from_text(text)) == text
     assert g == scalar.RF_ONE
     same(f, ref.RationalFunction(ref.LaurentPoly(num), ref.LaurentPoly(den)))
+
+
+def clear_memos():
+    scalar._GCD_MEMO.clear()
+    scalar._PROD_MEMO.clear()
+
+
+@given(operand_pairs())
+@settings(max_examples=200, deadline=None)
+def test_memoized_operations_match_fraction_kernel_cold_and_hot(pairs):
+    # cold: every gcd and product is computed; hot: the same operands again,
+    # now served from the memos
+    clear_memos()
+    for _ in ("cold", "hot"):
+        (a, ra), (b, rb) = both(pairs[0]), both(pairs[1])
+        same(a, ra)
+        same(b, rb)
+        same(a + b, ra + rb)
+        same(a - b, ra - rb)
+        same(a * b, ra * rb)
+        if not a.is_zero():
+            same(b / a, rb / ra)
+
+
+def quotient_sums():
+    total = scalar.RF_ZERO
+    for n in range(1, 9):
+        total = total + scalar.q_integer(n + 1) / scalar.q_integer(n) * total.bar()
+        total = total + scalar.RF_ONE
+    return rf_to_text(total)
+
+
+def test_scalar_memos_stop_at_their_bound(monkeypatch):
+    monkeypatch.setattr(scalar, "_GCD_MEMO", {})
+    monkeypatch.setattr(scalar, "_PROD_MEMO", {})
+    want = quotient_sums()
+    assert len(scalar._GCD_MEMO) > 3 and len(scalar._PROD_MEMO) > 3
+    monkeypatch.setattr(scalar, "MEMO_MAX", 3)
+    monkeypatch.setattr(scalar, "_GCD_MEMO", {})
+    monkeypatch.setattr(scalar, "_PROD_MEMO", {})
+    for _ in range(2):
+        assert quotient_sums() == want
+        assert len(scalar._GCD_MEMO) == 3 and len(scalar._PROD_MEMO) == 3
