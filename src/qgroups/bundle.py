@@ -142,10 +142,6 @@ class Section:
         """Canonical coefficient weights carrying the section."""
         return sorted({key[0] for key in self.data})
 
-    def inducing_support(self):
-        """Inducing grades: dual weights of the coefficient support."""
-        return sorted({dual_weight(self.alg.cd, lam) for lam in self.coeff_support()})
-
     def to_coeff(self) -> CoeffElement:
         """For one-dimensional V: forget the vector leg."""
         if self.vmod.dim != 1:

@@ -57,10 +57,14 @@ def parse_weight(text, rank):
 
 
 def parse_v0(text):
+    """A specialization point: a rational v0 > 0 with v0 != 1."""
     try:
-        return Fraction(text)
+        v0 = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse v0 {text!r}") from None
+    if v0 <= 0 or v0 == 1:
+        raise UsageError(f"v0 must be positive and differ from 1, got {text!r}")
+    return v0
 
 
 def parse_theta(text, rank):
@@ -95,6 +99,7 @@ def cmd_irrep(args, stream):
     weight = parse_weight(args.weight, cd.rank)
     if any(c < 0 for c in weight):
         raise UsageError(f"weight {weight} is not dominant")
+    v0 = parse_v0(args.v0) if args.v0 else None
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     # entries written by another version or payload schema are misses
     descriptor = {"kind": "irrep", "version": __version__, "schema": IRREP_SCHEMA,
@@ -124,8 +129,8 @@ def cmd_irrep(args, stream):
         "csv": [["algebra", "weight", "dimension", "relations_ok"],
                 [cd.name, args.weight, module.dim, ok]],
     }
-    if args.v0:
-        obj["quantum_dimension_at_v0"] = str(specialize(qdim, parse_v0(args.v0)).value)
+    if v0 is not None:
+        obj["quantum_dimension_at_v0"] = str(specialize(qdim, v0).value)
     lines = [
         f"algebra: {cd.name}",
         f"highest weight: {weight}",
@@ -134,7 +139,7 @@ def cmd_irrep(args, stream):
         f"quantum dimension: {qdim}",
         f"defining relations: {'all hold' if ok else 'FAILED'} ({len(report)} checked)",
     ]
-    if args.v0:
+    if v0 is not None:
         lines.append(f"quantum dimension at v={args.v0}: {obj['quantum_dimension_at_v0']}")
     emit(obj, args.format, lines, stream)
     return EXIT_OK if ok else EXIT_FAILED
@@ -286,6 +291,7 @@ def parse_coeff_expr(alg, text):
 
 def cmd_haar(args, stream):
     cd = cartan_data(args.algebra)
+    v0 = parse_v0(args.v0) if args.v0 else None
     alg = CoeffAlgebra(cd)
     a = parse_coeff_expr(alg, args.pair[0])
     b = parse_coeff_expr(alg, args.pair[1])
@@ -297,8 +303,8 @@ def cmd_haar(args, stream):
         "csv": [["integral"], [rf_to_text(value)]],
     }
     lines = [f"integral of ({args.pair[0]}) * ({args.pair[1]}) = {value}"]
-    if args.v0:
-        num = specialize(value, parse_v0(args.v0))
+    if v0 is not None:
+        num = specialize(value, v0)
         obj["value_at_v0"] = str(num.value)
         lines.append(f"  at v = {args.v0}: {num.value}")
     emit(obj, args.format, lines, stream)

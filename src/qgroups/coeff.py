@@ -31,7 +31,7 @@ benchmark's layer map refers to it.
 from __future__ import annotations
 
 from .cartan import CartanData, dual_weight
-from .linalg import Mat, invert, kernel_basis
+from .linalg import Mat, apply_index, index_applier, invert, kernel_basis
 from .scalar import (
     NumericValue,
     RF_ONE,
@@ -48,7 +48,6 @@ from .uqrep import (
     IrrepCache,
     IrrepModule,
     antipode_inv_word,
-    cartan_involution_word,
     coproduct_word,
     k2rho,
     quantum_dimension,
@@ -205,24 +204,10 @@ class CoeffAlgebra:
         key = (lam, gen, side)
         lines = self._gen_lines.get(key)
         if lines is None:
-            lines = {}
-            for (r, c), x in self.irrep(lam).gen_matrix(gen).data.items():
-                if side == "col":
-                    lines.setdefault(c, []).append((r, x))
-                else:
-                    lines.setdefault(r, []).append((c, x))
+            mat = self.irrep(lam).gen_matrix(gen)
+            lines = (mat if side == "col" else mat.transpose()).columns()
             self._gen_lines[key] = lines
-        out = {}
-        for a, y in vec.items():
-            for b, x in lines.get(a, ()):
-                p = x * y
-                s = out.get(b)
-                s = p if s is None else s + p
-                if s:
-                    out[b] = s
-                else:
-                    del out[b]
-        return out
+        return apply_index(lines, vec)
 
     def cg(self, lam, mu):
         """Cached decomposition data for the product of two modules.
@@ -297,8 +282,7 @@ class CoeffAlgebra:
             )
         hwv = {target[k]: x for k, x in kern[0].items()}
 
-        f_mats = {i: dual_gen(("f", i)) for i in range(1, cd.rank + 1)}
-        cols = canon.embed_from_highest(lambda i, vec: f_mats[i].apply(vec), hwv)
+        cols = canon.embed_from_highest(index_applier(lambda i: dual_gen(("f", i))), hwv)
         q = Mat(m.dim, canon.dim)
         for c, col in enumerate(cols):
             q.set_column(c, col)
@@ -316,14 +300,17 @@ def coeff_eval(alg: CoeffAlgebra, a: CoeffElement, x) -> RationalFunction:
     """Pairing of a coefficient element against an algebra word.
 
     x is an AlgebraWord or a single word; each (lam, j) column is evaluated
-    once and t^(lam)_{ij} reads its entry i.
+    once and t^(lam)_{ij} reads its entry i.  The column of a single word is
+    the memoized vector itself, read without a copy.
     """
+    bare = isinstance(x, tuple)
     cols = {}
     total = RF_ZERO
     for (lam, i, j), c in a.terms.items():
         col = cols.get((lam, j))
         if col is None:
-            col = cols[(lam, j)] = alg.word_matrix(lam, x, j - 1)
+            col = cols[(lam, j)] = (alg._word_vec(lam, x, j - 1, "col") if bare
+                                    else alg.word_matrix(lam, x, j - 1))
         mij = col.get(i - 1)
         if mij:
             total = total + c * mij
@@ -499,10 +486,6 @@ def haar_positivity(alg: CoeffAlgebra, a: CoeffElement, v0) -> NumericValue:
     """Specialized value of the integral of star(a) * a at a rational v0."""
     pairing = haar(alg, product(alg, star(alg, a), a))
     return specialize(pairing, v0)
-
-
-def cartan_involution(alg, x):
-    return cartan_involution_word(alg.cd, x)
 
 
 def word_pairing(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement,

@@ -122,22 +122,17 @@ class Mat:
                 out.data[(r1 * other.nrows + r2, c1 * other.ncols + c2)] = x * y
         return out
 
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector."""
-        out = {}
+    def columns(self) -> dict:
+        """The entries indexed by column, {c: [(r, x)]}, for ``apply_index``.
+        Built fresh on each call, never kept: ``data`` may change in place."""
         cols = {}
         for (r, c), x in self.data.items():
             cols.setdefault(c, []).append((r, x))
-        for c, a in vec.items():
-            if not a:
-                continue
-            for r, x in cols.get(c, ()):
-                s = out.get(r, RF_ZERO) + x * a
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
+        return cols
+
+    def apply(self, vec: dict) -> dict:
+        """Matrix times a sparse column vector."""
+        return apply_index(self.columns(), vec)
 
     def column(self, c) -> dict:
         return {r: x for (r, cc), x in self.data.items() if cc == c}
@@ -159,10 +154,12 @@ class Mat:
 # --- dense elimination -------------------------------------------------------
 
 
-def rref(rows):
-    """Reduced row echelon form in place; returns the pivot column list."""
+def rref(rows, ncols=None):
+    """Reduced row echelon form in place; returns the pivot column list.
+    Pivots lie in the first ``ncols`` columns (default all), rows are whole."""
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -221,41 +218,13 @@ def solve(rows, rhs_cols):
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    nrhs = len(rhs_cols)
     work = [list(rows[i]) + [col[i] for col in rhs_cols] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = work[r][c].inv()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
+    pivots = rref(work, ncols)
+    for i in range(len(pivots), nrows):
         if any(work[i][ncols:]):
             raise ArithmeticError("inconsistent linear system")
-    sols = []
-    for k in range(nrhs):
-        vec = {}
-        for i, pc in enumerate(pivots):
-            x = work[i][ncols + k]
-            if x:
-                vec[pc] = x
-        sols.append(vec)
-    return sols
+    return [{pc: work[i][ncols + k] for i, pc in enumerate(pivots) if work[i][ncols + k]}
+            for k in range(len(rhs_cols))]
 
 
 def invert(m: Mat) -> Mat:
@@ -275,6 +244,39 @@ def invert(m: Mat) -> Mat:
             if x:
                 out.data[(i, j)] = x
     return out
+
+
+def apply_index(index: dict, vec: dict) -> dict:
+    """Sparse vector with entry sum x * vec[a] at b over the (b, x) listed in
+    ``index`` under a: a matrix indexed by column (``Mat.columns``) times a
+    column vector, or one indexed by row times a row vector."""
+    out = {}
+    for a, y in vec.items():
+        if not y:
+            continue
+        for b, x in index.get(a, ()):
+            p = x * y
+            s = out.get(b)
+            s = p if s is None else s + p
+            if s:
+                out[b] = s
+            else:
+                del out[b]
+    return out
+
+
+def index_applier(mat_of):
+    """``f(i, vec)``: the matrix ``mat_of(i)`` times vec.  Each matrix is
+    indexed by column on first use; the index lives in this closure only."""
+    index = {}
+
+    def f(i, vec):
+        cols = index.get(i)
+        if cols is None:
+            cols = index[i] = mat_of(i).columns()
+        return apply_index(cols, vec)
+
+    return f
 
 
 def vec_add(a: dict, b: dict) -> dict:

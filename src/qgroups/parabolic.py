@@ -20,7 +20,7 @@ from .cartan import (
     reflect_to_antidominant,
     weight_multiplicities,
 )
-from .linalg import Mat, kernel_basis
+from .linalg import Mat, index_applier, kernel_basis
 from .scalar import RF_ZERO
 from .uqrep import IrrepCache, IrrepModule
 
@@ -153,6 +153,7 @@ def restrict_levi(m: IrrepModule, p: ParabolicData, cache: IrrepCache) -> LeviBr
     order = sorted(spaces, key=lambda w: (-inner_scaled(cd, w, rho), tuple(-c for c in w)))
     summands = []
     covered = 0
+    f_apply = index_applier(m.f_matrix)
     for w in order:
         if any(w[j - 1] < 0 for j in p.theta):
             continue
@@ -161,9 +162,7 @@ def restrict_levi(m: IrrepModule, p: ParabolicData, cache: IrrepCache) -> LeviBr
             continue
         levi_mod = cache.levi(cd, p.theta, w)
         for u in hwvs:
-            cols = levi_mod.embed_from_highest(
-                lambda i, vec: m.f_matrix(i).apply(vec), u
-            )
+            cols = levi_mod.embed_from_highest(f_apply, u)
             summands.append((w, levi_mod, cols))
             covered += levi_mod.dim
     if covered != m.dim:
@@ -308,8 +307,9 @@ def tensor_hom(alg, p: ParabolicData, phi1: Mat, src1: IrrepModule, tgt1: IrrepM
     for nu, copies, canon in cg_src.components:
         if nu == lam_sum:
             incl = Mat(tsrc.dim, canon.dim)
+            columns = cg_src.basis.columns()
             for c in range(canon.dim):
-                incl.set_column(c, cg_src.basis.column(copies[0] + c))
+                incl.set_column(c, dict(columns.get(copies[0] + c, ())))
             break
     if incl is None:
         raise ArithmeticError("top component missing from source product")

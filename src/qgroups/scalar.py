@@ -486,9 +486,6 @@ class RationalFunction:
         return (self._cn == 1 and self._cd == 1 and not self._s
                 and len(self._n) == 1 and len(self._d) == 1)
 
-    def is_poly(self):
-        return len(self._d) == 1
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -536,6 +533,11 @@ class RationalFunction:
             t1, t2 = _igcd(xcn, ycd), _igcd(ycn, xcd)
             cn, cd = (xcn // t1) * (ycn // t2), (xcd // t2) * (ycd // t1)
         xn, xd, yn, yd = self._n, self._d, other._n, other._d
+        # a monomial c * v^s has N = D = (1,): nothing to cancel or multiply
+        if len(xn) == 1 and len(xd) == 1:
+            return _rf(cn, cd, self._s + other._s, yn, yd)
+        if len(yn) == 1 and len(yd) == 1:
+            return _rf(cn, cd, self._s + other._s, xn, xd)
         if len(yd) > 1 and len(xn) > 1:
             _, xn, yd = _gcd(xn, yd)
         if len(xd) > 1 and len(yn) > 1:

@@ -17,7 +17,7 @@ the canonical diagonal Gram.
 from __future__ import annotations
 
 from .cartan import CartanData, inner_scaled
-from .linalg import Mat, invert, kernel_basis
+from .linalg import Mat, index_applier, invert, kernel_basis
 from .scalar import RF_ONE, RF_ZERO, RationalFunction
 from .uqrep import IrrepModule
 
@@ -116,15 +116,15 @@ def highest_weight_vectors(t: TensorModule, nu) -> list:
     idx = [s for s, w in enumerate(t.weights) if w == nu]
     if not idx:
         return []
+    idx_set = set(idx)
     rows = []
     for i in t.lowering:
         e = t.e_matrix(i)
         cols = {}
         for (r, c), x in e.data.items():
-            if c in idx:
+            if c in idx_set:
                 cols.setdefault(c, {})[r] = x
         touched = sorted({r for col in cols.values() for r in col})
-        pos = {r: n for n, r in enumerate(touched)}
         for r in touched:
             rows.append([cols.get(c, {}).get(r, RF_ZERO) for c in idx])
     if not rows:
@@ -179,9 +179,7 @@ def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
             if vecs:
                 hwvs[w] = vecs
 
-    def f_apply(i, vec):
-        return t.f_matrix(i).apply(vec)
-
+    f_apply = index_applier(t.f_matrix)
     components = []
     basis = Mat(t.dim, t.dim)
     col = 0
@@ -192,7 +190,6 @@ def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
         else:
             canon = irrep_cache.levi(cd, t.lowering, nu)
         copies = []
-        embeddings = []
         for u in hwvs[nu]:
             cols = canon.embed_from_highest(f_apply, u)
             offset = col
@@ -200,7 +197,6 @@ def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
                 basis.set_column(offset + k, colvec)
                 block_index[offset + k] = (nu, len(copies), k)
             copies.append(offset)
-            embeddings.append(cols)
             col += canon.dim
         components.append((nu, copies, canon))
 
@@ -222,14 +218,15 @@ def _invert_by_form(t, components, basis, block_index):
     col_of = {}
     for c, key in block_index.items():
         col_of[key] = c
+    columns = {c: dict(entries) for c, entries in basis.columns().items()}
     for nu, copies, canon in components:
         m = len(copies)
         # h[c1][c2] = (phi_c1(w_1), phi_c2(w_1)) / gram_canon[0]
         h = [[RF_ZERO] * m for _ in range(m)]
         for c1 in range(m):
-            v1 = basis.column(col_of[(nu, c1, 0)])
+            v1 = columns.get(col_of[(nu, c1, 0)], {})
             for c2 in range(m):
-                v2 = basis.column(col_of[(nu, c2, 0)])
+                v2 = columns.get(col_of[(nu, c2, 0)], {})
                 pair = RF_ZERO
                 for r, x in v1.items():
                     y = v2.get(r)
@@ -252,7 +249,7 @@ def _invert_by_form(t, components, basis, block_index):
                     if not factor:
                         continue
                     factor = factor / gk
-                    v = basis.column(col_of[(nu, c2, k)])
+                    v = columns.get(col_of[(nu, c2, k)], {})
                     for r, x in v.items():
                         prev = inv.data.get((row, r), RF_ZERO) + factor * x * gram[r]
                         if prev:

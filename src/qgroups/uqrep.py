@@ -29,6 +29,7 @@ from .scalar import (
     RF_ZERO,
     RationalFunction,
     gauss_binomial,
+    memo_put,
     q_integer,
     rf_from_text,
     rf_to_text,
@@ -188,31 +189,44 @@ def cartan_involution_word(cd, x: AlgebraWord) -> AlgebraWord:
     return _map_word(cd, x, _CARTAN_INVOLUTION, reverse=False)
 
 
+# leg pairs of the coproduct of each word, and one stored copy of each leg
+# word, both filled through memo_put
+_LEGS = {}
+_LEG_WORDS = {}
+
+
+def _coproduct_legs(word) -> tuple:
+    """The leg pairs (word_left, word_right) of the coproduct of one word.
+
+    Delta(e_i) = e_i (x) k_i + k_i^-1 (x) e_i, Delta(f_i) likewise, the
+    Cartan generators are grouplike.  Every piece has coefficient one.  The
+    pairs depend on the word alone, so they are memoized under it; a leg word
+    recurs in the legs of many words and is kept once.
+    """
+    legs = _LEGS.get(word)
+    if legs is not None:
+        return legs
+    legs = [((), ())]
+    for kind, i in word:
+        if kind in ("e", "f"):
+            pieces = ((((kind, i),), (("k", i),)), ((("K", i),), ((kind, i),)))
+        else:
+            pieces = ((((kind, i),), ((kind, i),)),)
+        legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
+    words = _LEG_WORDS
+    legs = tuple((words.get(w1) or memo_put(words, w1, w1),
+                  words.get(w2) or memo_put(words, w2, w2)) for w1, w2 in legs)
+    return memo_put(_LEGS, word, legs)
+
+
 def coproduct_word(cd, x: AlgebraWord) -> dict:
     """Coproduct as {(word_left, word_right): coefficient}.
 
-    Delta(e_i) = e_i (x) k_i + k_i^-1 (x) e_i, Delta(f_i) likewise, the
-    Cartan generators are grouplike.  Every piece has coefficient one, and
-    the pieces of one word give distinct leg pairs, so each pair carries the
-    word's own coefficient; only different words can meet on a pair.
+    A leg pair determines its word (at each position an e or f stands on one
+    leg, or both legs carry the same Cartan generator), so the pairs of
+    different words are distinct and each carries its word's coefficient.
     """
-    out = {}
-    for word, c in x.terms.items():
-        legs = [((), ())]
-        for kind, i in word:
-            if kind in ("e", "f"):
-                pieces = ((((kind, i),), (("k", i),)), ((("K", i),), ((kind, i),)))
-            else:
-                pieces = ((((kind, i),), ((kind, i),)),)
-            legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
-        for key in legs:
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+    return {key: c for word, c in x.terms.items() for key in _coproduct_legs(word)}
 
 
 def coideal_span(cd: CartanData, theta=()) -> list:
@@ -266,10 +280,6 @@ class IrrepModule:
         self.gram = gram
         self.constructions = constructions
         self._kmats = {}
-
-    @property
-    def is_full(self):
-        return len(self.lowering) == self.cd.rank
 
     def k_exponent(self, i, s) -> int:
         """Exponent of v in the k_i eigenvalue on basis vector s."""

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from qgroups.cache import ResultCache, descriptor_hash
-from qgroups import cli
+from qgroups import cli, uqrep
 from qgroups.cli import (
     EXIT_FAILED,
     EXIT_INCONCLUSIVE,
@@ -159,6 +159,24 @@ def test_zero_denominator_v0_is_a_usage_error(capsys):
     code = main(["irrep", "--algebra", "A1", "--weight", "1", "--v0", "1/0"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: cannot parse v0 '1/0'\n"
+
+
+@pytest.mark.parametrize("v0", ["abc", "0", "1"])
+def test_bad_v0_is_rejected_before_any_work(v0, tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before --v0 was checked")
+
+    monkeypatch.setattr(uqrep, "build_irrep", no_work)
+    monkeypatch.setattr(cli, "CoeffAlgebra", no_work)
+    cache_dir = tmp_path / "cache"
+    for argv in (["irrep", "--algebra", "A2", "--weight", "1,1",
+                  "--cache-dir", str(cache_dir)],
+                 ["haar", "--algebra", "A1", "--pair", "t(1)[1,1]", "t(1)[1,1]"]):
+        code = main(argv + ["--v0", v0])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not cache_dir.exists() or list(cache_dir.iterdir()) == []
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -331,3 +331,20 @@ def test_word_vector_memo_stops_at_its_bound(a1, monkeypatch):
         for word in itertools.product(gens, repeat=n):
             assert_lines_match(alg, (2,), AlgebraWord.of_word(*word))
     assert len(alg._word_vecs) == 5
+
+
+def test_coeff_eval_of_bare_word_matches_algebra_word(a1):
+    # a fresh algebra; bare words read the memoized vectors without a copy
+    alg = CoeffAlgebra(a1.cd, a1.irreps)
+    lam = (2,)
+    a = CoeffElement({(lam, i, j): v(i - j) + RationalFunction.const(i * j)
+                      for i in range(1, 4) for j in range(1, 4)})
+    gens = [gen_e(1), gen_f(1), gen_k(1), gen_kinv(1)]
+    for n in range(4):
+        for word in itertools.product(gens, repeat=n):
+            bare = coeff_eval(alg, a, word)
+            assert bare == coeff_eval(alg, a, AlgebraWord.of_word(*word)), word
+            assert coeff_eval(alg, a, word) == bare, word
+    # reading without a copy left the memoized vectors intact
+    for word in [(), (gen_f(1),), (gen_e(1), gen_f(1))]:
+        assert_lines_match(alg, lam, AlgebraWord.of_word(*word))

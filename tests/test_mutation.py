@@ -2,15 +2,17 @@
 
 Each test puts a fresh ``CoeffAlgebra`` where the suites find theirs, runs
 the suite once on the intact data, then perturbs one datum in place (an E/F
-matrix entry, a Gram value, a column of a Clebsch-Gordan basis, an entry of
-a dual intertwiner Q) and runs the suite again, in a new context where the
-first one has memoized what the datum feeds.  A perturbed entry is a new
-rational function, so the scalar memos see new keys and cannot hide it.
+matrix entry of a module or of a Levi module, a Gram value, a column of a
+Clebsch-Gordan basis, an entry of a dual intertwiner Q) and runs the suite
+again, in a new context where the first one has memoized what the datum
+feeds.  A perturbed entry is a new rational function, so the scalar memos
+see new keys and cannot hide it; the coproduct legs memo holds words only.
+The ``dimensions`` suite reads no matrix entry and has no case here.
 """
 
 import pytest
 
-from qgroups import coeff, verify
+from qgroups import coeff, uqrep, verify
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra
 from qgroups.scalar import RationalFunction
@@ -34,14 +36,71 @@ def run(suite, name, max_weight):
     return suite(quick=True, algebra=name, max_weight=max_weight)["passed"]
 
 
+def double_first(mat):
+    rc = min(mat.data)
+    mat.data[rc] = mat.data[rc] * TWO
+
+
 @pytest.mark.parametrize("kind", ["E", "F"])
 def test_perturbed_generator_entry_fails_relations(fresh, kind):
     alg = fresh("A2")
     assert run(verify.check_relations, "A2", 2)
-    mat = getattr(alg.irrep((1, 1)), kind)[1]
-    rc = min(mat.data)
-    mat.data[rc] = mat.data[rc] * TWO
+    double_first(getattr(alg.irrep((1, 1)), kind)[1])
     assert not run(verify.check_relations, "A2", 2)
+
+
+# (suite, algebra, module weight, generator): the first entry of that
+# generator's matrix is doubled; frobenius and borel_weil see it through W
+@pytest.mark.parametrize("check,name,lam,kind", [
+    ("schur", "A1", (1,), "F"),
+    ("schur", "A1", (2,), "E"),
+    ("projectivity", "A1", (1,), "E"),
+    ("projectivity", "A1", (1,), "F"),
+    ("frobenius", "A1", (2,), "E"),
+    ("borel_weil", "A1", (2,), "F"),
+    ("invariants", "A2", (1, 1), "E"),
+])
+def test_perturbed_module_entry_fails_suite(fresh, check, name, lam, kind):
+    suite = verify.ALL_CHECKS[check]
+    fresh(name)
+    assert run(suite, name, None)
+    alg = fresh(name)
+    double_first(getattr(alg.irrep(lam), kind)[1])
+    assert not run(suite, name, None)
+
+
+@pytest.mark.parametrize("kind", ["E", "F"])
+def test_perturbed_levi_generator_fails_hom_criterion(fresh, kind):
+    fresh("A2")
+    assert run(verify.check_hom_criterion, "A2", None)
+    alg = fresh("A2")
+    double_first(getattr(alg.irreps.levi(alg.cd, (1,), (1, -1)), kind)[1])
+    assert not run(verify.check_hom_criterion, "A2", None)
+
+
+def test_accepting_invariance_test_fails_invariants(fresh, monkeypatch):
+    fresh("A2")
+    assert run(verify.check_invariants, "A2", None)
+    fresh("A2")
+    monkeypatch.setattr(verify, "is_invariant_function", lambda alg, p, f: True)
+    assert not run(verify.check_invariants, "A2", None)
+
+
+def test_sign_flipped_gram_value_fails_haar_positivity(fresh):
+    fresh("A1")
+    assert run(verify.check_haar_positivity, "A1", None)
+    gram = fresh("A1").irrep((1,)).gram
+    gram[1] = -gram[1]
+    assert not run(verify.check_haar_positivity, "A1", None)
+
+
+def test_perturbed_entry_fails_hopf_with_warm_legs_memo(fresh, monkeypatch):
+    monkeypatch.setattr(uqrep, "_LEGS", {})
+    fresh("A1")
+    assert run(verify.check_hopf, "A1", 1)
+    assert uqrep._LEGS
+    double_first(fresh("A1").irrep((1,)).E[1])
+    assert not run(verify.check_hopf, "A1", 1)
 
 
 def test_perturbed_gram_value_fails_hopf(fresh):
@@ -77,6 +136,5 @@ def test_perturbed_dual_intertwiner_fails_hopf(fresh):
     alg = fresh("A1")
     assert run(verify.check_hopf, "A1", 1)
     _, q, _ = alg.dual_data((1,))
-    rc = min(q.data)
-    q.data[rc] = q.data[rc] * TWO
+    double_first(q)
     assert not run(verify.check_hopf, "A1", 1)

@@ -229,3 +229,26 @@ def test_scalar_memos_stop_at_their_bound(monkeypatch):
     for _ in range(2):
         assert quotient_sums() == want
         assert len(scalar._GCD_MEMO) == 3 and len(scalar._PROD_MEMO) == 3
+
+
+@st.composite
+def monomials(draw):
+    """A quotient of two one-term polynomials: the monomial ±c * v^s."""
+    return (ref.LaurentPoly({draw(st.integers(-8, 8)): draw(coeffs.filter(bool))}),
+            ref.LaurentPoly({draw(st.integers(-4, 4)): draw(coeffs.filter(bool))}))
+
+
+@st.composite
+def monomial_operand_pairs(draw):
+    # each operand is a monomial in half of the draws, both in a quarter
+    a, b = draw(operand_pairs())
+    return (draw(monomials()) if draw(st.booleans()) else a,
+            draw(monomials()) if draw(st.booleans()) else b)
+
+
+@given(monomial_operand_pairs())
+@settings(max_examples=300, deadline=None)
+def test_monomial_products_match_fraction_kernel(pairs):
+    (a, ra), (b, rb) = both(pairs[0]), both(pairs[1])
+    same(a * b, ra * rb)
+    same(b * a, rb * ra)

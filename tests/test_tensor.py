@@ -63,13 +63,17 @@ def test_highest_weight_vectors_a1(a1):
 def test_decompose_against_character_oracle(a1, a2, b2):
     cases = [
         (a1, (1,), (1,)),
+        (a1, (1,), (2,)),
         (a1, (2,), (1,)),
         (a1, (3,), (3,)),
         (a2, (1, 0), (0, 1)),
         (a2, (1, 0), (1, 0)),
         (a2, (1, 1), (1, 0)),
+        (a2, (1, 1), (1, 1)),
         (b2, (0, 1), (0, 1)),
+        (b2, (1, 0), (0, 1)),
     ]
+    # A2 (1, 1) (x) (1, 1) holds the adjoint twice
     for alg, lam, mu in cases:
         t = tensor_module(alg.irrep(lam), alg.irrep(mu))
         cg = decompose(t, alg.irreps)

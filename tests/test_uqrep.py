@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from qgroups import scalar, uqrep
 from qgroups.cartan import weight_multiplicities
 from qgroups.linalg import Mat, solve
 from qgroups.scalar import RF_ONE, RF_ZERO, RationalFunction, q_integer, specialize
@@ -257,3 +259,54 @@ def test_irrep_json_round_trip(a2):
 def test_cache_shares_instances(a1):
     cache = a1.irreps
     assert cache.irrep(a1.cd, (2,)) is cache.irrep(a1.cd, (2,))
+
+
+def expand_coproduct(x):
+    """Delta of a word combination, expanded generator by generator."""
+    out = {}
+    for word, c in x.terms.items():
+        legs = [((), ())]
+        for kind, i in word:
+            g = (kind, i)
+            if kind in ("e", "f"):
+                pieces = [((g,), (gen_k(i),)), ((gen_kinv(i),), (g,))]
+            else:
+                pieces = [((g,), (g,))]
+            legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
+        for key in legs:
+            out[key] = out.get(key, RF_ZERO) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def a2_words(length):
+    gens = [g(i) for i in (1, 2) for g in (gen_e, gen_f, gen_k, gen_kinv)]
+    return [w for n in range(length + 1) for w in itertools.product(gens, repeat=n)]
+
+
+def test_coproduct_legs_memo_cold_and_hot(a2, monkeypatch):
+    monkeypatch.setattr(uqrep, "_LEGS", {})
+    monkeypatch.setattr(uqrep, "_LEG_WORDS", {})
+    words = a2_words(3)
+    mixed = AlgebraWord({(gen_e(1), gen_f(2)): q_integer(2), (gen_k(1),): v(-2),
+                         (): RationalFunction.const(Fraction(3, 2))})
+    for _ in ("cold", "hot"):
+        for w in words:
+            x = AlgebraWord.of_word(*w)
+            assert coproduct_word(a2.cd, x) == expand_coproduct(x), w
+        assert coproduct_word(a2.cd, mixed) == expand_coproduct(mixed)
+    assert len(uqrep._LEGS) == len(words)
+    # equal leg words share one stored copy
+    for legs in uqrep._LEGS.values():
+        for pair in legs:
+            assert all(uqrep._LEG_WORDS[w] is w for w in pair)
+
+
+def test_coproduct_legs_memo_stops_at_its_bound(a2, monkeypatch):
+    monkeypatch.setattr(scalar, "MEMO_MAX", 3)
+    monkeypatch.setattr(uqrep, "_LEGS", {})
+    monkeypatch.setattr(uqrep, "_LEG_WORDS", {})
+    for _ in range(2):
+        for w in a2_words(2):
+            x = AlgebraWord.of_word(*w)
+            assert coproduct_word(a2.cd, x) == expand_coproduct(x), w
+        assert len(uqrep._LEGS) == 3 and len(uqrep._LEG_WORDS) == 3
