@@ -22,7 +22,7 @@ from .cache import CacheIntegrityError, ResultCache, atomic_write
 from .cartan import cartan_data
 from .coeff import CoeffAlgebra, CoeffElement, antipode, haar, product, star
 from .parabolic import ParabolicData
-from .scalar import rf_to_text, specialize
+from .scalar import check_v0, rf_to_text, specialize
 from .uqrep import (IRREP_SCHEMA, check_serre, irrep_from_json, irrep_to_json,
                     quantum_dimension)
 
@@ -62,9 +62,10 @@ def parse_v0(text):
         v0 = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse v0 {text!r}") from None
-    if v0 <= 0 or v0 == 1:
-        raise UsageError(f"v0 must be positive and differ from 1, got {text!r}")
-    return v0
+    try:
+        return check_v0(v0)
+    except ValueError as e:
+        raise UsageError(f"{e}, got {text!r}") from None
 
 
 def parse_theta(text, rank):

@@ -165,15 +165,17 @@ class CoeffAlgebra:
         """Column ``index`` (or row, for side="row") of the matrix of x on lam.
 
         x is an AlgebraWord or a single word (a tuple of generators, with
-        coefficient one); positions are 0-based and the result is a fresh
-        sparse {position: RationalFunction} dict.  Only one basis vector is
-        pushed through each word; the vector of every word and of its
+        coefficient one); positions are 0-based and the result is a sparse
+        {position: RationalFunction} dict that callers only read: for a
+        single word it is the memoized vector itself.  Only one basis vector
+        is pushed through each word; the vector of every word and of its
         suffixes (prefixes, for rows) is memoized.  The name is older than
         this contract and stays because the benchmark's layer map uses it.
         """
-        terms = {x: RF_ONE} if isinstance(x, tuple) else x.terms
+        if isinstance(x, tuple):
+            return self._word_vec(lam, x, index, side)
         out = {}
-        for word, c in terms.items():
+        for word, c in x.terms.items():
             vec = self._word_vec(lam, word, index, side)
             unit = c.is_one()
             for r, y in vec.items():
@@ -300,17 +302,14 @@ def coeff_eval(alg: CoeffAlgebra, a: CoeffElement, x) -> RationalFunction:
     """Pairing of a coefficient element against an algebra word.
 
     x is an AlgebraWord or a single word; each (lam, j) column is evaluated
-    once and t^(lam)_{ij} reads its entry i.  The column of a single word is
-    the memoized vector itself, read without a copy.
+    once and t^(lam)_{ij} reads its entry i.
     """
-    bare = isinstance(x, tuple)
     cols = {}
     total = RF_ZERO
     for (lam, i, j), c in a.terms.items():
         col = cols.get((lam, j))
         if col is None:
-            col = cols[(lam, j)] = (alg._word_vec(lam, x, j - 1, "col") if bare
-                                    else alg.word_matrix(lam, x, j - 1))
+            col = cols[(lam, j)] = alg.word_matrix(lam, x, j - 1)
         mij = col.get(i - 1)
         if mij:
             total = total + c * mij

@@ -234,7 +234,7 @@ def invert(m: Mat) -> Mat:
     rows = m.to_rows()
     eye = Mat.identity(n).to_rows()
     work = [rows[i] + eye[i] for i in range(n)]
-    pivots = rref(work)
+    pivots = rref(work, n)
     if len(pivots) != n:
         raise ArithmeticError("singular matrix")
     out = Mat(n, n)

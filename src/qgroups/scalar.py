@@ -641,13 +641,17 @@ def gauss_binomial(m: int, t: int, d: int = 1) -> RationalFunction:
     return out
 
 
+def check_v0(v0) -> Fraction:
+    """v0 as a Fraction, or ValueError unless v0 > 0 and v0 != 1."""
+    v0 = Fraction(v0)
+    if v0 <= 0 or v0 == 1:
+        raise ValueError("specialization point v0 must be positive and differ from 1")
+    return v0
+
+
 def specialize(f: RationalFunction, v0) -> NumericValue:
     """Exact evaluation at a rational point v0 > 0, v0 != 1."""
-    v0 = Fraction(v0)
-    if v0 <= 0:
-        raise ValueError("specialization point must be positive")
-    if v0 == 1:
-        raise ValueError("specialization point must differ from 1")
+    v0 = check_v0(v0)
     den = f.den.evaluate(v0)
     if den == 0:
         raise ZeroDivisionError(f"pole at v = {v0}")

@@ -214,8 +214,8 @@ def _coproduct_legs(word) -> tuple:
             pieces = ((((kind, i),), ((kind, i),)),)
         legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
     words = _LEG_WORDS
-    legs = tuple((words.get(w1) or memo_put(words, w1, w1),
-                  words.get(w2) or memo_put(words, w2, w2)) for w1, w2 in legs)
+    legs = tuple(tuple(words[w] if w in words else memo_put(words, w, w) for w in pair)
+                 for pair in legs)
     return memo_put(_LEGS, word, legs)
 
 

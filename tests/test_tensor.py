@@ -1,7 +1,7 @@
 import pytest
 
 from qgroups.cartan import char_decompose_oracle
-from qgroups.linalg import Mat
+from qgroups.linalg import Mat, invert
 from qgroups.scalar import RF_ONE, RationalFunction
 from qgroups.tensor import decompose, highest_weight_vectors, tensor_module
 from qgroups.uqrep import check_serre
@@ -126,3 +126,12 @@ def test_multiplicity_space_ordering_is_reproducible(a2):
     assert cg1.basis == cg2.basis and cg1.basis_inv == cg2.basis_inv
 
 
+
+
+@pytest.mark.parametrize("entries", [{}, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4},
+                                     {(1, 0): 1, (1, 1): 3}])
+def test_invert_rejects_singular_matrix(entries):
+    m = Mat(2, 2)
+    m.data.update({k: RationalFunction.const(x) for k, x in entries.items()})
+    with pytest.raises(ArithmeticError, match="singular"):
+        invert(m)

@@ -286,6 +286,14 @@ def a2_words(length):
 def test_coproduct_legs_memo_cold_and_hot(a2, monkeypatch):
     monkeypatch.setattr(uqrep, "_LEGS", {})
     monkeypatch.setattr(uqrep, "_LEG_WORDS", {})
+    stored = []
+
+    def counting_put(memo, key, value):
+        if memo is uqrep._LEG_WORDS:
+            stored.append(key)
+        return scalar.memo_put(memo, key, value)
+
+    monkeypatch.setattr(uqrep, "memo_put", counting_put)
     words = a2_words(3)
     mixed = AlgebraWord({(gen_e(1), gen_f(2)): q_integer(2), (gen_k(1),): v(-2),
                          (): RationalFunction.const(Fraction(3, 2))})
@@ -299,6 +307,9 @@ def test_coproduct_legs_memo_cold_and_hot(a2, monkeypatch):
     for legs in uqrep._LEGS.values():
         for pair in legs:
             assert all(uqrep._LEG_WORDS[w] is w for w in pair)
+    # each leg word, the empty word included, is stored once and then found
+    assert () in uqrep._LEG_WORDS
+    assert sorted(stored) == sorted(uqrep._LEG_WORDS)
 
 
 def test_coproduct_legs_memo_stops_at_its_bound(a2, monkeypatch):
