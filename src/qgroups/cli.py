@@ -3,8 +3,9 @@
 Subcommands build modules, run the verification suites, and report on
 section spaces.  All output is deterministic for a fixed configuration and
 cache state: identical runs produce byte-identical reports.  Exit codes:
-0 success, 1 usage, cache-integrity or --out write errors, 2 failed verification
-or internal invariant failure, 3 inconclusive (truncation too small to decide).
+0 success, 1 usage, cache-integrity, cache-write or --out write errors,
+2 failed verification or internal invariant failure, 3 inconclusive
+(truncation too small to decide).
 """
 
 from __future__ import annotations
@@ -115,7 +116,11 @@ def cmd_irrep(args, stream):
 
         module = build_irrep(cd, weight)
         if cache is not None:
-            cache.store(descriptor, irrep_to_json(module))
+            try:
+                cache.store(descriptor, irrep_to_json(module))
+            except OSError as exc:
+                raise UsageError(f"cannot write cache entry in {args.cache_dir}: "
+                                 f"{exc.strerror or exc}")
     report = check_serre(module)
     ok = all(r["ok"] for r in report)
     qdim = quantum_dimension(module)

@@ -47,8 +47,8 @@ from .uqrep import (
     AlgebraWord,
     IrrepCache,
     IrrepModule,
+    _coproduct_legs,
     antipode_inv_word,
-    coproduct_word,
     k2rho,
     quantum_dimension,
 )
@@ -146,6 +146,20 @@ class CoeffTensor:
         return f"CoeffTensor({len(self.terms)} terms)"
 
 
+class _InverseColumns(dict):
+    """The col_map of ``CoeffAlgebra.cg``: a missing column is formed and kept."""
+
+    __slots__ = ("cgd", "rows")
+
+    def __init__(self, cgd, rows):
+        super().__init__()
+        self.cgd, self.rows = cgd, rows
+
+    def __missing__(self, j):
+        col = self[j] = self.cgd.inverse_column(j, self.rows.get(j, ()))
+        return col
+
+
 class CoeffAlgebra:
     """Context for one algebra: module cache plus derived structure caches."""
 
@@ -167,13 +181,18 @@ class CoeffAlgebra:
         x is an AlgebraWord or a single word (a tuple of generators, with
         coefficient one); positions are 0-based and the result is a sparse
         {position: RationalFunction} dict that callers only read: for a
-        single word it is the memoized vector itself.  Only one basis vector
+        single word, bare or an AlgebraWord of one word with coefficient
+        one, it is the memoized vector itself.  Only one basis vector
         is pushed through each word; the vector of every word and of its
         suffixes (prefixes, for rows) is memoized.  The name is older than
         this contract and stays because the benchmark's layer map uses it.
         """
         if isinstance(x, tuple):
             return self._word_vec(lam, x, index, side)
+        if len(x.terms) == 1:
+            (word, c), = x.terms.items()
+            if c.is_one():
+                return self._word_vec(lam, word, index, side)
         out = {}
         for word, c in x.terms.items():
             vec = self._word_vec(lam, word, index, side)
@@ -216,7 +235,8 @@ class CoeffAlgebra:
 
         Returns (decomposition, row_map, col_map) where row_map[I] lists
         (nu, copy, a, x) over the nonzeros of row I of the isotypic basis and
-        col_map[J] lists (nu, copy, b, y) over column J of its inverse.
+        col_map[J] is column J of its inverse as {(nu, copy): [(b, y)]},
+        formed from row_map[J] on first use and kept.
         """
         key = (tuple(lam), tuple(mu))
         hit = self._cg.get(key)
@@ -224,15 +244,8 @@ class CoeffAlgebra:
             return hit
         t = tensor_module(self.irrep(lam), self.irrep(mu))
         cgd = decompose(t, self.irreps)
-        row_map = {}
-        for (r, c), x in cgd.basis.data.items():
-            nu, copy, a = cgd.block_index[c]
-            row_map.setdefault(r, []).append((nu, copy, a, x))
-        col_map = {}
-        for (r, c), y in cgd.basis_inv.data.items():
-            nu, copy, b = cgd.block_index[r]
-            col_map.setdefault(c, []).append((nu, copy, b, y))
-        return self._cg.setdefault(key, (cgd, row_map, col_map))
+        row_map = cgd.rows()
+        return self._cg.setdefault(key, (cgd, row_map, _InverseColumns(cgd, row_map)))
 
     def dual_data(self, lam):
         """Intertwiner between the canonical dual-weight module and the dual rep.
@@ -359,17 +372,12 @@ def product(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement) -> CoeffElement
                 continue
             _, row_map, col_map = alg.cg(lam, mu)
             dmu = alg.irrep(mu).dim
-            row_i = (i - 1) * dmu + (r - 1)
-            col_j = (j - 1) * dmu + (s - 1)
-            left = row_map.get(row_i, ())
-            right = col_map.get(col_j, ())
-            if not left or not right:
+            left = row_map.get((i - 1) * dmu + (r - 1))
+            if not left:
                 continue
-            rindex = {}
-            for nu, copy, bb, y in right:
-                rindex.setdefault((nu, copy), []).append((bb, y))
+            right = col_map[(j - 1) * dmu + (s - 1)]
             for nu, copy, aa, x in left:
-                for bb, y in rindex.get((nu, copy), ()):
+                for bb, y in right.get((nu, copy), ()):
                     key = (nu, aa + 1, bb + 1)
                     val = out.get(key, RF_ZERO) + c * x * y
                     if val:
@@ -491,13 +499,14 @@ def word_pairing(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement,
                  x: AlgebraWord) -> RationalFunction:
     """Evaluate a (x) b against the coproduct of a word."""
     total = RF_ZERO
-    for (w1, w2), c in coproduct_word(alg.cd, x).items():
-        v1 = coeff_eval(alg, a, w1)
-        if not v1:
-            continue
-        v2 = coeff_eval(alg, b, w2)
-        if v2:
-            total = total + c * v1 * v2
+    for word, c in x.terms.items():
+        for w1, w2 in _coproduct_legs(word):
+            v1 = coeff_eval(alg, a, w1)
+            if not v1:
+                continue
+            v2 = coeff_eval(alg, b, w2)
+            if v2:
+                total = total + c * v1 * v2
     return total
 
 

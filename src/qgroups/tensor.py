@@ -7,11 +7,14 @@ isotypic copy with the construction recipe of the canonical module, so the
 restricted generator matrices on every block equal the canonical matrices
 on the nose, not merely up to isomorphism.
 
-The change of basis back to the product basis is obtained without a generic
-matrix inversion: the product of the factors' contravariant forms is again
+The change of basis back to the product basis needs no generic matrix
+inversion: the product of the factors' contravariant forms is again
 contravariant, distinct isotypic blocks are orthogonal for it, and inside an
-isotypic block the pairing reduces to a small copies-by-copies matrix tensor
-the canonical diagonal Gram.
+isotypic block the pairing reduces to a small copies-by-copies matrix h
+tensor the canonical diagonal Gram.  ``decompose`` keeps only each
+component's h^-1; column J of the inverse is formed on demand from row J of
+the basis (``CGDecomposition.inverse_column``), so a caller that reads a few
+columns pays for those alone.
 """
 
 from __future__ import annotations
@@ -88,10 +91,6 @@ class TensorModule:
             return self.k_matrix(i, inverse=True)
         raise ValueError(f"unknown generator {gen!r}")
 
-    def gram_diag(self):
-        """Diagonal of the product contravariant form."""
-        return [ga * gb for ga in self.a.gram for gb in self.b.gram]
-
     def weight_spaces(self):
         out = {}
         for s, w in enumerate(self.weights):
@@ -136,22 +135,69 @@ def highest_weight_vectors(t: TensorModule, nu) -> list:
 class CGDecomposition:
     """Full decomposition of a tensor product into canonical blocks.
 
-    components: list of (nu, copies) with copies a list of column index
-    offsets into the change-of-basis matrix; basis: Mat whose columns are the
-    isotypic basis vectors in product coordinates; basis_inv: its inverse.
+    components: list of (nu, copies, canon) with copies a list of column
+    index offsets into the change-of-basis matrix; basis: Mat whose columns
+    are the isotypic basis vectors in product coordinates; block_index: basis
+    column -> (nu, copy, k); blocks: nu -> (h^-1 as rows, canonical Gram).
     """
 
-    __slots__ = ("t", "components", "basis", "basis_inv", "block_index")
+    __slots__ = ("t", "components", "basis", "block_index", "blocks")
 
-    def __init__(self, t, components, basis, basis_inv, block_index):
+    def __init__(self, t, components, basis, block_index, blocks):
         self.t = t
         self.components = components
         self.basis = basis
-        self.basis_inv = basis_inv
         self.block_index = block_index
+        self.blocks = blocks
 
     def multiplicities(self) -> dict:
         return {nu: len(copies) for nu, copies, _ in self.components}
+
+    def rows(self) -> dict:
+        """Row J of the basis as [(nu, copy, k, x)] over its nonzeros."""
+        out = {}
+        block_index = self.block_index
+        for (r, c), x in self.basis.data.items():
+            out.setdefault(r, []).append((*block_index[c], x))
+        return out
+
+    def inverse_column(self, j, row) -> dict:
+        """Column j of the inverse basis as {(nu, copy): [(k, y)]}.
+
+        ``row`` is row j of the basis as ``rows`` gives it.  With g the
+        product form and g^nu the canonical Gram,
+        inverse[(nu, c1, k), j] = sum_c2 h^-1[c1, c2] basis[j, (nu, c2, k)] g[j] / g^nu_k.
+        """
+        a, b = self.t.a, self.t.b
+        gj = a.gram[j // b.dim] * b.gram[j % b.dim]
+        acc = {}
+        for nu, c2, k, x in row:
+            hinv, gram = self.blocks[nu]
+            f = x * gj / gram[k]
+            for c1, hrow in enumerate(hinv):
+                if hrow[c2]:
+                    key = (nu, c1, k)
+                    y = hrow[c2] * f
+                    acc[key] = acc[key] + y if key in acc else y
+        out = {}
+        for (nu, c1, k), y in acc.items():
+            if y:
+                out.setdefault((nu, c1), []).append((k, y))
+        return out
+
+    @property
+    def basis_inv(self) -> Mat:
+        """The whole inverse, every column formed by ``inverse_column``."""
+        n = self.t.dim
+        inv = Mat(n, n)
+        offsets = {nu: copies for nu, copies, _ in self.components}
+        rows = self.rows()
+        for j in range(n):
+            for (nu, copy), entries in self.inverse_column(j, rows.get(j, ())).items():
+                off = offsets[nu][copy]
+                for k, y in entries:
+                    inv.data[(off + k, j)] = y
+        return inv
 
     def __repr__(self):
         mults = ", ".join(f"{nu}:{len(c)}" for nu, c, _ in self.components)
@@ -161,6 +207,19 @@ class CGDecomposition:
 def _height_key(cd: CartanData, w):
     rho = (1,) * cd.rank
     return (-inner_scaled(cd, w, rho), tuple(-c for c in w))
+
+
+def _pairing_inverse(t, firsts):
+    """h^-1 as rows, h[c1][c2] the product form on the first vectors of copies
+    c1 and c2 (the first canonical Gram value is one)."""
+    ga, gb, db = t.a.gram, t.b.gram, t.b.dim
+    h = [[sum((x * w[r] * ga[r // db] * gb[r % db] for r, x in u.items() if r in w), RF_ZERO)
+          for w in firsts] for u in firsts]
+    if len(h) > 1:
+        return invert(Mat.from_rows(h)).to_rows()
+    if not h[0][0]:
+        raise ArithmeticError("degenerate isotypic pairing")
+    return [[RF_ONE / h[0][0]]]
 
 
 def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
@@ -181,6 +240,7 @@ def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
 
     f_apply = index_applier(t.f_matrix)
     components = []
+    blocks = {}
     basis = Mat(t.dim, t.dim)
     col = 0
     block_index = {}
@@ -190,6 +250,7 @@ def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
         else:
             canon = irrep_cache.levi(cd, t.lowering, nu)
         copies = []
+        firsts = []
         for u in hwvs[nu]:
             cols = canon.embed_from_highest(f_apply, u)
             offset = col
@@ -197,63 +258,13 @@ def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
                 basis.set_column(offset + k, colvec)
                 block_index[offset + k] = (nu, len(copies), k)
             copies.append(offset)
+            firsts.append(cols[0])
             col += canon.dim
         components.append((nu, copies, canon))
+        blocks[nu] = (_pairing_inverse(t, firsts), canon.gram)
 
     if col != t.dim:
         raise ArithmeticError(
             f"isotypic dimensions sum to {col}, product dimension is {t.dim}"
         )
-
-    basis_inv = _invert_by_form(t, components, basis, block_index)
-    return CGDecomposition(t, components, basis, basis_inv, block_index)
-
-
-def _invert_by_form(t, components, basis, block_index):
-    gram = t.gram_diag()
-    n = t.dim
-    # columns grouped per component: pairing of copies via the first canonical
-    # basis vector of the block
-    inv = Mat(n, n)
-    col_of = {}
-    for c, key in block_index.items():
-        col_of[key] = c
-    columns = {c: dict(entries) for c, entries in basis.columns().items()}
-    for nu, copies, canon in components:
-        m = len(copies)
-        # h[c1][c2] = (phi_c1(w_1), phi_c2(w_1)) / gram_canon[0]
-        h = [[RF_ZERO] * m for _ in range(m)]
-        for c1 in range(m):
-            v1 = columns.get(col_of[(nu, c1, 0)], {})
-            for c2 in range(m):
-                v2 = columns.get(col_of[(nu, c2, 0)], {})
-                pair = RF_ZERO
-                for r, x in v1.items():
-                    y = v2.get(r)
-                    if y:
-                        pair = pair + x * y * gram[r]
-                h[c1][c2] = pair
-        hinv = invert(Mat.from_rows(h)) if m > 1 else None
-        if m == 1:
-            h00 = h[0][0]
-            if not h00:
-                raise ArithmeticError("degenerate isotypic pairing")
-        for c1 in range(m):
-            for k in range(canon.dim):
-                row = col_of[(nu, c1, k)]
-                gk = canon.gram[k]
-                for c2 in range(m):
-                    factor = (
-                        hinv[(c1, c2)] if m > 1 else (RF_ONE / h00 if c1 == c2 else RF_ZERO)
-                    )
-                    if not factor:
-                        continue
-                    factor = factor / gk
-                    v = columns.get(col_of[(nu, c2, k)], {})
-                    for r, x in v.items():
-                        prev = inv.data.get((row, r), RF_ZERO) + factor * x * gram[r]
-                        if prev:
-                            inv.data[(row, r)] = prev
-                        else:
-                            inv.data.pop((row, r), None)
-    return inv
+    return CGDecomposition(t, components, basis, block_index, blocks)

@@ -217,6 +217,21 @@ def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_cache_dir_beneath_a_regular_file_is_a_one_line_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = tmp_path / "report.json"
+    code = main(["irrep", "--algebra", "A2", "--weight", "1,0", "--out", str(out),
+                 "--cache-dir", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: cannot write cache entry")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert blocker.read_text() == "x"
+
+
 def test_failing_command_leaves_no_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["irrep", "--algebra", "A1", "--weight", "-1", "--out", str(target)])

@@ -323,6 +323,29 @@ def test_word_matrix_lines_match_act_word(a1, a2):
         assert_lines_match(alg, lam, x)
 
 
+def test_one_word_algebra_word_reads_the_memoized_vector(a1):
+    # a fresh algebra; a one-word AlgebraWord with coefficient one is served
+    # like the bare word: the memoized vector itself, without a copy
+    alg = CoeffAlgebra(a1.cd, a1.irreps)
+    lam = (2,)
+    gens = [gen_e(1), gen_f(1), gen_k(1), gen_kinv(1)]
+    for n in range(4):
+        for word in itertools.product(gens, repeat=n):
+            x = AlgebraWord.of_word(*word)
+            for index in range(3):
+                for side in ("col", "row"):
+                    got = alg.word_matrix(lam, x, index, side)
+                    assert got is alg.word_matrix(lam, word, index, side), (word, side)
+            assert_lines_match(alg, lam, x)
+    # another coefficient still scales a fresh vector
+    word = (gen_f(1), gen_f(1))
+    c = v(3) + RF_ONE
+    bare = alg.word_matrix(lam, word, 0)
+    got = alg.word_matrix(lam, AlgebraWord({word: c}), 0)
+    assert bare and got == {r: c * y for r, y in bare.items()}
+    assert bare == alg.word_matrix(lam, AlgebraWord.of_word(*word), 0)
+
+
 def test_word_vector_memo_stops_at_its_bound(a1, monkeypatch):
     monkeypatch.setattr(scalar, "MEMO_MAX", 5)
     alg = CoeffAlgebra(a1.cd, a1.irreps)

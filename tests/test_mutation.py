@@ -7,7 +7,8 @@ Clebsch-Gordan basis, an entry of a dual intertwiner Q) and runs the suite
 again, in a new context where the first one has memoized what the datum
 feeds.  A perturbed entry is a new rational function, so the scalar memos
 see new keys and cannot hide it; the coproduct legs memo holds words only.
-The ``dimensions`` suite reads no matrix entry and has no case here.
+The ``dimensions`` suite reads no matrix entry; its case duplicates a basis
+weight.
 """
 
 import pytest
@@ -39,6 +40,14 @@ def run(suite, name, max_weight):
 def double_first(mat):
     rc = min(mat.data)
     mat.data[rc] = mat.data[rc] * TWO
+
+
+def test_duplicated_basis_weight_fails_dimensions(fresh):
+    fresh("A1")
+    assert run(verify.check_dimensions, "A1", 2)
+    weights = fresh("A1").irrep((2,)).weights
+    weights[1] = weights[0]
+    assert not run(verify.check_dimensions, "A1", 2)
 
 
 @pytest.mark.parametrize("kind", ["E", "F"])

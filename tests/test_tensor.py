@@ -1,6 +1,7 @@
 import pytest
 
 from qgroups.cartan import char_decompose_oracle
+from qgroups.coeff import CoeffAlgebra
 from qgroups.linalg import Mat, invert
 from qgroups.scalar import RF_ONE, RationalFunction
 from qgroups.tensor import decompose, highest_weight_vectors, tensor_module
@@ -60,25 +61,57 @@ def test_highest_weight_vectors_a1(a1):
     assert highest_weight_vectors(t, (5,)) == []
 
 
+# (algebra, lam, mu); A2 (1, 1) (x) (1, 1) holds the adjoint twice
+DECOMPOSE_CASES = [
+    ("a1", (1,), (1,)),
+    ("a1", (1,), (2,)),
+    ("a1", (2,), (1,)),
+    ("a1", (3,), (3,)),
+    ("a2", (1, 0), (0, 1)),
+    ("a2", (1, 0), (1, 0)),
+    ("a2", (1, 1), (1, 0)),
+    ("a2", (1, 1), (1, 1)),
+    ("b2", (0, 1), (0, 1)),
+    ("b2", (1, 0), (0, 1)),
+]
+
+
 def test_decompose_against_character_oracle(a1, a2, b2):
-    cases = [
-        (a1, (1,), (1,)),
-        (a1, (1,), (2,)),
-        (a1, (2,), (1,)),
-        (a1, (3,), (3,)),
-        (a2, (1, 0), (0, 1)),
-        (a2, (1, 0), (1, 0)),
-        (a2, (1, 1), (1, 0)),
-        (a2, (1, 1), (1, 1)),
-        (b2, (0, 1), (0, 1)),
-        (b2, (1, 0), (0, 1)),
-    ]
-    # A2 (1, 1) (x) (1, 1) holds the adjoint twice
-    for alg, lam, mu in cases:
+    algs = {"a1": a1, "a2": a2, "b2": b2}
+    for name, lam, mu in DECOMPOSE_CASES:
+        alg = algs[name]
         t = tensor_module(alg.irrep(lam), alg.irrep(mu))
         cg = decompose(t, alg.irreps)
         assert cg.multiplicities() == char_decompose_oracle(alg.cd, lam, mu)
         assert (cg.basis_inv @ cg.basis) == Mat.identity(t.dim)
+
+
+def inverse_columns(alg, lam, mu, order):
+    """Column j of the inverse from alg.cg's col_map, in basis coordinates."""
+    cgd, _, col_map = alg.cg(lam, mu)
+    offsets = {nu: copies for nu, copies, _ in cgd.components}
+    return {j: {offsets[nu][copy] + k: y
+                for (nu, copy), entries in col_map[j].items() for k, y in entries}
+            for j in order}
+
+
+@pytest.mark.parametrize("name,lam,mu", DECOMPOSE_CASES)
+def test_inverse_columns_on_demand_match_gauss_jordan(a1, a2, b2, name, lam, mu):
+    shared = {"a1": a1, "a2": a2, "b2": b2}[name]
+    # fresh algebras, so every column is formed here, in two orders
+    alg = CoeffAlgebra(shared.cd, shared.irreps)
+    cgd, _, col_map = alg.cg(lam, mu)
+    n = cgd.t.dim
+    generic = invert(cgd.basis)
+    cold = inverse_columns(alg, lam, mu, range(n))
+    for j in range(n):
+        assert cold[j] == generic.column(j), j
+    served = dict(col_map)
+    assert inverse_columns(alg, lam, mu, range(n)) == cold
+    assert all(alg.cg(lam, mu)[2][j] is served[j] for j in range(n))
+    other = CoeffAlgebra(shared.cd, shared.irreps)
+    assert inverse_columns(other, lam, mu, reversed(range(n))) == cold
+    assert cgd.basis_inv == generic
 
 
 def test_hwv_count_matches_oracle_multiplicity(a2):
