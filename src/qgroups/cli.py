@@ -3,9 +3,9 @@
 Subcommands build modules, run the verification suites, and report on
 section spaces.  All output is deterministic for a fixed configuration and
 cache state: identical runs produce byte-identical reports.  Exit codes:
-0 success, 1 usage, cache-integrity, cache-write or --out write errors,
-2 failed verification or internal invariant failure, 3 inconclusive
-(truncation too small to decide).
+0 success, 1 usage (a negative --max-weight included), cache-integrity,
+cache-write or --out write errors or a request too large for memory, 2 failed
+verification or internal invariant failure, 3 inconclusive (truncation too low).
 """
 
 from __future__ import annotations
@@ -157,6 +157,8 @@ def cmd_verify(args, stream):
     from .verify import run_checks
 
     names = args.check or None
+    if args.max_weight is not None and args.max_weight < 0:
+        raise UsageError(f"--max-weight must be non-negative, got {args.max_weight}")
     report = run_checks(names, quick=args.quick, algebra=args.algebra,
                         max_weight=args.max_weight)
     lines = []
@@ -421,6 +423,9 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except MemoryError:
+        print("error: out of memory; the request is too large", file=sys.stderr)
+        return EXIT_USAGE
     if out:
         try:
             atomic_write(out, stream.getvalue())

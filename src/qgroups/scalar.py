@@ -28,7 +28,10 @@ two cross gcds.  The inverse swaps N and D, and v -> 1/v reverses both
 coefficient tuples, so neither needs a gcd.  Gcds come from the heuristic
 GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) with the
 primitive PRS as the fallback; both return the two cofactors with the gcd.
-``poly_gcd`` is the same gcd for LaurentPolys, made monic.
+``poly_gcd`` is the same gcd for LaurentPolys, made monic.  Since q_i =
+v^(2 d_i), most operands are polynomials in v^g for a power of two g > 1:
+the gcd and the product run on A, B where a = A(v^g), b = B(v^g), and the
+results are inflated back; gcd(A(v^g), B(v^g)) = gcd(A, B)(v^g) over Z[v].
 
 The same operand pairs recur across a computation, so the arithmetic reaches
 the gcd and the products of two non-constant polynomials through bounded
@@ -184,14 +187,32 @@ def _unpack(v, k):
     return out
 
 
+def _stride(a, b):
+    """The largest power of two g with a and b (of length > 1) polynomials in v^g."""
+    g = 1
+    while not any(a[g::2 * g]) and not any(b[g::2 * g]):
+        g *= 2
+    return g
+
+
+def _inflate(p, g):
+    """p(v^g) as a tuple."""
+    out = [0] * ((len(p) - 1) * g + 1)
+    out[::g] = p
+    return tuple(out)
+
+
 def _pmul(a, b):
-    """Product of two dense integer polynomials."""
+    """Product of two dense integer polynomials, formed on the deflated ones."""
     la, lb = len(a), len(b)
     if la < lb:
         a, b, la, lb = b, a, lb, la
     if lb == 1:
         y = b[0]
         return a if y == 1 else tuple(map(_mul, a, repeat(y)))
+    g = _stride(a, b)
+    if g > 1:
+        return _inflate(_pmul(a[::g], b[::g]), g)
     out = [0] * (la + lb - 1)
     for j, y in enumerate(b):
         if y:
@@ -276,17 +297,25 @@ def _prs_gcd(a, b):
 def _dense_gcd(a, b):
     """(gcd, a / gcd, b / gcd) of primitive polynomials with positive leading
     coefficients; every result is primitive with a positive leading coefficient.
-
-    GCDHEU: evaluate at 2^k, take the integer gcd, read its balanced digits
-    back as a polynomial and keep the primitive part if it divides both.  For
-    2^k > 2 min(|a|, |b|) + 2 (max-norms) such a divisor is the gcd: the roots
-    of the gcd lie below 2^(k-1), so any missing factor t would have
-    |t(2^k)| > 2^(k-1) and could not divide the candidate's content.
-    """
+    It is computed on the deflated operands and inflated back."""
     if len(a) == 1 or len(b) == 1:
         return _ONE, a, b
     if a == b:
         return a, _ONE, _ONE
+    g = _stride(a, b)
+    if g == 1:
+        return _heu_gcd(a, b)
+    return tuple(_inflate(p, g) for p in _heu_gcd(a[::g], b[::g]))
+
+
+def _heu_gcd(a, b):
+    """``_dense_gcd`` of two different polynomials of length > 1 by GCDHEU:
+    evaluate at 2^k, take the integer gcd, read its balanced digits back as a
+    polynomial and keep the primitive part if it divides both.  For 2^k >
+    2 min(|a|, |b|) + 2 (max-norms) such a divisor is the gcd: the roots of
+    the gcd lie below 2^(k-1), so any missing factor t would have
+    |t(2^k)| > 2^(k-1) and could not divide the candidate's content.
+    """
     k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 1
     for _ in range(_HEU_TRIES):
         va, vb = _pack(a, k), _pack(b, k)

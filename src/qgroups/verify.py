@@ -46,6 +46,7 @@ from .coeff import (
 )
 from .parabolic import (
     ParabolicData,
+    branching_oracle,
     central_hom_count,
     hom_space,
     levi_lowest_weight,
@@ -613,7 +614,8 @@ def _frobenius_cases(quick=False):
 
 
 def check_frobenius(quick=False, algebra=None, max_weight=None):
-    """Dimension equality of the two intertwiner spaces and both round trips."""
+    """Dimension equality of the two intertwiner spaces, the reductive one
+    against the classical branching multiplicity, and both round trips."""
     failures = []
     rows = []
     cases = _frobenius_cases(quick)
@@ -628,7 +630,9 @@ def check_frobenius(quick=False, algebra=None, max_weight=None):
         rep = frobenius_maps(alg, p, w, v, TruncationPolicy(height=height))
         rows.append({"algebra": name, "theta": list(theta), "W": list(w_hw),
                      "V": list(v_hw), "dim": rep["dim_reductive"]})
-        for key in ("dims_equal", "induced_intertwines",
+        mult = branching_oracle(cd, p, w_hw).get(v_hw, 0)   # of V in W restricted to L
+        rep["dim_is_branching"] = rep["dim_reductive"] == mult
+        for key in ("dims_equal", "induced_intertwines", "dim_is_branching",
                     "F_after_Fbar_is_identity", "Fbar_after_F_is_identity"):
             if not rep[key]:
                 failures.append({"case": [name, list(theta), list(w_hw), list(v_hw)],

@@ -343,3 +343,32 @@ def test_cache_entry_of_another_version_is_rebuilt(tmp_path, capsys, monkeypatch
     assert len(list(tmp_path.glob("*.json"))) == 2
     assert run_cli(cached, capsys) == expected
     assert old_entry.exists()
+
+
+def test_negative_max_weight_is_a_usage_error(capsys):
+    assert main(["verify", "--max-weight", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-weight must be non-negative, got -1\n"
+
+
+def test_weight_too_large_for_memory_is_a_one_line_error(tmp_path):
+    resource = pytest.importorskip("resource")
+    # the address-space cap makes the allocation fail at once, whatever the
+    # host's overcommit policy
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    target = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgroups.cli", "irrep", "--algebra", "A1",
+         "--weight", "999999999999", "--out", str(target)],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory; the request is too large\n"
+    assert list(tmp_path.iterdir()) == []

@@ -14,8 +14,10 @@ weight.
 import pytest
 
 from qgroups import coeff, uqrep, verify
+from qgroups.bundle import TruncationPolicy, borel_weil_check
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra
+from qgroups.parabolic import ParabolicData
 from qgroups.scalar import RationalFunction
 
 TWO = RationalFunction.const(2)
@@ -85,6 +87,32 @@ def test_perturbed_levi_generator_fails_hom_criterion(fresh, kind):
     alg = fresh("A2")
     double_first(getattr(alg.irreps.levi(alg.cd, (1,), (1, -1)), kind)[1])
     assert not run(verify.check_hom_criterion, "A2", None)
+
+
+def test_perturbed_levi_module_fails_frobenius(fresh):
+    # a broken V gives no intertwiner on either side, while the branching
+    # multiplicity of V in W = (1, 0) is 1; the A2 cases are on the full grid
+    fresh("A2")
+    assert verify.check_frobenius(algebra="A2")["passed"]
+    alg = fresh("A2")
+    double_first(alg.irreps.levi(alg.cd, (1,), (1, 0)).F[1])
+    report = verify.check_frobenius(algebra="A2")
+    assert report["details"]["failures"] == [
+        {"case": ["A2", [1], [1, 0], [1, 0]], "failed": "dim_is_branching"}]
+
+
+@pytest.mark.parametrize("kind", [None, "E", "F"])
+def test_perturbed_two_dimensional_levi_module_fails_borel_weil(fresh, kind):
+    # V = (1, -2) for theta = {1} is two-dimensional; its bundle has the
+    # 8 sections of the module (1, 1), all in grade (1, 1) of height 2
+    alg = fresh("A2")
+    vmod = alg.irreps.levi(alg.cd, (1,), (1, -2))
+    assert vmod.dim == 2
+    if kind:
+        double_first(getattr(vmod, kind)[1])
+    rep = borel_weil_check(alg, vmod, ParabolicData(alg.cd, (1,)), TruncationPolicy(height=2))
+    assert (rep["status"], rep["expected_dim"]) == ("fail" if kind else "pass", 8)
+    assert rep["total_dim"] == (0 if kind else 8)
 
 
 def test_accepting_invariance_test_fails_invariants(fresh, monkeypatch):

@@ -252,3 +252,103 @@ def test_monomial_products_match_fraction_kernel(pairs):
     (a, ra), (b, rb) = both(pairs[0]), both(pairs[1])
     same(a * b, ra * rb)
     same(b * a, rb * ra)
+
+
+# --- stride deflation: polynomials in v^g ------------------------------------
+
+
+def inflate(p, g):
+    out = [0] * ((len(p) - 1) * g + 1)
+    out[::g] = p
+    return tuple(out)
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def strided_pairs():
+    """(a, b) with a common factor: both in v^g for g in 1, 2, 3, 4, 8, one
+    in v^4 and the other in v^8 or v^1, and one a v^4 polynomial with a single
+    term off its stride."""
+    rng = random.Random(5)
+    pairs = []
+    for ga, gb in [(1, 1), (2, 2), (3, 3), (4, 4), (8, 8), (4, 8), (8, 4), (4, 1), (1, 4)]:
+        for _ in range(6):
+            g = max(ga, gb)
+            c = primitive(inflate(random_poly(rng, rng.randint(0, 4), 6), g))
+            a = schoolbook(c, inflate(random_poly(rng, rng.randint(1, 5), 6), ga))
+            b = schoolbook(c, inflate(random_poly(rng, rng.randint(1, 5), 40), gb))
+            pairs.append((primitive(a), primitive(b)))
+    for _ in range(6):
+        a = list(inflate(random_poly(rng, rng.randint(2, 5), 6), 4))
+        a[rng.choice([i for i in range(1, len(a) - 1) if i % 4])] = rng.randint(1, 9)
+        pairs.append((primitive(a), primitive(inflate(random_poly(rng, 3, 6), 4))))
+    return pairs
+
+
+STRIDED = strided_pairs()
+
+
+def test_stride_is_the_largest_common_power_of_two():
+    for a, b in STRIDED:
+        g = scalar._stride(a, b)
+        assert g & (g - 1) == 0
+        for p in (a, b):
+            assert not any(p[i] for i in range(len(p)) if i % g)
+        assert any(p[i] for p in (a, b) for i in range(len(p)) if i % (2 * g))
+    assert {scalar._stride(a, b) for a, b in STRIDED} == {1, 2, 4, 8}
+
+
+@pytest.mark.parametrize("a,b", STRIDED)
+def test_deflated_product_matches_schoolbook(a, b):
+    assert scalar._pmul(a, b) == schoolbook(a, b)
+    assert scalar._pmul(list(b), a) == schoolbook(a, b)
+
+
+@pytest.mark.parametrize("a,b", STRIDED)
+def test_deflated_gcd_matches_undeflated_paths(a, b):
+    got = scalar._dense_gcd(a, b)
+    # the heuristic on the inflated operands, and the PRS
+    assert got == scalar._heu_gcd(a, b) == scalar._prs_gcd(a, b)
+    g, ca, cb = got
+    assert schoolbook(g, ca) == a and schoolbook(g, cb) == b
+
+
+def test_deflated_gcd_falls_back_to_prs(monkeypatch):
+    want = [scalar._dense_gcd(a, b) for a, b in STRIDED]
+    monkeypatch.setattr(scalar, "_HEU_TRIES", 0)
+    assert [scalar._dense_gcd(a, b) for a, b in STRIDED] == want
+
+
+def test_deflated_gcd_against_sympy():
+    sp = pytest.importorskip("sympy")
+    v = sp.Symbol("v")
+    for a, b in STRIDED:
+        want = sp.Poly(list(reversed(a)), v).gcd(sp.Poly(list(reversed(b)), v))
+        if want.LC() < 0:
+            want = -want
+        g = scalar._dense_gcd(a, b)[0]
+        assert [int(c) for c in reversed(want.all_coeffs())] == list(g)
+
+
+def test_strided_rational_functions_cold_and_hot():
+    # the same quotients through cleared memos, then served from them
+    quotients = [RationalFunction(LaurentPoly(dict(enumerate(a))), LaurentPoly(dict(enumerate(b))))
+                 for a, b in STRIDED]
+    refs = [ref.RationalFunction(ref.LaurentPoly(dict(enumerate(a))),
+                                 ref.LaurentPoly(dict(enumerate(b)))) for a, b in STRIDED]
+    clear_memos()
+    texts = []
+    for _ in ("cold", "hot"):
+        run = []
+        for (x, rx), (y, ry) in zip(zip(quotients, refs), zip(quotients[1:], refs[1:])):
+            for got, want in ((x + y, rx + ry), (x * y, rx * ry), (x / y, rx / ry)):
+                same(got, want)
+                run.append(rf_to_text(got))
+        texts.append(run)
+    assert texts[0] == texts[1]

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qgroups import scalar, uqrep
-from qgroups.cartan import weight_multiplicities
+from qgroups import scalar, uqrep, verify
+from qgroups.cartan import cartan_data, weight_multiplicities
 from qgroups.linalg import Mat, solve
 from qgroups.scalar import RF_ONE, RF_ZERO, RationalFunction, q_integer, specialize
 from qgroups.uqrep import (
@@ -321,3 +321,70 @@ def test_coproduct_legs_memo_stops_at_its_bound(a2, monkeypatch):
             x = AlgebraWord.of_word(*w)
             assert coproduct_word(a2.cd, x) == expand_coproduct(x), w
         assert len(uqrep._LEGS) == 3 and len(uqrep._LEG_WORDS) == 3
+
+
+def matmul_k_block(m):
+    """The K relations of ``check_serre`` as whole sparse matrix products:
+    the reference for its entrywise reading of the diagonals."""
+    cd, report = m.cd, []
+
+    def record(name, ok):
+        report.append({"relation": name, "ok": bool(ok)})
+
+    for i in range(1, cd.rank + 1):
+        ki, kiv = m.k_matrix(i), m.k_matrix(i, inverse=True)
+        record(f"k{i} k{i}^-1 = 1", (ki @ kiv) == Mat.identity(m.dim))
+        for j in range(1, cd.rank + 1):
+            kj = m.k_matrix(j)
+            record(f"k{i} k{j} = k{j} k{i}", (ki @ kj) == (kj @ ki))
+        for j in m.lowering:
+            ej, fj = m.e_matrix(j), m.f_matrix(j)
+            pairing = cd.d[i - 1] * cd.cartan[i - 1][j - 1]
+            record(f"k{i} e{j} k{i}^-1 = v^({pairing}) e{j}",
+                   (ki @ ej @ kiv) == ej.scale(v(pairing)))
+            record(f"k{i} f{j} k{i}^-1 = v^(-{pairing}) f{j}",
+                   (ki @ fj @ kiv) == fj.scale(v(-pairing)))
+    return report
+
+
+@pytest.mark.parametrize("name,hw", verify.relations_grid(quick=True))
+def test_entrywise_k_relations_match_matrix_products(name, hw):
+    m = build_irrep(cartan_data(name), hw)
+    want = matmul_k_block(m)
+    assert check_serre(m)[:len(want)] == want
+
+
+def off_diagonal_k_entry(m):
+    m.k_matrix(1).data[(0, 1)] = RF_ONE
+
+
+def k_diagonal_entry_times_v(m):
+    k = m.k_matrix(1)
+    k.data[(0, 0)] = k.data[(0, 0)] * v(1)
+
+
+def e_entry_at_wrong_weight(m):
+    e = m.E[1].data
+    r, c = min(e)
+    x = e.pop((r, c))
+    moved = next(s for s in range(m.dim)
+                 if m.weights[s] != m.weights[r] and (s, c) not in e)
+    e[(moved, c)] = x
+
+
+@pytest.mark.parametrize("fault", [off_diagonal_k_entry, k_diagonal_entry_times_v,
+                                   e_entry_at_wrong_weight])
+@pytest.mark.parametrize("name,hw", [("A1", (2,)), ("A2", (1, 1)), ("B2", (1, 1))])
+def test_entrywise_k_relations_fail_where_matrix_products_fail(name, hw, fault):
+    m = build_irrep(cartan_data(name), hw)
+    fault(m)
+    want = matmul_k_block(m)
+    got = check_serre(m)[:len(want)]
+    assert [e["relation"] for e in got] == [e["relation"] for e in want]
+    failed = {e["relation"] for e in want if not e["ok"]}
+    assert failed
+    assert failed <= {e["relation"] for e in got if not e["ok"]}
+    if fault is off_diagonal_k_entry:
+        ok = {e["relation"]: e["ok"] for e in got}
+        for j in range(1, m.cd.rank + 1):
+            assert not ok[f"k1 k{j} = k{j} k1"] and not ok[f"k{j} k1 = k1 k{j}"]
