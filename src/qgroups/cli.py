@@ -336,6 +336,12 @@ def build_parser(config=None):
         p.add_argument("--out", help="write the report to a file instead of stdout")
         if config:
             p.set_defaults(**config)
+            for action in p._actions:
+                value = config.get(action.dest, action.default)
+                if action.choices is not None and value not in action.choices:
+                    choices = ", ".join(map(repr, action.choices))
+                    raise ValueError(f"{action.option_strings[0]} is {value!r}, "
+                                     f"not one of {choices}")
 
     p = sub.add_parser("irrep", help="build an irreducible module and check it")
     p.add_argument("--algebra", required=True)
@@ -395,15 +401,17 @@ def main(argv=None):
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     config = None
-    if known.config:
-        try:
+    try:
+        if known.config:
             with open(known.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    # config values become subcommand defaults; explicit flags win
-    parser = build_parser(config)
+            if not isinstance(config, dict):
+                raise ValueError(f"expected a JSON object, not {type(config).__name__}")
+        # config values become subcommand defaults; explicit flags win
+        parser = build_parser(config)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     args = parser.parse_args(argv)
     out = getattr(args, "out", None)
     # the report is rendered whole before anything is written, so a failed

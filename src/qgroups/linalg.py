@@ -209,6 +209,57 @@ def kernel_basis(rows, ncols):
     return basis
 
 
+def intertwiner_kernel(unknowns, pairs):
+    """Kernel basis of phi -> (A phi - phi B for each (A, B) in pairs).
+
+    phi is supported on the positions (x, y) in ``unknowns``, which fix the
+    column order; each basis vector is returned as {(x, y): value}, the
+    ``kernel_basis`` vectors of the full system.  Each row only meets the
+    unknowns sharing an index with a nonzero of A or B.  A row left with one
+    entry forces that unknown to zero, and both leave the system (repeated
+    until none is left); such a column is a pivot that enters no other
+    column's kernel vector, so the basis is unchanged.
+    """
+    by_x, by_y = {}, {}
+    for k, (x, y) in enumerate(unknowns):
+        by_x.setdefault(x, []).append((y, k))
+        by_y.setdefault(y, []).append((x, k))
+    rows = {}
+
+    def add(key, k, c):
+        row = rows.setdefault(key, {})
+        s = row.get(k)
+        s = c if s is None else s + c
+        if s:
+            row[k] = s
+        else:
+            del row[k]
+
+    for g, (a, b) in enumerate(pairs):
+        for (x0, x1), c in a.data.items():
+            for y, k in by_x.get(x1, ()):
+                add((g, x0, y), k, c)
+        for (y0, y1), c in b.data.items():
+            for x, k in by_y.get(y0, ()):
+                add((g, x, y1), k, -c)
+    live, zero, changed = list(rows.values()), set(), True
+    while changed:
+        changed, kept = False, []
+        for row in live:
+            row = {k: c for k, c in row.items() if k not in zero}
+            if len(row) == 1:
+                zero.update(row)
+                changed = True
+            elif row:
+                kept.append(row)
+        live = kept
+    cols = [k for k in range(len(unknowns)) if k not in zero]
+    if not cols:
+        return []
+    kern = kernel_basis([[row.get(k, RF_ZERO) for k in cols] for row in live], len(cols))
+    return [{unknowns[cols[j]]: x for j, x in vec.items()} for vec in kern]
+
+
 def solve(rows, rhs_cols):
     """Solve M x = b for each dense column b in rhs_cols.
 

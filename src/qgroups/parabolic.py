@@ -20,7 +20,7 @@ from .cartan import (
     reflect_to_antidominant,
     weight_multiplicities,
 )
-from .linalg import Mat, index_applier, kernel_basis
+from .linalg import Mat, index_applier, intertwiner_kernel, kernel_basis
 from .scalar import RF_ZERO
 from .uqrep import IrrepCache, IrrepModule
 
@@ -215,61 +215,17 @@ def hom_space(m: IrrepModule, target: IrrepModule, p: ParabolicData,
     """
     if flavor not in ("levi", "parabolic"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    cd = p.cd
     # unknowns: entries (a, w) with matching full torus character
     tgt_spaces = target.weight_spaces()
-    unknowns = []
-    for w_idx, w in enumerate(m.weights):
-        for a in tgt_spaces.get(w, ()):
-            unknowns.append((a, w_idx))
-    unknowns.sort()
-    pos = {u: k for k, u in enumerate(unknowns)}
-    if not unknowns:
-        return HomBasis(m, target, flavor, [])
-
+    unknowns = sorted((a, w_idx) for w_idx, w in enumerate(m.weights)
+                      for a in tgt_spaces.get(w, ()))
     gens = [("e", j) for j in p.theta] + [("f", j) for j in p.theta]
     if flavor == "parabolic":
         gens += [("e", j) for j in p.complement]
-
-    rows = {}
-
-    def add(constraint_key, unknown, coeff):
-        if not coeff:
-            return
-        row = rows.setdefault(constraint_key, {})
-        s = row.get(unknown, RF_ZERO) + coeff
-        if s:
-            row[unknown] = s
-        else:
-            row.pop(unknown, None)
-
-    for gen in gens:
-        mw = m.gen_matrix(gen)
-        mv = target.gen_matrix(gen)
-        # (phi Mw - Mv phi)[a, w'] = 0
-        for (w, wp), x in mw.data.items():
-            for a in range(target.dim):
-                if (a, w) in pos:
-                    add((gen, a, wp), pos[(a, w)], x)
-        for (a, b), y in mv.data.items():
-            for wp in range(m.dim):
-                if (b, wp) in pos:
-                    add((gen, a, wp), pos[(b, wp)], -y)
-
-    mat = [
-        [row.get(k, RF_ZERO) for k in range(len(unknowns))]
-        for _, row in sorted(rows.items(), key=lambda kv: str(kv[0]))
-    ]
-    if not mat:
-        mat = [[RF_ZERO] * len(unknowns)]
-    kern = kernel_basis(mat, len(unknowns))
-    maps = []
-    for vec in kern:
-        phi = Mat(target.dim, m.dim)
-        for k, x in vec.items():
-            a, w_idx = unknowns[k]
-            phi.data[(a, w_idx)] = x
-        maps.append(phi)
+    # phi Mw = Mv phi on each generator
+    kern = intertwiner_kernel(
+        unknowns, [(target.gen_matrix(g), m.gen_matrix(g)) for g in gens])
+    maps = [Mat(target.dim, m.dim, vec) for vec in kern]
     return HomBasis(m, target, flavor, maps)
 
 

@@ -498,14 +498,20 @@ def build_irrep(cd: CartanData, hw) -> IrrepModule:
 
 
 def act_word(m: IrrepModule, x: AlgebraWord) -> Mat:
-    """Evaluate a formal word combination as a matrix on the module."""
-    out = Mat.zero(m.dim, m.dim)
+    """Evaluate a formal word combination as a new matrix on the module.
+
+    Each word starts at its first generator's matrix (the empty word at the
+    identity), so no product with the identity is formed; the result is a
+    fresh ``Mat``, never a stored generator matrix itself.
+    """
+    out = None
     for word, c in x.terms.items():
-        acc = Mat.identity(m.dim)
-        for gen in word:
+        acc = m.gen_matrix(word[0]) if word else Mat.identity(m.dim)
+        for gen in word[1:]:
             acc = acc @ m.gen_matrix(gen)
-        out = out + (acc if c.is_one() else acc.scale(c))
-    return out
+        acc = acc.scale(c)
+        out = acc if out is None else out + acc
+    return Mat.zero(m.dim, m.dim) if out is None else out
 
 
 # --- relations report ---------------------------------------------------------

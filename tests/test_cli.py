@@ -188,6 +188,25 @@ def test_config_file_defaults(tmp_path, capsys):
     assert json.loads(out)["dimension"] == 2
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("[1, 2]", "expected a JSON object, not list"),
+    ('"json"', "expected a JSON object, not str"),
+    ("null", "expected a JSON object, not NoneType"),
+    ('{"format": "xml"}', "--format is 'xml', not one of 'human', 'json', 'csv'"),
+    ('{"format": ["json"]}', "--format is ['json'], not one of 'human', 'json', 'csv'"),
+])
+@pytest.mark.parametrize("command", [["irrep", "--algebra", "A1", "--weight", "1"],
+                                     ["verify", "--quick", "--check", "relations"]])
+def test_bad_config_is_one_usage_error_line(tmp_path, capsys, text, reason, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["--config", str(cfg)] + command)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read config: {reason}\n"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["irrep", "--algebra", "A1", "--weight", "1",

@@ -14,7 +14,7 @@ weight.
 import pytest
 
 from qgroups import coeff, uqrep, verify
-from qgroups.bundle import TruncationPolicy, borel_weil_check
+from qgroups.bundle import TruncationPolicy, borel_weil_check, frobenius_maps
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra
 from qgroups.parabolic import ParabolicData
@@ -113,6 +113,28 @@ def test_perturbed_two_dimensional_levi_module_fails_borel_weil(fresh, kind):
     rep = borel_weil_check(alg, vmod, ParabolicData(alg.cd, (1,)), TruncationPolicy(height=2))
     assert (rep["status"], rep["expected_dim"]) == ("fail" if kind else "pass", 8)
     assert rep["total_dim"] == (0 if kind else 8)
+
+
+@pytest.mark.parametrize("name,theta,w,v,height", [
+    ("A1", (), (2,), (2,), 3),
+    ("A2", (1,), (1, 0), (1, 0), 2),
+])
+def test_k_diagonal_entry_times_v_fails_frobenius(fresh, name, theta, w, v, height):
+    # the k_i rows of the induced intertwiner system are what the assembler's
+    # presolve turns into forced zeros; a wrong k_1 eigenvalue of W must
+    # still show as unequal dimensions or a failed round trip
+    def report(perturb):
+        alg = fresh(name)
+        wmod = alg.irrep(w)
+        if perturb:
+            k = wmod.k_matrix(1)
+            k.data[(0, 0)] = k.data[(0, 0)] * RationalFunction.v_power(1)
+        return frobenius_maps(alg, ParabolicData(alg.cd, theta), wmod,
+                              alg.irreps.levi(alg.cd, theta, v), TruncationPolicy(height=height))
+
+    checks = ("dims_equal", "F_after_Fbar_is_identity", "Fbar_after_F_is_identity")
+    assert all(report(False)[c] for c in checks)
+    assert not all(report(True)[c] for c in checks)
 
 
 def test_accepting_invariance_test_fails_invariants(fresh, monkeypatch):
