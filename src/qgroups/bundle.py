@@ -33,7 +33,13 @@ from .coeff import (
 )
 # kernel_basis is no longer called here, but perfbench's tracer test checks
 # that this module's binding of it gets wrapped, so the name stays bound
-from .linalg import Mat, intertwiner_kernel, kernel_basis, rank, vec_add, vec_scale  # noqa: F401
+from .linalg import (  # noqa: F401
+    Mat,
+    accumulate,
+    intertwiner_kernel,
+    kernel_basis,
+    rank,
+)
 from .parabolic import (
     ParabolicData,
     hom_space,
@@ -126,15 +132,7 @@ class Section:
     def __add__(self, other):
         out = {k: dict(v) for k, v in self.data.items()}
         for key, vec in other.data.items():
-            cur = out.setdefault(key, {})
-            for r, x in vec.items():
-                s = cur.get(r, RF_ZERO) + x
-                if s:
-                    cur[r] = s
-                else:
-                    cur.pop(r, None)
-            if not cur:
-                del out[key]
+            accumulate(out.setdefault(key, {}), vec.items())
         return self.copy_with(out)
 
     def __sub__(self, other):
@@ -183,26 +181,14 @@ class Section:
         return f"Section(grades={self.coeff_support()}, keys={len(self.data)})"
 
 
-def coeff_times_vector(alg, p, vmod, element: CoeffElement, vec) -> Section:
-    data = {}
-    for key, c in element.terms.items():
-        data[key] = {r: c * x for r, x in vec.items()}
-    return Section(alg, p, vmod, data)
-
-
 def circ_on_section(zeta: Section, x: AlgebraWord) -> Section:
     """Right-translation action on the coefficient leg, componentwise in V."""
     alg = zeta.alg
     out = {}
     for (lam, a, b), vec in zeta.data.items():
         for k0, m in alg.word_matrix(lam, x, b - 1, "col").items():
-            cur = out.setdefault((lam, a, k0 + 1), {})
-            for r, xx in vec.items():
-                s = cur.get(r, RF_ZERO) + m * xx
-                if s:
-                    cur[r] = s
-                else:
-                    cur.pop(r, None)
+            accumulate(out.setdefault((lam, a, k0 + 1), {}),
+                       ((r, m * xx) for r, xx in vec.items()))
     return zeta.copy_with(out)
 
 
@@ -244,13 +230,8 @@ def dot_on_sections(x: AlgebraWord, zetas) -> list:
         out = {}
         for (lam, a, b), vec in zeta.data.items():
             for k0, m in zeta.alg.word_matrix(lam, xs, a - 1, "row").items():
-                cur = out.setdefault((lam, k0 + 1, b), {})
-                for r, xx in vec.items():
-                    s = cur.get(r, RF_ZERO) + m * xx
-                    if s:
-                        cur[r] = s
-                    else:
-                        cur.pop(r, None)
+                accumulate(out.setdefault((lam, k0 + 1, b), {}),
+                           ((r, m * xx) for r, xx in vec.items()))
         images.append(zeta.copy_with(out))
     return images
 
@@ -276,19 +257,10 @@ def _carries_module(module, zetas, gens) -> bool:
 
 def omega_coaction(zeta: Section) -> dict:
     """(Delta (x) id) zeta as {((lam,a,k), (lam,k,b)): V-vector}."""
-    alg = zeta.alg
     out = {}
     for (lam, a, b), vec in zeta.data.items():
-        d = alg.irrep(lam).dim
-        for k in range(1, d + 1):
-            key = ((lam, a, k), (lam, k, b))
-            cur = out.setdefault(key, {})
-            for r, x in vec.items():
-                s = cur.get(r, RF_ZERO) + x
-                if s:
-                    cur[r] = s
-                else:
-                    cur.pop(r, None)
+        for k in range(1, zeta.alg.irrep(lam).dim + 1):
+            accumulate(out.setdefault(((lam, a, k), (lam, k, b)), {}), vec.items())
     return {k: v for k, v in out.items() if v}
 
 
@@ -297,13 +269,7 @@ def omega_counit_reconstructs(zeta: Section) -> bool:
     acc = {}
     for ((lam, a, k), (lam2, k2, b)), vec in omega_coaction(zeta).items():
         if a == k:
-            cur = acc.setdefault((lam2, k2, b), {})
-            for r, x in vec.items():
-                s = cur.get(r, RF_ZERO) + x
-                if s:
-                    cur[r] = s
-                else:
-                    cur.pop(r, None)
+            accumulate(acc.setdefault((lam2, k2, b), {}), vec.items())
     acc = {k: v for k, v in acc.items() if v}
     return acc == zeta.data
 
@@ -320,13 +286,8 @@ def omega_compatible(zeta: Section, flavor="levi") -> bool:
         lhs = {}
         for (key1, (lam, k, b)), vec in om.items():
             for k0, m in alg.word_matrix(lam, word, b - 1, "col").items():
-                cur = lhs.setdefault((key1, (lam, k, k0 + 1)), {})
-                for r, x in vec.items():
-                    s = cur.get(r, RF_ZERO) + m * x
-                    if s:
-                        cur[r] = s
-                    else:
-                        cur.pop(r, None)
+                accumulate(lhs.setdefault((key1, (lam, k, k0 + 1)), {}),
+                           ((r, m * x) for r, x in vec.items()))
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = omega_coaction(value_action(zeta, antipode_word(cd, word)))
         if lhs != rhs:
@@ -346,26 +307,19 @@ def sections_from_hom(alg: CoeffAlgebra, p: ParabolicData, source: IrrepModule,
     with Q the dual intertwiner of lam, it reads
     sum_{a,b} Q[i,a] t^(lam*)_{ab} (x) chi_b,  chi_b = sum_j Qinv[b,j] phi(w_j).
     """
-    lam = source.hw
-    lam_dual, q, qinv = alg.dual_data(lam)
+    lam_dual, q, qinv = alg.dual_data(source.hw)
     d = source.dim
-    chi = []
-    for b in range(d):
-        acc = {}
-        for (bb, j), y in qinv.data.items():
-            if bb == b:
-                acc = vec_add(acc, vec_scale(phi.column(j), y))
-        chi.append(acc)
-    out = []
-    for i in range(d):
-        data = {}
-        for (i0, a), x in q.data.items():
-            if i0 == i:
-                for b in range(d):
-                    if chi[b]:
-                        data[(lam_dual, a + 1, b + 1)] = vec_scale(chi[b], x)
-        out.append(Section(alg, p, vmod, data))
-    return out
+    # phi's column index is built on each call and never kept: phi and Q may
+    # be changed in place
+    phi_cols = phi.columns()
+    chi = [{} for _ in range(d)]
+    for (b, j), y in qinv.data.items():
+        accumulate(chi[b], ((r, y * x) for r, x in phi_cols.get(j, ())))
+    data = [{} for _ in range(d)]
+    for (i, a), x in q.data.items():
+        data[i].update(((lam_dual, a + 1, b + 1), {r: x * y for r, y in chi[b].items()})
+                       for b in range(d) if chi[b])
+    return [Section(alg, p, vmod, di) for di in data]
 
 
 def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
@@ -449,13 +403,12 @@ def product_closure_check(alg: CoeffAlgebra, p: ParabolicData,
 
 def section_times_invariant(zeta: Section, f: CoeffElement, side="left") -> Section:
     """Module action of invariant functions on sections, by coefficient products."""
-    alg = zeta.alg
-    out = Section(alg, zeta.p, zeta.vmod)
+    out_data = {}
     for key, vec in zeta.data.items():
         basis = CoeffElement({key: RF_ONE})
-        prod = product(alg, f, basis) if side == "left" else product(alg, basis, f)
-        out = out + coeff_times_vector(alg, zeta.p, zeta.vmod, prod, vec)
-    return out
+        left, right = (f, basis) if side == "left" else (basis, f)
+        _coeff_product_into(zeta.alg, left, right, vec, out_data)
+    return zeta.copy_with(out_data)
 
 
 # --- linear algebra over section spaces ----------------------------------------
@@ -507,17 +460,10 @@ def coordinates_in_basis(sections, basis):
 # --- trivialization maps --------------------------------------------------------
 
 
-def _coeff_element_product_into(alg, left: CoeffElement, key, vec, out_data):
-    basis = CoeffElement({key: RF_ONE})
-    prod = product(alg, left, basis)
-    for pkey, c in prod.terms.items():
-        cur = out_data.setdefault(pkey, {})
-        for r, x in vec.items():
-            s = cur.get(r, RF_ZERO) + c * x
-            if s:
-                cur[r] = s
-            else:
-                cur.pop(r, None)
+def _coeff_product_into(alg, left: CoeffElement, right: CoeffElement, vec, out_data):
+    """Add product(left, right) (x) vec into the section data ``out_data``."""
+    for pkey, c in product(alg, left, right).terms.items():
+        accumulate(out_data.setdefault(pkey, {}), ((r, c * x) for r, x in vec.items()))
 
 
 def eta_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
@@ -530,13 +476,12 @@ def eta_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
     lam_w = wmod.hw
     out_data = {}
     for key, vec in zeta.data.items():
+        basis = CoeffElement({key: RF_ONE})
         for i, x in vec.items():
             for j in range(wmod.dim):
                 t_ji = CoeffElement.basis(lam_w, j + 1, i + 1)
                 left = t_ji if direction == "forward" else antipode(alg, t_ji)
-                _coeff_element_product_into(
-                    alg, left, key, {j: x}, out_data
-                )
+                _coeff_product_into(alg, left, basis, {j: x}, out_data)
     return Section(alg, zeta.p, wmod, out_data)
 
 
@@ -554,14 +499,7 @@ def kappa_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
                 right = antipode(alg, t_ji)
                 if direction == "forward":
                     right = antipode(alg, right)
-                prod = product(alg, basis, right)
-                for pkey, c in prod.terms.items():
-                    cur = out_data.setdefault(pkey, {})
-                    s = cur.get(j, RF_ZERO) + c * x
-                    if s:
-                        cur[j] = s
-                    else:
-                        cur.pop(j, None)
+                _coeff_product_into(alg, basis, right, {j: x}, out_data)
     return Section(alg, zeta.p, wmod, out_data)
 
 
@@ -613,14 +551,8 @@ def frobenius_maps(alg: CoeffAlgebra, p: ParabolicData, wmod: IrrepModule,
     def ev_unit(sections) -> Mat:
         phi = Mat(vmod.dim, wmod.dim)
         for i, zeta in enumerate(sections):
-            for (lam, a, b), vec in zeta.data.items():
-                if a == b:
-                    for r, x in vec.items():
-                        prev = phi.data.get((r, i), RF_ZERO) + x
-                        if prev:
-                            phi.data[(r, i)] = prev
-                        else:
-                            phi.data.pop((r, i), None)
+            accumulate(phi.data, (((r, i), x) for (lam, a, b), vec in zeta.data.items() if a == b
+                                  for r, x in vec.items()))
         return phi
 
     roundtrip_fF = all(
@@ -751,20 +683,14 @@ def borel_weil_check(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
             action_ok = _carries_module(source, zetas, _left_generators(cd))
             # composite route: trivialization sections of the canonical module
             # pushed through the intertwiner reproduce the basis
+            phi_cols = phi.columns()
             for i in range(source.dim):
                 pushed_data = {}
                 for j in range(source.dim):
                     st = antipode(alg, CoeffElement.basis(source.hw, j + 1, i + 1))
                     for key, c in st.terms.items():
-                        vec = vec_scale(phi.column(j), c)
-                        if vec:
-                            cur = pushed_data.setdefault(key, {})
-                            for r, x in vec.items():
-                                s = cur.get(r, RF_ZERO) + x
-                                if s:
-                                    cur[r] = s
-                                else:
-                                    cur.pop(r, None)
+                        accumulate(pushed_data.setdefault(key, {}),
+                                   ((r, c * x) for r, x in phi_cols.get(j, ())))
                 pushed = Section(alg, p, vmod, pushed_data)
                 if pushed != zetas[i]:
                     route_ok = False

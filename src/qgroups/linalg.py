@@ -11,6 +11,20 @@ from __future__ import annotations
 from .scalar import RF_ONE, RF_ZERO, RationalFunction
 
 
+def accumulate(acc: dict, pairs) -> dict:
+    """Add each x of the (key, x) ``pairs`` into the sparse dict ``acc`` and
+    return it.  A key whose sum is zero is dropped, so no zero is stored; a
+    fresh key takes x itself, with no addition to zero."""
+    for key, x in pairs:
+        s = acc.get(key)
+        s = x if s is None else s + x
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class Mat:
     """Sparse matrix over Q(v)."""
 
@@ -69,13 +83,8 @@ class Mat:
         return not self.data
 
     def __add__(self, other):
-        out = Mat(self.nrows, self.ncols, dict(self.data))
-        for rc, x in other.data.items():
-            s = out.data.get(rc, RF_ZERO) + x
-            if s:
-                out.data[rc] = s
-            else:
-                out.data.pop(rc, None)
+        out = Mat(self.nrows, self.ncols, self.data)
+        accumulate(out.data, other.data.items())
         return out
 
     def __neg__(self):
@@ -99,16 +108,8 @@ class Mat:
         for (k, c), y in other.data.items():
             rows.setdefault(k, []).append((c, y))
         out = Mat(self.nrows, other.ncols)
-        acc = out.data
-        for (r, k), x in self.data.items():
-            for c, y in rows.get(k, ()):
-                key = (r, c)
-                s = acc.get(key)
-                s = x * y if s is None else s + x * y
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+        accumulate(out.data, (((r, c), x * y) for (r, k), x in self.data.items()
+                              for c, y in rows.get(k, ())))
         return out
 
     def transpose(self):
@@ -209,6 +210,23 @@ def kernel_basis(rows, ncols):
     return basis
 
 
+def raising_kernel(raising, indices):
+    """Joint kernel of the ``raising`` matrices on the span of the basis
+    ``indices`` (a weight space): the highest-weight vectors there, in
+    ``kernel_basis`` normalization, as sparse vectors over the basis."""
+    pos = {c: k for k, c in enumerate(indices)}
+    rows = []
+    for e in raising:
+        by_row = {}
+        for (r, c), x in e.data.items():
+            if c in pos:
+                by_row.setdefault(r, {})[pos[c]] = x
+        rows.extend([by_row[r].get(k, RF_ZERO) for k in range(len(indices))]
+                    for r in sorted(by_row))
+    kern = kernel_basis(rows or [[RF_ZERO] * len(indices)], len(indices))
+    return [{indices[k]: x for k, x in vec.items()} for vec in kern]
+
+
 def intertwiner_kernel(unknowns, pairs):
     """Kernel basis of phi -> (A phi - phi B for each (A, B) in pairs).
 
@@ -224,24 +242,15 @@ def intertwiner_kernel(unknowns, pairs):
     for k, (x, y) in enumerate(unknowns):
         by_x.setdefault(x, []).append((y, k))
         by_y.setdefault(y, []).append((x, k))
-    rows = {}
-
-    def add(key, k, c):
-        row = rows.setdefault(key, {})
-        s = row.get(k)
-        s = c if s is None else s + c
-        if s:
-            row[k] = s
-        else:
-            del row[k]
-
+    entries = {}
     for g, (a, b) in enumerate(pairs):
-        for (x0, x1), c in a.data.items():
-            for y, k in by_x.get(x1, ()):
-                add((g, x0, y), k, c)
-        for (y0, y1), c in b.data.items():
-            for x, k in by_y.get(y0, ()):
-                add((g, x, y1), k, -c)
+        accumulate(entries, ((((g, x0, y), k), c) for (x0, x1), c in a.data.items()
+                             for y, k in by_x.get(x1, ())))
+        accumulate(entries, ((((g, x, y1), k), -c) for (y0, y1), c in b.data.items()
+                             for x, k in by_y.get(y0, ())))
+    rows = {}
+    for (key, k), c in entries.items():
+        rows.setdefault(key, {})[k] = c
     live, zero, changed = list(rows.values()), set(), True
     while changed:
         changed, kept = False, []
@@ -300,7 +309,11 @@ def invert(m: Mat) -> Mat:
 def apply_index(index: dict, vec: dict) -> dict:
     """Sparse vector with entry sum x * vec[a] at b over the (b, x) listed in
     ``index`` under a: a matrix indexed by column (``Mat.columns``) times a
-    column vector, or one indexed by row times a row vector."""
+    column vector, or one indexed by row times a row vector.
+
+    The sum is kept inline rather than passed to ``accumulate``: the word
+    evaluator applies thousands of indexes to one- or two-entry vectors, and
+    the call per sum made ``hopf`` measurably slower."""
     out = {}
     for a, y in vec.items():
         if not y:
@@ -328,20 +341,3 @@ def index_applier(mat_of):
         return apply_index(cols, vec)
 
     return f
-
-
-def vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, x in b.items():
-        s = out.get(k, RF_ZERO) + x
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(a: dict, c: RationalFunction) -> dict:
-    if not c:
-        return {}
-    return {k: c * x for k, x in a.items()}

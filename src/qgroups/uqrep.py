@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .cache import CacheIntegrityError
 from .cartan import CartanData
-from .linalg import Mat, vec_add, vec_scale
+from .linalg import Mat, accumulate
 from .scalar import (
     RF_ONE,
     RF_ZERO,
@@ -85,14 +85,7 @@ class AlgebraWord:
         return cls({tuple(gens): RF_ONE})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, RF_ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return AlgebraWord(out)
+        return AlgebraWord(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-RF_ONE)
@@ -101,16 +94,8 @@ class AlgebraWord:
         return AlgebraWord({w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, RF_ZERO) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return AlgebraWord(out)
+        return AlgebraWord(accumulate({}, ((w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+                                           for w2, c2 in other.terms.items())))
 
     def __eq__(self, other):
         return isinstance(other, AlgebraWord) and self.terms == other.terms
@@ -168,12 +153,7 @@ def _map_word(cd, x: AlgebraWord, table, reverse) -> AlgebraWord:
             new_kind, factor = table[kind](cd, i)
             gens.append((new_kind, i))
             coeff = coeff * factor
-        w = tuple(gens)
-        s = out.get(w, RF_ZERO) + coeff
-        if s:
-            out[w] = s
-        else:
-            del out[w]
+        out[tuple(gens)] = coeff  # the map on words is one-to-one
     return AlgebraWord(out)
 
 
@@ -341,10 +321,9 @@ class IrrepModule:
         """
         cols = [dict(hwv)]
         for s in range(1, self.dim):
-            acc = {}
-            for parent, i, coeff in self.constructions[s]:
-                acc = vec_add(acc, vec_scale(f_apply(i, cols[parent]), coeff))
-            cols.append(acc)
+            cols.append(accumulate({}, ((r, coeff * x)
+                                        for parent, i, coeff in self.constructions[s]
+                                        for r, x in f_apply(i, cols[parent]).items())))
         return cols
 
     def __repr__(self):
@@ -389,23 +368,11 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
             for p, i in cands:
                 col = {}
                 for j in lowering:
-                    vec = {}
-                    for r, x in e_cols[j].get(p, {}).items():
-                        for rr, y in f_cols[i].get(r, {}).items():
-                            s = vec.get(rr, RF_ZERO) + y * x
-                            if s:
-                                vec[rr] = s
-                            else:
-                                vec.pop(rr, None)
+                    terms = [(rr, y * x) for r, x in e_cols[j].get(p, {}).items()
+                             for rr, y in f_cols[i].get(r, {}).items()]
                     if j == i:
-                        scalar = q_integer(weights[p][i - 1], cd.d[i - 1])
-                        if scalar:
-                            s = vec.get(p, RF_ZERO) + scalar
-                            if s:
-                                vec[p] = s
-                            else:
-                                vec.pop(p, None)
-                    col[j] = vec
+                        terms.append((p, q_integer(weights[p][i - 1], cd.d[i - 1])))
+                    col[j] = accumulate({}, terms)
                 ecols.append(col)
             # candidate pair Gram: (c_a, c_b) = g_{p_a} * [e_{i_a} c_b]_{p_a}
             G = [[RF_ZERO] * ncand for _ in range(ncand)]
@@ -431,12 +398,7 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                 for s_idx, coeffs, g in accepted:
                     x = proj.get(s_idx)
                     if x:
-                        for u, cu in coeffs.items():
-                            s = r_coeffs.get(u, RF_ZERO) - x * cu
-                            if s:
-                                r_coeffs[u] = s
-                            else:
-                                r_coeffs.pop(u, None)
+                        accumulate(r_coeffs, ((u, -x * cu) for u, cu in coeffs.items()))
                 g_r = RF_ZERO
                 for u, cu in r_coeffs.items():
                     if G[u][b]:
@@ -450,14 +412,8 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                     )
                     # raising matrices on the new basis vector
                     for j in lowering:
-                        acc = {}
-                        for u, cu in r_coeffs.items():
-                            for rr, y in ecols[u][j].items():
-                                s = acc.get(rr, RF_ZERO) + cu * y
-                                if s:
-                                    acc[rr] = s
-                                else:
-                                    acc.pop(rr, None)
+                        acc = accumulate({}, ((rr, cu * y) for u, cu in r_coeffs.items()
+                                              for rr, y in ecols[u][j].items()))
                         if acc:
                             e_cols[j][s_new] = acc
                     coords = {s_new: RF_ONE}
@@ -469,13 +425,7 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                     coords = dict(proj)
                 # lowering matrix column for the candidate's parent
                 if coords:
-                    target = f_cols[ib].setdefault(pb, {})
-                    for rr, y in coords.items():
-                        s = target.get(rr, RF_ZERO) + y
-                        if s:
-                            target[rr] = s
-                        else:
-                            target.pop(rr, None)
+                    accumulate(f_cols[ib].setdefault(pb, {}), coords.items())
         level = new_level
 
     dim = len(weights)

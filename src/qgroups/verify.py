@@ -44,6 +44,7 @@ from .coeff import (
     schur_pair,
     word_pairing,
 )
+from .linalg import accumulate
 from .parabolic import (
     ParabolicData,
     branching_oracle,
@@ -52,7 +53,7 @@ from .parabolic import (
     levi_lowest_weight,
     restrict_levi,
 )
-from .scalar import LaurentPoly, RF_ONE, RF_ZERO, RationalFunction, rf_to_text
+from .scalar import LaurentPoly, RF_ONE, RationalFunction, rf_to_text
 from .uqrep import AlgebraWord, check_serre, k2rho
 
 
@@ -171,14 +172,10 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
                 left = {}
                 right = {}
                 for (k1, k2), c in coproduct(alg, t_ij).terms.items():
-                    for (k1a, k1b), c1 in coproduct(alg, CoeffElement({k1: RF_ONE})).terms.items():
-                        key = (k1a, k1b, k2)
-                        left[key] = left.get(key, RF_ZERO) + c * c1
-                    for (k2a, k2b), c2 in coproduct(alg, CoeffElement({k2: RF_ONE})).terms.items():
-                        key = (k1, k2a, k2b)
-                        right[key] = right.get(key, RF_ZERO) + c * c2
-                left = {k: v for k, v in left.items() if v}
-                right = {k: v for k, v in right.items() if v}
+                    d1 = coproduct(alg, CoeffElement({k1: RF_ONE})).terms
+                    d2 = coproduct(alg, CoeffElement({k2: RF_ONE})).terms
+                    accumulate(left, (((k1a, k1b, k2), c * c1) for (k1a, k1b), c1 in d1.items()))
+                    accumulate(right, (((k1, k2a, k2b), c * c2) for (k2a, k2b), c2 in d2.items()))
                 checked["coassociativity"] += 1
                 if left != right:
                     failures.append({"law": "coassociativity", "algebra": name,
