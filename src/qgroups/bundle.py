@@ -665,8 +665,6 @@ def borel_weil_check(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
         (lam == expected_grade) == bool(secs) for lam, secs in per_grade.items()
     )
     dim_ok = total == (expected_dim if conclusive else total)
-    if conclusive:
-        dim_ok = total == expected_dim
 
     action_ok = True
     route_ok = True
@@ -725,11 +723,7 @@ def trivial_bundle_check(alg: CoeffAlgebra, wmod: IrrepModule, p: ParabolicData,
     exhibiting the isomorphism with (unit) (x) W.
     """
     cd = alg.cd
-    per_grade = {}
-    for lam in trunc.weights(cd):
-        secs = sections_direct(alg, wmod, p, lam, "parabolic")
-        if secs:
-            per_grade[lam] = secs
+    per_grade = holomorphic_sections(alg, wmod, p, trunc)
     total = sum(len(s) for s in per_grade.values())
     dim_ok = total == wmod.dim
     support_ok = set(per_grade) <= {tuple(wmod.hw)}

@@ -356,7 +356,9 @@ def build_parser(config=None):
     p.add_argument("--quick", action="store_true", help="shrunken grids")
     p.add_argument("--algebra", help="restrict suites to one algebra, e.g. A1")
     p.add_argument("--max-weight", type=int, dest="max_weight",
-                   help="cap the sum of fundamental coordinates in the grids")
+                   help="cap the sum of fundamental coordinates in the grids of "
+                        "relations, dimensions and the grid parts of hopf and schur; "
+                        "the fixed-case suites ignore it")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -31,8 +31,8 @@ benchmark's layer map refers to it.
 from __future__ import annotations
 
 from .cartan import CartanData, dual_weight
-# kernel_basis is called through raising_kernel, but perfbench's tracer test
-# checks that this module's binding of it gets wrapped, so the name stays bound
+# kernel_basis is not called here, but perfbench's tracer test checks that
+# this module's binding of it gets wrapped, so the name stays bound
 from .linalg import (  # noqa: F401
     Mat,
     accumulate,
@@ -40,14 +40,13 @@ from .linalg import (  # noqa: F401
     index_applier,
     invert,
     kernel_basis,
-    raising_kernel,
 )
 from .scalar import (
     NumericValue,
     RF_ONE,
     RF_ZERO,
+    Memo,
     RationalFunction,
-    memo_put,
     rf_from_text,
     rf_to_text,
     specialize,
@@ -142,30 +141,16 @@ class CoeffTensor:
         return f"CoeffTensor({len(self.terms)} terms)"
 
 
-class _InverseColumns(dict):
-    """The col_map of ``CoeffAlgebra.cg``: a missing column is formed and kept."""
-
-    __slots__ = ("cgd", "rows")
-
-    def __init__(self, cgd, rows):
-        super().__init__()
-        self.cgd, self.rows = cgd, rows
-
-    def __missing__(self, j):
-        col = self[j] = self.cgd.inverse_column(j, self.rows.get(j, ()))
-        return col
-
-
 class CoeffAlgebra:
     """Context for one algebra: module cache plus derived structure caches."""
 
     def __init__(self, cd: CartanData, irreps: IrrepCache | None = None):
         self.cd = cd
         self.irreps = irreps or IrrepCache()
-        self._cg = {}
-        self._dual = {}
-        self._gen_lines = {}
-        self._word_vecs = {}
+        self._cg = Memo(self._make_cg)
+        self._dual = Memo(self._make_dual)
+        self._gen_lines = Memo(self._make_gen_lines)
+        self._word_vecs = Memo(self._make_word_vec)
         self.zero_weight = (0,) * cd.rank
 
     def irrep(self, lam) -> IrrepModule:
@@ -183,40 +168,34 @@ class CoeffAlgebra:
         suffixes (prefixes, for rows) is memoized.  The name is older than
         this contract and stays because the benchmark's layer map uses it.
         """
+        vecs = self._word_vecs
         if isinstance(x, tuple):
-            return self._word_vec(lam, x, index, side)
+            return vecs[lam, x, index, side]
         if len(x.terms) == 1:
             (word, c), = x.terms.items()
             if c.is_one():
-                return self._word_vec(lam, word, index, side)
+                return vecs[lam, word, index, side]
         out = {}
         for word, c in x.terms.items():
-            vec = self._word_vec(lam, word, index, side)
+            vec = vecs[lam, word, index, side]
             accumulate(out, vec.items() if c.is_one() else ((r, c * y) for r, y in vec.items()))
         return out
 
-    def _word_vec(self, lam, word, index, side):
-        key = (lam, word, index, side)
-        vec = self._word_vecs.get(key)
-        if vec is not None:
-            return vec
+    def _make_word_vec(self, key):
+        lam, word, index, side = key
         if not word:
-            vec = {index: RF_ONE}
-        else:
-            # a column takes the leftmost generator last, a row the rightmost
-            gen, rest = (word[0], word[1:]) if side == "col" else (word[-1], word[:-1])
-            vec = self._apply_gen(lam, gen, self._word_vec(lam, rest, index, side), side)
-        return memo_put(self._word_vecs, key, vec)
+            return {index: RF_ONE}
+        # a column takes the leftmost generator last, a row the rightmost
+        gen, rest = (word[0], word[1:]) if side == "col" else (word[-1], word[:-1])
+        vec = self._word_vecs[lam, rest, index, side]
+        return apply_index(self._gen_lines[lam, gen, side], vec)
 
-    def _apply_gen(self, lam, gen, vec, side):
-        """One generator on a column vector (side="col") or a row vector."""
-        key = (lam, gen, side)
-        lines = self._gen_lines.get(key)
-        if lines is None:
-            mat = self.irrep(lam).gen_matrix(gen)
-            lines = (mat if side == "col" else mat.transpose()).columns()
-            self._gen_lines[key] = lines
-        return apply_index(lines, vec)
+    def _make_gen_lines(self, key):
+        """The column index of one generator's matrix (side="col"), or the
+        row index (side="row")."""
+        lam, gen, side = key
+        mat = self.irrep(lam).gen_matrix(gen)
+        return (mat if side == "col" else mat.transpose()).columns()
 
     def cg(self, lam, mu):
         """Cached decomposition data for the product of two modules.
@@ -226,57 +205,49 @@ class CoeffAlgebra:
         col_map[J] is column J of its inverse as {(nu, copy): [(b, y)]},
         formed from row_map[J] on first use and kept.
         """
-        key = (tuple(lam), tuple(mu))
-        hit = self._cg.get(key)
-        if hit is not None:
-            return hit
-        t = tensor_module(self.irrep(lam), self.irrep(mu))
-        cgd = decompose(t, self.irreps)
+        return self._cg[tuple(lam), tuple(mu)]
+
+    def _make_cg(self, key):
+        lam, mu = key
+        cgd = decompose(tensor_module(self.irrep(lam), self.irrep(mu)), self.irreps)
         row_map = cgd.rows()
-        return self._cg.setdefault(key, (cgd, row_map, _InverseColumns(cgd, row_map)))
+        return cgd, row_map, Memo(lambda j: cgd.inverse_column(j, row_map.get(j, ())))
 
     def dual_data(self, lam):
         """Intertwiner between the canonical dual-weight module and the dual rep.
 
         Returns (lam_dual, Q, Qinv) with t^(lam)(S(x))^T = Q t^(lam^dual)(x) Q^-1.
         """
-        lam = tuple(lam)
-        hit = self._dual.get(lam)
-        if hit is not None:
-            return hit
+        return self._dual[tuple(lam)]
+
+    def _make_dual(self, lam):
         cd = self.cd
         m = self.irrep(lam)
         lam_dual = dual_weight(cd, lam)
         canon = self.irrep(lam_dual)
 
-        def dual_gen(gen):
-            kind, i = gen
-            if kind == "e":
-                qi = RationalFunction.v_power(2 * cd.d[i - 1])
-                return m.e_matrix(i).transpose().scale(-qi)
-            if kind == "f":
-                qi_inv = RationalFunction.v_power(-2 * cd.d[i - 1])
-                return m.f_matrix(i).transpose().scale(-qi_inv)
-            if kind == "k":
-                return m.k_matrix(i, inverse=True)
-            return m.k_matrix(i)
-
-        # highest-weight vector of the dual representation: weight of dual
-        # index s is minus the module weight, so look at lam_dual directly
-        target = [s for s in range(m.dim)
-                  if tuple(-c for c in m.weights[s]) == lam_dual]
-        kern = raising_kernel([dual_gen(("e", i)) for i in range(1, cd.rank + 1)], target)
+        # the dual representation x -> t^(lam)(S(x))^T has raising matrices
+        # -q_i e_i^T and lowering matrices -q_i^-1 f_i^T; the weight of dual
+        # index s is minus the module weight.  So its highest-weight space is
+        # spanned by the (in an irreducible module, one) basis indices of
+        # lowest weight -lam_dual whose row is zero in every e_i.
+        raised = {r for i in range(1, cd.rank + 1) for r, _ in m.e_matrix(i).data}
+        kern = [s for s in range(m.dim)
+                if s not in raised and tuple(-c for c in m.weights[s]) == lam_dual]
         if len(kern) != 1:
             raise ArithmeticError(
                 f"dual highest-weight space of {lam} has dimension {len(kern)}"
             )
 
-        cols = canon.embed_from_highest(index_applier(lambda i: dual_gen(("f", i))), kern[0])
+        def dual_f(i):
+            return m.f_matrix(i).transpose().scale(-RationalFunction.v_power(-2 * cd.d[i - 1]))
+
+        cols = canon.embed_from_highest(index_applier(dual_f), {kern[0]: RF_ONE})
         q = Mat(m.dim, canon.dim)
         for c, col in enumerate(cols):
             q.set_column(c, col)
         qinv = invert(q)
-        return self._dual.setdefault(lam, (lam_dual, q, qinv))
+        return lam_dual, q, qinv
 
     def unit(self) -> CoeffElement:
         return CoeffElement.unit(self.cd)

@@ -8,7 +8,7 @@ field, no floating point anywhere.
 
 from __future__ import annotations
 
-from .scalar import RF_ONE, RF_ZERO, RationalFunction
+from .scalar import RF_ONE, RF_ZERO, Memo, RationalFunction
 
 
 def accumulate(acc: dict, pairs) -> dict:
@@ -332,12 +332,5 @@ def apply_index(index: dict, vec: dict) -> dict:
 def index_applier(mat_of):
     """``f(i, vec)``: the matrix ``mat_of(i)`` times vec.  Each matrix is
     indexed by column on first use; the index lives in this closure only."""
-    index = {}
-
-    def f(i, vec):
-        cols = index.get(i)
-        if cols is None:
-            cols = index[i] = mat_of(i).columns()
-        return apply_index(cols, vec)
-
-    return f
+    index = Memo(lambda i: mat_of(i).columns())
+    return lambda i, vec: apply_index(index[i], vec)

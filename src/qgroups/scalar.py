@@ -35,9 +35,9 @@ results are inflated back; gcd(A(v^g), B(v^g)) = gcd(A, B)(v^g) over Z[v].
 
 The same operand pairs recur across a computation, so the arithmetic reaches
 the gcd and the products of two non-constant polynomials through bounded
-memos (``_gcd``, ``_prod``).  ``memo_put`` is the one memo policy of the
-package: a memo takes new entries until it holds ``MEMO_MAX`` of them and is
-then left as it is.  The raw ``_dense_gcd`` and ``_pmul`` stay unmemoized.
+memos (``_GCD_MEMO``, ``_PROD_MEMO``).  ``Memo`` is the one memo policy of
+the package: a memo takes new entries until it holds ``MEMO_MAX`` of them and
+is then left as it is.  The raw ``_dense_gcd`` and ``_pmul`` stay unmemoized.
 
 ``num`` and ``den`` are LaurentPoly views, built on first use, in the
 classical normal form: a monic denominator with lowest exponent 0 and
@@ -143,20 +143,35 @@ def _lp(terms):
 
 _ONE = (1,)
 
-# bound of every memo filled through memo_put
+# bound of every Memo
 MEMO_MAX = 1 << 16
-_GCD_MEMO = {}
-_PROD_MEMO = {}
 
 
-def memo_put(memo, key, value):
-    """Store value under key unless memo is full; return value.
-
-    A full memo takes no new entries and keeps the ones it has.
+class Memo(dict):
+    """A dict that fills itself: on a miss, ``memo[key]`` computes
+    ``make(key)`` and stores it while the memo holds fewer than ``MEMO_MAX``
+    entries.  A full memo keeps its entries and takes no new ones, so past
+    the bound a missing value is rebuilt on every lookup.  Nothing is ever
+    evicted: every stored value stays the object handed out for its key.
     """
-    if len(memo) < MEMO_MAX:
-        memo[key] = value
-    return value
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) < MEMO_MAX:
+            self[key] = value
+        return value
+
+
+# memoized _dense_gcd and _pmul; each maker looks its function up as a module
+# global on a miss, so that a function rebound to that name sees only misses
+_GCD_MEMO = Memo(lambda k: _dense_gcd(*k))
+_PROD_MEMO = Memo(lambda k: _pmul(*k))
 
 # heuristic gcd evaluation points tried before the PRS fallback
 _HEU_TRIES = 6
@@ -226,11 +241,7 @@ def _prod(a, b):
         return b
     if len(b) == 1:
         return a
-    key = (a, b)
-    hit = _PROD_MEMO.get(key)
-    if hit is None:
-        hit = memo_put(_PROD_MEMO, key, _pmul(a, b))
-    return hit
+    return _PROD_MEMO[a, b]
 
 
 def _primitive(a):
@@ -340,16 +351,6 @@ def _heu_gcd(a, b):
     return _prs_gcd(a, b)
 
 
-def _gcd(a, b):
-    """Memoized ``_dense_gcd``, looked up as a module global on a miss, so
-    that a function rebound to that name sees only the misses."""
-    key = (a, b)
-    hit = _GCD_MEMO.get(key)
-    if hit is None:
-        hit = memo_put(_GCD_MEMO, key, _dense_gcd(a, b))
-    return hit
-
-
 # --- rational functions -------------------------------------------------------
 
 
@@ -399,7 +400,7 @@ def _sum(x, y, ycn):
         g, d1, xn, yn = xd, _ONE, x._n, y._n
     else:
         # the sum has denominator d1 * g = lcm(xd, yd)
-        g, xd1, yd1 = _gcd(xd, yd)
+        g, xd1, yd1 = _GCD_MEMO[xd, yd]
         d1 = _prod(xd1, yd1)
         xn, yn = _prod(x._n, yd1), _prod(y._n, xd1)
     xcd, ycd = x._cd, y._cd
@@ -431,7 +432,7 @@ def _sum(x, y, ycn):
     t = _igcd(k, m)
     if len(g) > 1:
         # Henrici: n is prime to xd1 and to yd1, so only gcd(n, g) can remain
-        _, n, g = _gcd(n, g)
+        _, n, g = _GCD_MEMO[n, g]
     return _rf(k // t, m // t, xs, n, _prod(d1, g))
 
 
@@ -456,7 +457,7 @@ class RationalFunction:
                 cn, cd = -cn, -cd
             t = _igcd(cn, cd)
             cn, cd = cn // t, cd // t
-            _, n, d = _gcd(n, d)
+            _, n, d = _GCD_MEMO[n, d]
         self._cn = cn
         self._cd = cd
         self._s = s
@@ -568,9 +569,9 @@ class RationalFunction:
         if len(yn) == 1 and len(yd) == 1:
             return _rf(cn, cd, self._s + other._s, xn, xd)
         if len(yd) > 1 and len(xn) > 1:
-            _, xn, yd = _gcd(xn, yd)
+            _, xn, yd = _GCD_MEMO[xn, yd]
         if len(xd) > 1 and len(yn) > 1:
-            _, yn, xd = _gcd(yn, xd)
+            _, yn, xd = _GCD_MEMO[yn, xd]
         return _rf(cn, cd, self._s + other._s, _prod(xn, yn), _prod(xd, yd))
 
     def __truediv__(self, other):

@@ -30,7 +30,7 @@ from .linalg import (  # noqa: F401
     kernel_basis,
     raising_kernel,
 )
-from .scalar import RF_ONE, RF_ZERO, RationalFunction
+from .scalar import RF_ONE, RF_ZERO, Memo, RationalFunction
 from .uqrep import IrrepModule
 
 
@@ -56,8 +56,10 @@ class TensorModule:
             for wa in a.weights
             for wb in b.weights
         ]
-        self._E = {}
-        self._F = {}
+        self._E = Memo(lambda i: a.e_matrix(i).kron(b.k_matrix(i))
+                       + a.k_matrix(i, inverse=True).kron(b.e_matrix(i)))
+        self._F = Memo(lambda i: a.f_matrix(i).kron(b.k_matrix(i))
+                       + a.k_matrix(i, inverse=True).kron(b.f_matrix(i)))
 
     @property
     def lowering(self):
@@ -71,22 +73,10 @@ class TensorModule:
         )
 
     def e_matrix(self, i):
-        m = self._E.get(i)
-        if m is None:
-            m = self.a.e_matrix(i).kron(self.b.k_matrix(i)) + self.a.k_matrix(
-                i, inverse=True
-            ).kron(self.b.e_matrix(i))
-            self._E[i] = m
-        return m
+        return self._E[i]
 
     def f_matrix(self, i):
-        m = self._F.get(i)
-        if m is None:
-            m = self.a.f_matrix(i).kron(self.b.k_matrix(i)) + self.a.k_matrix(
-                i, inverse=True
-            ).kron(self.b.f_matrix(i))
-            self._F[i] = m
-        return m
+        return self._F[i]
 
     def gen_matrix(self, gen):
         kind, i = gen

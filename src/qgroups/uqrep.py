@@ -28,8 +28,8 @@ from .scalar import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
+    Memo,
     gauss_binomial,
-    memo_put,
     q_integer,
     rf_from_text,
     rf_to_text,
@@ -169,23 +169,13 @@ def cartan_involution_word(cd, x: AlgebraWord) -> AlgebraWord:
     return _map_word(cd, x, _CARTAN_INVOLUTION, reverse=False)
 
 
-# leg pairs of the coproduct of each word, and one stored copy of each leg
-# word, both filled through memo_put
-_LEGS = {}
-_LEG_WORDS = {}
-
-
-def _coproduct_legs(word) -> tuple:
+def _leg_pairs(word) -> tuple:
     """The leg pairs (word_left, word_right) of the coproduct of one word.
 
     Delta(e_i) = e_i (x) k_i + k_i^-1 (x) e_i, Delta(f_i) likewise, the
-    Cartan generators are grouplike.  Every piece has coefficient one.  The
-    pairs depend on the word alone, so they are memoized under it; a leg word
-    recurs in the legs of many words and is kept once.
+    Cartan generators are grouplike.  Every piece has coefficient one.  A leg
+    word recurs in the legs of many words and is kept once.
     """
-    legs = _LEGS.get(word)
-    if legs is not None:
-        return legs
     legs = [((), ())]
     for kind, i in word:
         if kind in ("e", "f"):
@@ -194,9 +184,18 @@ def _coproduct_legs(word) -> tuple:
             pieces = ((((kind, i),), ((kind, i),)),)
         legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
     words = _LEG_WORDS
-    legs = tuple(tuple(words[w] if w in words else memo_put(words, w, w) for w in pair)
-                 for pair in legs)
-    return memo_put(_LEGS, word, legs)
+    return tuple(tuple(words[w] for w in pair) for pair in legs)
+
+
+# leg pairs of the coproduct of each word, and one stored copy of each leg word
+_LEGS = Memo(_leg_pairs)
+_LEG_WORDS = Memo(lambda w: w)
+
+
+def _coproduct_legs(word) -> tuple:
+    """The leg pairs of one word; they depend on the word alone, so they are
+    memoized under it."""
+    return _LEGS[word]
 
 
 def coproduct_word(cd, x: AlgebraWord) -> dict:
@@ -259,23 +258,19 @@ class IrrepModule:
         self.F = F
         self.gram = gram
         self.constructions = constructions
-        self._kmats = {}
+        weights, d = self.weights, cd.d
 
-    def k_exponent(self, i, s) -> int:
-        """Exponent of v in the k_i eigenvalue on basis vector s."""
-        return self.weights[s][i - 1] * self.cd.d[i - 1]
+        def k_diag(key):
+            # k_i (or its inverse) is diagonal: v^(+-d_i wt_i) on each basis vector
+            i, inverse = key
+            sign = -1 if inverse else 1
+            return Mat.diag(RationalFunction.v_power(sign * w[i - 1] * d[i - 1]) for w in weights)
+
+        # the maker holds the weights, not the module: no reference cycle
+        self._kmats = Memo(k_diag)
 
     def k_matrix(self, i, inverse=False) -> Mat:
-        key = (i, inverse)
-        m = self._kmats.get(key)
-        if m is None:
-            sign = -1 if inverse else 1
-            m = Mat.diag(
-                RationalFunction.v_power(sign * self.k_exponent(i, s))
-                for s in range(self.dim)
-            )
-            self._kmats[key] = m
-        return m
+        return self._kmats[i, inverse]
 
     def e_matrix(self, i) -> Mat:
         m = self.E.get(i)
@@ -591,20 +586,13 @@ class IrrepCache:
     """Shared store of built modules, keyed by algebra, weight and lowering set."""
 
     def __init__(self):
-        self._store = {}
+        self._store = Memo(lambda key: build_module(*key))
 
     def irrep(self, cd: CartanData, hw) -> IrrepModule:
-        return self._get(cd, tuple(hw), tuple(range(1, cd.rank + 1)))
+        return self._store[cd, tuple(hw), tuple(range(1, cd.rank + 1))]
 
     def levi(self, cd: CartanData, theta, hw) -> IrrepModule:
-        return self._get(cd, tuple(hw), tuple(sorted(theta)))
-
-    def _get(self, cd, hw, lowering):
-        key = (cd.name, hw, lowering)
-        m = self._store.get(key)
-        if m is not None:
-            return m
-        return self._store.setdefault(key, build_module(cd, hw, lowering))
+        return self._store[cd, tuple(hw), tuple(sorted(theta))]
 
 
 def _mat_to_json(m: Mat):

@@ -53,7 +53,7 @@ from .parabolic import (
     levi_lowest_weight,
     restrict_levi,
 )
-from .scalar import LaurentPoly, RF_ONE, RationalFunction, rf_to_text
+from .scalar import LaurentPoly, Memo, RF_ONE, RationalFunction, rf_to_text
 from .uqrep import AlgebraWord, check_serre, k2rho
 
 
@@ -88,15 +88,11 @@ def coefficient_grid(quick=False, algebra=None, max_weight=None):
     return _filter_grid(out, algebra, max_weight)
 
 
-_ALGEBRAS = {}
+_ALGEBRAS = Memo(lambda name: CoeffAlgebra(cartan_data(name)))
 
 
 def _algebra_ctx(name) -> CoeffAlgebra:
-    alg = _ALGEBRAS.get(name)
-    if alg is None:
-        alg = CoeffAlgebra(cartan_data(name))
-        _ALGEBRAS[name] = alg
-    return alg
+    return _ALGEBRAS[name]
 
 
 # public accessor; the check functions use the private alias because their
@@ -709,6 +705,16 @@ ALL_CHECKS = {
 
 
 def run_checks(names=None, quick=False, algebra=None, max_weight=None):
+    """The report of the named suites (default: all).
+
+    ``algebra`` restricts every suite to one supported type; an unsupported
+    one raises the ``ValueError`` of ``cartan_data``.  ``max_weight`` caps the
+    sum of fundamental coordinates of the grid weights of ``relations`` and
+    ``dimensions`` and of the grid parts of ``hopf`` and ``schur``; the
+    fixed-case suites and parts (``hopf``'s duality cases among them) ignore it.
+    """
+    if algebra is not None:
+        cartan_data(algebra)
     results = []
     for name in names or sorted(ALL_CHECKS):
         if name not in ALL_CHECKS:

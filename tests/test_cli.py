@@ -371,6 +371,15 @@ def test_negative_max_weight_is_a_usage_error(capsys):
     assert captured.err == "error: --max-weight must be non-negative, got -1\n"
 
 
+def test_verify_unknown_algebra_is_a_usage_error(capsys):
+    # an unsupported type would otherwise pass every suite having checked nothing
+    assert main(["verify", "--algebra", "Q7", "--quick"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unsupported algebra 'Q7' "
+                            "(supported: A1, A2, A3, B2)\n")
+
+
 def test_weight_too_large_for_memory_is_a_one_line_error(tmp_path):
     resource = pytest.importorskip("resource")
     # the address-space cap makes the allocation fail at once, whatever the

@@ -18,7 +18,7 @@ from qgroups.bundle import TruncationPolicy, borel_weil_check, frobenius_maps
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra
 from qgroups.parabolic import ParabolicData
-from qgroups.scalar import RationalFunction
+from qgroups.scalar import Memo, RationalFunction
 
 TWO = RationalFunction.const(2)
 
@@ -154,7 +154,7 @@ def test_sign_flipped_gram_value_fails_haar_positivity(fresh):
 
 
 def test_perturbed_entry_fails_hopf_with_warm_legs_memo(fresh, monkeypatch):
-    monkeypatch.setattr(uqrep, "_LEGS", {})
+    monkeypatch.setattr(uqrep, "_LEGS", Memo(uqrep._LEGS.make))
     fresh("A1")
     assert run(verify.check_hopf, "A1", 1)
     assert uqrep._LEGS

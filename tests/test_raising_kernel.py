@@ -5,19 +5,22 @@ former ``parabolic._levi_hw_vectors`` and the former highest-weight block of
 ``coeff.CoeffAlgebra.dual_data``.  Each stacked, raising matrix by raising
 matrix, the rows that meet a weight space's columns, in sorted row order,
 and solved them with ``kernel_basis``.  ``linalg.raising_kernel`` now does
-this for all three callers.  The vectors must be the same, in the same
-order, on every weight of the decomposition cases, every Theta-branching of
-the quick relations grid and the dual module of every relations-grid weight.
+this for the first two callers; ``dual_data`` reads its one lowest-weight
+index directly, since that index is the whole dual highest-weight space.
+The vectors must be the same, in the same order, on every weight of the
+decomposition cases, every Theta-branching of the quick relations grid and
+the dual module of every relations-grid weight.
 """
 
 import itertools
 
 import pytest
 
-from qgroups.cartan import dual_weight, inner_scaled
+from qgroups.cartan import cartan_data, dual_weight, inner_scaled, lowest_weight
+from qgroups.coeff import CoeffAlgebra
 from qgroups.linalg import kernel_basis
 from qgroups.parabolic import ParabolicData, restrict_levi
-from qgroups.scalar import RF_ZERO, RationalFunction
+from qgroups.scalar import RF_ONE, RF_ZERO, RationalFunction
 from qgroups.tensor import highest_weight_vectors, tensor_module
 from qgroups.verify import algebra, relations_grid
 from test_tensor import DECOMPOSE_CASES
@@ -118,3 +121,17 @@ def test_dual_data_highest_weight_vector_matches_reference(name, hw):
     alg = algebra(name)
     _, q, _ = alg.dual_data(hw)
     assert q.column(0) == reference_dual_hwv(alg, hw)
+
+
+def test_dual_data_rejects_a_raising_entry_into_the_lowest_weight():
+    # one nonzero entry in the lowest-weight row of e_2 only; the dual
+    # highest-weight space is then empty, and a check that dropped a raising
+    # matrix (read e_1 alone) would not see it
+    alg = CoeffAlgebra(cartan_data("A2"))
+    m = alg.irrep((1, 0))
+    low = m.weights.index(lowest_weight(alg.cd, (1, 0)))
+    assert not any(r == low for r, _ in m.e_matrix(1).data)
+    m.E[2].data[(low, 0)] = RF_ONE
+    with pytest.raises(ArithmeticError,
+                       match=r"^dual highest-weight space of \(1, 0\) has dimension 0$"):
+        alg.dual_data((1, 0))

@@ -218,14 +218,17 @@ def quotient_sums():
     return rf_to_text(total)
 
 
+def empty_scalar_memos(monkeypatch):
+    for name in ("_GCD_MEMO", "_PROD_MEMO"):
+        monkeypatch.setattr(scalar, name, scalar.Memo(getattr(scalar, name).make))
+
+
 def test_scalar_memos_stop_at_their_bound(monkeypatch):
-    monkeypatch.setattr(scalar, "_GCD_MEMO", {})
-    monkeypatch.setattr(scalar, "_PROD_MEMO", {})
+    empty_scalar_memos(monkeypatch)
     want = quotient_sums()
     assert len(scalar._GCD_MEMO) > 3 and len(scalar._PROD_MEMO) > 3
     monkeypatch.setattr(scalar, "MEMO_MAX", 3)
-    monkeypatch.setattr(scalar, "_GCD_MEMO", {})
-    monkeypatch.setattr(scalar, "_PROD_MEMO", {})
+    empty_scalar_memos(monkeypatch)
     for _ in range(2):
         assert quotient_sums() == want
         assert len(scalar._GCD_MEMO) == 3 and len(scalar._PROD_MEMO) == 3

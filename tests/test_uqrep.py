@@ -284,16 +284,14 @@ def a2_words(length):
 
 
 def test_coproduct_legs_memo_cold_and_hot(a2, monkeypatch):
-    monkeypatch.setattr(uqrep, "_LEGS", {})
-    monkeypatch.setattr(uqrep, "_LEG_WORDS", {})
+    monkeypatch.setattr(uqrep, "_LEGS", scalar.Memo(uqrep._LEGS.make))
     stored = []
 
-    def counting_put(memo, key, value):
-        if memo is uqrep._LEG_WORDS:
-            stored.append(key)
-        return scalar.memo_put(memo, key, value)
+    def counting_make(word):
+        stored.append(word)
+        return word
 
-    monkeypatch.setattr(uqrep, "memo_put", counting_put)
+    monkeypatch.setattr(uqrep, "_LEG_WORDS", scalar.Memo(counting_make))
     words = a2_words(3)
     mixed = AlgebraWord({(gen_e(1), gen_f(2)): q_integer(2), (gen_k(1),): v(-2),
                          (): RationalFunction.const(Fraction(3, 2))})
@@ -314,8 +312,8 @@ def test_coproduct_legs_memo_cold_and_hot(a2, monkeypatch):
 
 def test_coproduct_legs_memo_stops_at_its_bound(a2, monkeypatch):
     monkeypatch.setattr(scalar, "MEMO_MAX", 3)
-    monkeypatch.setattr(uqrep, "_LEGS", {})
-    monkeypatch.setattr(uqrep, "_LEG_WORDS", {})
+    monkeypatch.setattr(uqrep, "_LEGS", scalar.Memo(uqrep._LEGS.make))
+    monkeypatch.setattr(uqrep, "_LEG_WORDS", scalar.Memo(uqrep._LEG_WORDS.make))
     for _ in range(2):
         for w in a2_words(2):
             x = AlgebraWord.of_word(*w)
