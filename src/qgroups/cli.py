@@ -154,13 +154,22 @@ def cmd_irrep(args, stream):
 def cmd_verify(args, stream):
     # imported here: no other command needs the suites, and every process
     # would otherwise pay for loading them
-    from .verify import run_checks
+    from .verify import empty_checks, run_checks
 
     names = args.check or None
     if args.max_weight is not None and args.max_weight < 0:
         raise UsageError(f"--max-weight must be non-negative, got {args.max_weight}")
     report = run_checks(names, quick=args.quick, algebra=args.algebra,
                         max_weight=args.max_weight)
+    empty = empty_checks(report)
+    if empty:
+        filters = " ".join(["--quick"] * args.quick + [
+            f"--{flag} {value}" for flag, value in
+            (("algebra", args.algebra), ("max-weight", args.max_weight)) if value is not None])
+        if names:
+            raise UsageError(f"--check {', '.join(empty)} ran no case under {filters}")
+        for name in empty:
+            print(f"warning: {name} ran no case under {filters}", file=sys.stderr)
     lines = []
     for chk in report["checks"]:
         lines.append(f"{chk['name']}: {'pass' if chk['passed'] else 'FAIL'}")

@@ -389,16 +389,25 @@ def haar_positivity(alg: CoeffAlgebra, a: CoeffElement, v0) -> NumericValue:
 
 def word_pairing(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement,
                  x: AlgebraWord) -> RationalFunction:
-    """Evaluate a (x) b against the coproduct of a word."""
+    """Evaluate a (x) b against the coproduct of a word, term pair by term
+    pair: each coproduct leg pair reads its two entries through
+    ``word_matrix`` on the bare leg words."""
     total = RF_ZERO
-    for word, c in x.terms.items():
-        for w1, w2 in _coproduct_legs(word):
-            v1 = coeff_eval(alg, a, w1)
-            if not v1:
-                continue
-            v2 = coeff_eval(alg, b, w2)
-            if v2:
-                total = total + c * v1 * v2
+    for (lam, i, j), ca in a.terms.items():
+        for (mu, r, s), cb in b.terms.items():
+            part = RF_ZERO
+            for word, c in x.terms.items():
+                legs = RF_ZERO
+                for w1, w2 in _coproduct_legs(word):
+                    v1 = alg.word_matrix(lam, w1, j - 1).get(i - 1)
+                    if v1:
+                        v2 = alg.word_matrix(mu, w2, s - 1).get(r - 1)
+                        if v2:
+                            legs = legs + v1 * v2
+                if legs:
+                    part = part + c * legs
+            if part:
+                total = total + ca * cb * part
     return total
 
 

@@ -230,54 +230,6 @@ def check_intertwiner(phi: Mat, m: IrrepModule, target: IrrepModule,
     return True
 
 
-def tensor_hom(alg, p: ParabolicData, phi1: Mat, src1: IrrepModule, tgt1: IrrepModule,
-               phi2: Mat, src2: IrrepModule, tgt2: IrrepModule):
-    """Induced intertwiner on highest-weight sums.
-
-    Composes the inclusion of the top tensor component with phi1 (x) phi2 and
-    the Levi projection onto the top component of the target product.  The
-    result is a nonzero intertwiner from the module of weight hw1 + hw2 to
-    the Levi module of weight mu1 + mu2; a zero composite raises.
-    """
-    from .tensor import decompose, tensor_module
-
-    cd = p.cd
-    lam_sum = tuple(a + b for a, b in zip(src1.hw, src2.hw))
-    mu_sum = tuple(a + b for a, b in zip(tgt1.hw, tgt2.hw))
-
-    tsrc = tensor_module(src1, src2)
-    cg_src = decompose(tsrc, alg.irreps)
-    incl = None
-    for nu, copies, canon in cg_src.components:
-        if nu == lam_sum:
-            incl = Mat(tsrc.dim, canon.dim)
-            columns = cg_src.basis.columns()
-            for c in range(canon.dim):
-                incl.set_column(c, dict(columns.get(copies[0] + c, ())))
-            break
-    if incl is None:
-        raise ArithmeticError("top component missing from source product")
-
-    ttgt = tensor_module(tgt1, tgt2)
-    cg_tgt = decompose(ttgt, alg.irreps)
-    proj = None
-    for nu, copies, canon in cg_tgt.components:
-        if nu == mu_sum:
-            proj = Mat(canon.dim, ttgt.dim)
-            off = copies[0]
-            for (r, c), x in cg_tgt.basis_inv.data.items():
-                if off <= r < off + canon.dim:
-                    proj.data[(r - off, c)] = x
-            break
-    if proj is None:
-        raise ArithmeticError("top component missing from target product")
-
-    composite = proj @ phi1.kron(phi2) @ incl
-    if composite.is_zero():
-        raise ArithmeticError("induced intertwiner vanished")
-    return composite
-
-
 def central_hom_count(p: ParabolicData, cache: IrrepCache) -> int:
     """Number of independent Levi intertwiners from the adjoint-type module
     (highest root) to the trivial character; equals rank minus |Theta|."""

@@ -38,6 +38,9 @@ the gcd and the products of two non-constant polynomials through bounded
 memos (``_GCD_MEMO``, ``_PROD_MEMO``).  ``Memo`` is the one memo policy of
 the package: a memo takes new entries until it holds ``MEMO_MAX`` of them and
 is then left as it is.  The raw ``_dense_gcd`` and ``_pmul`` stay unmemoized.
+A built value never changes (only its lazy views and hash are filled in), so
+every v^0 with coefficient one is the one instance ``RF_ONE``, and a product
+with ``RF_ONE`` as a factor is the other factor itself.
 
 ``num`` and ``den`` are LaurentPoly views, built on first use, in the
 classical normal form: a monic denominator with lowest exponent 0 and
@@ -470,6 +473,8 @@ class RationalFunction:
 
     @classmethod
     def v_power(cls, e, c=1):
+        if c == 1 and not e:
+            return RF_ONE
         c = Fraction(c)
         if not c:
             return _rf(0, 1, 0, _ONE, _ONE)
@@ -553,6 +558,11 @@ class RationalFunction:
         return _sum(self, other, -other._cn)
 
     def __mul__(self, other):
+        # by identity, not is_one(): a value test would slow every other product
+        if self is RF_ONE:
+            return other
+        if other is RF_ONE:
+            return self
         xcn, ycn = self._cn, other._cn
         if not xcn or not ycn:
             return RF_ZERO
@@ -607,8 +617,8 @@ class RationalFunction:
     __repr__ = __str__
 
 
+RF_ONE = _rf(1, 1, 0, _ONE, _ONE)
 RF_ZERO = RationalFunction.const(0)
-RF_ONE = RationalFunction.const(1)
 
 
 class NumericValue:

@@ -162,20 +162,6 @@ class CGDecomposition:
             out.setdefault((nu, c1), []).append((k, y))
         return out
 
-    @property
-    def basis_inv(self) -> Mat:
-        """The whole inverse, every column formed by ``inverse_column``."""
-        n = self.t.dim
-        inv = Mat(n, n)
-        offsets = {nu: copies for nu, copies, _ in self.components}
-        rows = self.rows()
-        for j in range(n):
-            for (nu, copy), entries in self.inverse_column(j, rows.get(j, ())).items():
-                off = offsets[nu][copy]
-                for k, y in entries:
-                    inv.data[(off + k, j)] = y
-        return inv
-
     def __repr__(self):
         mults = ", ".join(f"{nu}:{len(c)}" for nu, c, _ in self.components)
         return f"CGDecomposition({mults})"

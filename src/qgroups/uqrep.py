@@ -198,16 +198,6 @@ def _coproduct_legs(word) -> tuple:
     return _LEGS[word]
 
 
-def coproduct_word(cd, x: AlgebraWord) -> dict:
-    """Coproduct as {(word_left, word_right): coefficient}.
-
-    A leg pair determines its word (at each position an e or f stands on one
-    leg, or both legs carry the same Cartan generator), so the pairs of
-    different words are distinct and each carries its word's coefficient.
-    """
-    return {key: c for word, c in x.terms.items() for key in _coproduct_legs(word)}
-
-
 def coideal_span(cd: CartanData, theta=()) -> list:
     """Spanning words of the coideal attached to a compact subalgebra choice.
 

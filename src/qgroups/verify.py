@@ -3,7 +3,9 @@
 Each suite returns {"name", "passed", "details"} with deterministic,
 JSON-serializable details.  The command-line driver and the acceptance tests
 both run these; everything is exact except where a suite explicitly
-specializes at a rational point.
+specializes at a rational point.  Each suite also carries ``cases_run``, set
+by ``_counts_cases`` beside its definition, which reads off its details how
+many cases it ran.
 
 Grid choices (fixed here, shrunk by quick=True):
   relations/dimensions: A1 up to weight 8, A2 up to total weight 4,
@@ -100,6 +102,15 @@ def _algebra_ctx(name) -> CoeffAlgebra:
 algebra = _algebra_ctx
 
 
+def _counts_cases(count):
+    """Marks a suite with ``count``, the number of cases its details say it
+    ran; a suite that ran none (its filtered grid was empty) proves nothing."""
+    def mark(check):
+        check.cases_run = count
+        return check
+    return mark
+
+
 def _word_alphabet(cd):
     gens = []
     for i in range(1, cd.rank + 1):
@@ -107,6 +118,7 @@ def _word_alphabet(cd):
     return gens
 
 
+@_counts_cases(lambda d: sum(d["checked"].values()))
 def check_relations(quick=False, algebra=None, max_weight=None):
     """Every defining relation, as exact matrix identities, on the grid."""
     failures = []
@@ -126,6 +138,7 @@ def check_relations(quick=False, algebra=None, max_weight=None):
     }
 
 
+@_counts_cases(lambda d: d["modules"])
 def check_dimensions(quick=False, algebra=None, max_weight=None):
     """Dimensions against the Weyl formula, multiplicities against Freudenthal."""
     failures = []
@@ -150,6 +163,7 @@ def check_dimensions(quick=False, algebra=None, max_weight=None):
     }
 
 
+@_counts_cases(lambda d: sum(d["checked"].values()))
 def check_hopf(quick=False, algebra=None, max_weight=None):
     """Coassociativity, counit and antipode laws, and product/coproduct duality."""
     from .coeff import coproduct
@@ -248,6 +262,7 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
             "details": {"checked": checked, "failures": failures}}
 
 
+@_counts_cases(lambda d: d["integrals"] + d["s_squared"])
 def check_schur(quick=False, algebra=None, max_weight=None):
     """Integrals of coefficient pairs against the closed forms, both index
     patterns, plus the antipode-square conjugation identity as matrices.
@@ -364,6 +379,7 @@ def _random_element(alg, supports, rng):
     return CoeffElement(terms)
 
 
+@_counts_cases(lambda d: d["samples"])
 def check_haar_positivity(quick=False, algebra=None, max_weight=None, samples=50, v0=2):
     """Positivity of the invariant integral on pseudo-random elements."""
     failures = []
@@ -410,6 +426,7 @@ def _hom_grid(quick=False):
     return grid
 
 
+@_counts_cases(lambda d: d["checked"])
 def check_hom_criterion(quick=False, algebra=None, max_weight=None):
     """Intertwiner dimension from a full module to a parabolic irreducible is
     one exactly when the lowest weights agree, zero otherwise."""
@@ -449,6 +466,7 @@ def check_hom_criterion(quick=False, algebra=None, max_weight=None):
             "details": {"checked": checked, "failures": failures}}
 
 
+@_counts_cases(lambda d: len(d["central_counts"]) + d["products"])
 def check_invariants(quick=False, algebra=None, max_weight=None):
     """Invariant-function algebra: closure under products, central intertwiner
     counts, and the dimension of the top-root invariant space."""
@@ -523,6 +541,7 @@ def _projectivity_cases(quick=False):
     return cases
 
 
+@_counts_cases(lambda d: len(d["cases"]) + d["roundtrips"])
 def check_projectivity(quick=False, algebra=None, max_weight=None, n_samples=20):
     """Trivialization maps invert each other, carry induced sections to
     invariant-coefficient columns, and every Levi module complements into the
@@ -606,6 +625,7 @@ def _frobenius_cases(quick=False):
     return cases
 
 
+@_counts_cases(lambda d: len(d["cases"]))
 def check_frobenius(quick=False, algebra=None, max_weight=None):
     """Dimension equality of the two intertwiner spaces, the reductive one
     against the classical branching multiplicity, and both round trips."""
@@ -650,6 +670,7 @@ def _borel_weil_cases(quick=False):
     return cases
 
 
+@_counts_cases(lambda d: len(d["cases"]))
 def check_borel_weil(quick=False, algebra=None, max_weight=None):
     """Holomorphic-section spaces against the predicted irreducibles,
     including the unit-coefficient description for full-module bundles."""
@@ -702,6 +723,13 @@ ALL_CHECKS = {
     "frobenius": check_frobenius,
     "borel_weil": check_borel_weil,
 }
+
+
+def empty_checks(report) -> list:
+    """The suites of a report that ran no case: their filtered grids were
+    empty, so their ``passed`` says nothing."""
+    return [r["name"] for r in report["checks"]
+            if not ALL_CHECKS[r["name"]].cases_run(r["details"])]
 
 
 def run_checks(names=None, quick=False, algebra=None, max_weight=None):

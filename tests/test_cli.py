@@ -400,3 +400,44 @@ def test_weight_too_large_for_memory_is_a_one_line_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory; the request is too large\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--check", "hopf", "--algebra", "A3"], "error: --check hopf ran no case under --quick --algebra A3"),
+    (["--check", "projectivity", "--algebra", "B2"],
+     "error: --check projectivity ran no case under --quick --algebra B2"),
+    (["--check", "relations", "--check", "hopf", "--algebra", "A3", "--max-weight", "0"],
+     "error: --check relations, hopf ran no case under --quick --algebra A3 --max-weight 0"),
+])
+def test_named_check_with_an_empty_grid_is_a_usage_error(argv, line, capsys):
+    assert main(["verify", "--quick", "--format", "json"] + argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def test_empty_suites_warn_without_check(capsys):
+    from qgroups.verify import empty_checks, run_checks
+
+    assert main(["verify", "--quick", "--algebra", "A3", "--format", "json"]) == EXIT_OK
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert "warning" not in captured.out
+    empty = ["borel_weil", "frobenius", "haar_positivity", "hom_criterion", "hopf",
+             "invariants", "projectivity"]
+    assert captured.err.splitlines() == [
+        f"warning: {name} ran no case under --quick --algebra A3" for name in empty]
+    # the report is the suites' own, with no trace of the warnings
+    want = run_checks(quick=True, algebra="A3")
+    assert empty_checks(want) == empty
+    assert report == json.loads(json.dumps(want))
+
+
+def test_unfiltered_suites_are_never_empty(capsys):
+    from qgroups.verify import ALL_CHECKS, empty_checks, run_checks
+
+    report = run_checks(quick=True)
+    assert [c["name"] for c in report["checks"]] == sorted(ALL_CHECKS)
+    assert empty_checks(report) == []
+    assert main(["verify", "--quick", "--check", "hopf", "--algebra", "A1"]) == EXIT_OK
+    assert capsys.readouterr().err == ""

@@ -18,7 +18,8 @@ from qgroups.coeff import CoeffAlgebra, CoeffElement, antipode, product
 from qgroups.linalg import index_applier
 from qgroups.scalar import RF_ONE, RF_ZERO, Memo, q_integer, rf_to_text
 from qgroups.tensor import tensor_module
-from qgroups.uqrep import AlgebraWord, IrrepCache, build_irrep, coproduct_word
+from qgroups.uqrep import AlgebraWord, IrrepCache, build_irrep
+from retired_helpers import coproduct_word
 
 BOUND = 2
 

@@ -3,10 +3,11 @@
 Each test puts a fresh ``CoeffAlgebra`` where the suites find theirs, runs
 the suite once on the intact data, then perturbs one datum in place (an E/F
 matrix entry of a module or of a Levi module, a Gram value, a column of a
-Clebsch-Gordan basis, an entry of a dual intertwiner Q) and runs the suite
-again, in a new context where the first one has memoized what the datum
-feeds.  A perturbed entry is a new rational function, so the scalar memos
-see new keys and cannot hide it; the coproduct legs memo holds words only.
+Clebsch-Gordan basis, an entry of a dual intertwiner Q, the coproduct legs
+of each word) and runs the suite again, in a new context where the first
+one has memoized what the datum feeds.  A perturbed entry is a new rational
+function, so the scalar memos see new keys and cannot hide it; the coproduct
+legs memo holds words only.
 The ``dimensions`` suite reads no matrix entry; its case duplicates a basis
 weight.
 """
@@ -160,6 +161,17 @@ def test_perturbed_entry_fails_hopf_with_warm_legs_memo(fresh, monkeypatch):
     assert uqrep._LEGS
     double_first(fresh("A1").irrep((1,)).E[1])
     assert not run(verify.check_hopf, "A1", 1)
+
+
+def test_dropped_coproduct_leg_fails_hopf(fresh, monkeypatch):
+    fresh("A1")
+    assert run(verify.check_hopf, "A1", 1)
+    # word_pairing reads the legs of each word from this memo
+    monkeypatch.setattr(uqrep, "_LEGS", Memo(lambda word: uqrep._leg_pairs(word)[1:]))
+    fresh("A1")
+    report = verify.check_hopf(quick=True, algebra="A1", max_weight=1)
+    assert not report["passed"]
+    assert {f["law"] for f in report["details"]["failures"]} == {"duality"}
 
 
 def test_perturbed_gram_value_fails_hopf(fresh):

@@ -11,8 +11,8 @@ from qgroups.parabolic import (
     levi_lowest_weight,
     levi_weight_multiplicities,
     restrict_levi,
-    tensor_hom,
 )
+from retired_helpers import tensor_hom
 
 
 def test_parabolic_data(a2):

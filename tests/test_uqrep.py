@@ -15,7 +15,6 @@ from qgroups.uqrep import (
     build_module,
     check_serre,
     coideal_span,
-    coproduct_word,
     counit,
     gen_e,
     gen_f,
@@ -27,6 +26,7 @@ from qgroups.uqrep import (
     quantum_dimension,
     relations_ok,
 )
+from retired_helpers import coproduct_word
 
 
 def v(n):
