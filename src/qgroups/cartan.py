@@ -238,20 +238,6 @@ def dominant_orbit_rep(cd: CartanData, mu):
             return cur, tuple(word)
 
 
-def weyl_orbit(cd: CartanData, mu):
-    """Full Weyl orbit of a weight, by reflection closure."""
-    seen = {tuple(mu)}
-    queue = [tuple(mu)]
-    while queue:
-        w = queue.pop()
-        for i in range(1, cd.rank + 1):
-            s = reflect(cd, w, i)
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return seen
-
-
 def weyl_dim(cd: CartanData, lam) -> int:
     """Classical Weyl dimension of the highest-weight module."""
     _require_dominant(lam)

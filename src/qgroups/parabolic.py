@@ -217,19 +217,6 @@ def hom_space(m: IrrepModule, target: IrrepModule, p: ParabolicData,
     return HomBasis(m, target, flavor, maps)
 
 
-def check_intertwiner(phi: Mat, m: IrrepModule, target: IrrepModule,
-                      p: ParabolicData, flavor: str) -> bool:
-    """Exact re-verification of the intertwining equations for one map."""
-    gens = [("k", i) for i in range(1, p.cd.rank + 1)]
-    gens += [("e", j) for j in p.theta] + [("f", j) for j in p.theta]
-    if flavor == "parabolic":
-        gens += [("e", j) for j in p.complement]
-    for gen in gens:
-        if (phi @ m.gen_matrix(gen)) != (target.gen_matrix(gen) @ phi):
-            return False
-    return True
-
-
 def central_hom_count(p: ParabolicData, cache: IrrepCache) -> int:
     """Number of independent Levi intertwiners from the adjoint-type module
     (highest root) to the trivial character; equals rank minus |Theta|."""

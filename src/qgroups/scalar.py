@@ -98,9 +98,6 @@ class LaurentPoly:
     def degree(self):
         return max(self.terms)
 
-    def leading_coeff(self):
-        return self.terms[self.degree()]
-
     def evaluate(self, v0):
         """Exact value at a nonzero rational point v = v0."""
         v0 = Fraction(v0)
@@ -637,19 +634,6 @@ class NumericValue:
 
     def __repr__(self):
         return f"NumericValue({self.value}, {self.flavor})"
-
-
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Field arithmetic entry point; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def q_integer(n: int, d: int = 1) -> RationalFunction:

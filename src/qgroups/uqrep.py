@@ -134,14 +134,6 @@ _ANTIPODE_INV = {
     "K": lambda cd, i: ("k", RF_ONE),
 }
 
-# theta = (compact star) after the antipode: an algebra homomorphism
-_CARTAN_INVOLUTION = {
-    "e": lambda cd, i: ("f", -_q_i(cd, i)),
-    "f": lambda cd, i: ("e", -_q_i_inv(cd, i)),
-    "k": lambda cd, i: ("K", RF_ONE),
-    "K": lambda cd, i: ("k", RF_ONE),
-}
-
 
 def _map_word(cd, x: AlgebraWord, table, reverse) -> AlgebraWord:
     out = {}
@@ -163,10 +155,6 @@ def antipode_word(cd, x: AlgebraWord) -> AlgebraWord:
 
 def antipode_inv_word(cd, x: AlgebraWord) -> AlgebraWord:
     return _map_word(cd, x, _ANTIPODE_INV, reverse=True)
-
-
-def cartan_involution_word(cd, x: AlgebraWord) -> AlgebraWord:
-    return _map_word(cd, x, _CARTAN_INVOLUTION, reverse=False)
 
 
 def _leg_pairs(word) -> tuple:
@@ -452,6 +440,41 @@ def act_word(m: IrrepModule, x: AlgebraWord) -> Mat:
 # --- relations report ---------------------------------------------------------
 
 
+def _gram_mirrors(m) -> bool:
+    """Whether G F_i = E_i^T G holds exactly for every i in ``m.lowering``,
+    G the diagonal of ``m.gram``: the contravariant form makes f_i the
+    adjoint of e_i.  False without a ``gram`` of ``m.dim`` nonzero entries.
+
+    Each stored F_i[r, c] needs a stored E_i[c, r] with g_r F_i[r, c] =
+    g_c E_i[c, r].  That maps F_i's entries one to one into E_i's, and equal
+    entry counts make the map onto, so the identity holds at every position.
+    """
+    gram = getattr(m, "gram", None)
+    if gram is None or len(gram) != m.dim or not all(gram):
+        return False
+    for i in m.lowering:
+        e, f = m.e_matrix(i).data, m.f_matrix(i).data
+        if len(e) != len(f):
+            return False
+        for (r, c), y in f.items():
+            x = e.get((c, r))
+            if x is None or gram[r] * y != gram[c] * x:
+                return False
+    return True
+
+
+def _serre_sum(xi: Mat, xj: Mat, coeffs) -> Mat:
+    """sum_t coeffs[t] xi^t xj xi^(n-t), with no product with the identity."""
+    n = len(coeffs) - 1
+    powers = [None, xi]   # xi^t at t = 1..n
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ xi)
+    total = xj @ powers[n]   # the terms t = 0..n, summed in order
+    for t in range(1, n):
+        total = total + (powers[t] @ xj @ powers[n - t]).scale(coeffs[t])
+    return total + (powers[n] @ xj).scale(coeffs[n])
+
+
 def check_serre(m: IrrepModule) -> list:
     """Verify every defining relation as an exact matrix identity.
 
@@ -459,15 +482,27 @@ def check_serre(m: IrrepModule) -> list:
     not exceptions.  The K relations are read off the diagonals of the stored
     k_i and k_i^-1, each first checked to be diagonal (all that k_i k_j =
     k_j k_i asks); k_i x k_i^-1 = v^p x is checked on each nonzero x[r, c].
-    The Serre sums form no product with the identity.
+
+    The f side mirrors the e side when the Gram certificate holds
+    (``_gram_mirrors``: every g_s is nonzero and F_i = G^-1 E_i^T G exactly,
+    checked entry by entry).  Then S_f(i, j) = +-G^-1 S_e(i, j)^T G for the
+    Serre sums, [e_j, f_i] = G^-1 [e_i, f_j]^T G for i != j, and, once the
+    record k_i k_i^-1 = 1 is true, k_i f_j k_i^-1 = v^-p f_j holds exactly
+    when k_i e_j k_i^-1 = v^p e_j does; so each of these f-side records
+    copies the verdict of its mirror.  Without the certificate (no ``gram``,
+    a zero Gram entry, or an E or F that breaks the identity) every record
+    is computed directly.
     """
     cd = m.cd
     report = []
     idx = m.lowering
     rank = range(1, cd.rank + 1)
+    mirrored = _gram_mirrors(m)
 
     def record(name, ok):
-        report.append({"relation": name, "ok": bool(ok)})
+        ok = bool(ok)
+        report.append({"relation": name, "ok": ok})
+        return ok
 
     def diagonal(k):   # the diagonal entries, or None unless k is diagonal
         return None if any(r != c for r, c in k.data) else [k[s, s] for s in range(m.dim)]
@@ -476,29 +511,38 @@ def check_serre(m: IrrepModule) -> list:
     for i in rank:
         ki, kiv = kd[i]
         both = ki is not None and kiv is not None
-        record(f"k{i} k{i}^-1 = 1", both and all((x * y).is_one() for x, y in zip(ki, kiv)))
+
+        def conjugates(x, p):   # k_i x k_i^-1 = v^p x on each stored x[r, c]
+            vp = RationalFunction.v_power(p)
+            return both and all(ki[r] * y * kiv[c] == vp * y for (r, c), y in x.data.items())
+
+        inverse = record(f"k{i} k{i}^-1 = 1",
+                         both and all((x * y).is_one() for x, y in zip(ki, kiv)))
         for j in rank:
             record(f"k{i} k{j} = k{j} k{i}", ki is not None and kd[j][0] is not None)
         for j in idx:
-            pairing = cd.d[i - 1] * cd.cartan[i - 1][j - 1]
-            for kind, sign, p in (("e", "", pairing), ("f", "-", -pairing)):
-                vp = RationalFunction.v_power(p)
-                x = m.gen_matrix((kind, j)).data
-                record(f"k{i} {kind}{j} k{i}^-1 = v^({sign}{pairing}) {kind}{j}",
-                       both and all(ki[r] * y * kiv[c] == vp * y for (r, c), y in x.items()))
+            p = cd.d[i - 1] * cd.cartan[i - 1][j - 1]
+            ok = record(f"k{i} e{j} k{i}^-1 = v^({p}) e{j}", conjugates(m.e_matrix(j), p))
+            record(f"k{i} f{j} k{i}^-1 = v^(-{p}) f{j}",
+                   ok if mirrored and inverse else conjugates(m.f_matrix(j), -p))
 
+    commutes = {}
     for i in idx:
         ei = m.e_matrix(i)
         for j in idx:
-            ej, fj = m.e_matrix(j), m.f_matrix(j)
-            lhs = (ei @ fj) - (fj @ ei)
-            if i == j:
-                rhs = Mat.diag(
-                    q_integer(m.weights[s][i - 1], cd.d[i - 1]) for s in range(m.dim)
-                )
+            if mirrored and i != j and (j, i) in commutes:
+                ok = commutes[j, i]
             else:
-                rhs = Mat.zero(m.dim, m.dim)
-            record(f"[e{i}, f{j}]", lhs == rhs)
+                ej, fj = m.e_matrix(j), m.f_matrix(j)
+                lhs = (ei @ fj) - (fj @ ei)
+                if i == j:
+                    rhs = Mat.diag(
+                        q_integer(m.weights[s][i - 1], cd.d[i - 1]) for s in range(m.dim)
+                    )
+                else:
+                    rhs = Mat.zero(m.dim, m.dim)
+                ok = lhs == rhs
+            commutes[i, j] = record(f"[e{i}, f{j}]", ok)
 
     for i in idx:
         for j in idx:
@@ -507,17 +551,10 @@ def check_serre(m: IrrepModule) -> list:
             n = 1 - cd.cartan[i - 1][j - 1]
             coeffs = [gauss_binomial(n, t, cd.d[i - 1]) for t in range(n + 1)]
             coeffs[1::2] = [-c for c in coeffs[1::2]]
-            for kind in ("e", "f"):
-                xi = m.gen_matrix((kind, i))
-                xj = m.gen_matrix((kind, j))
-                powers = [None, xi]   # xi^t at t = 1..n
-                for _ in range(n - 1):
-                    powers.append(powers[-1] @ xi)
-                total = xj @ powers[n]   # the terms t = 0..n, summed in order
-                for t in range(1, n):
-                    total = total + (powers[t] @ xj @ powers[n - t]).scale(coeffs[t])
-                total = total + (powers[n] @ xj).scale(coeffs[n])
-                record(f"serre {kind}{i},{kind}{j}", total.is_zero())
+            ok = record(f"serre e{i},e{j}",
+                        _serre_sum(m.e_matrix(i), m.e_matrix(j), coeffs).is_zero())
+            record(f"serre f{i},f{j}", ok if mirrored else
+                   _serre_sum(m.f_matrix(i), m.f_matrix(j), coeffs).is_zero())
     return report
 
 

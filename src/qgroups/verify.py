@@ -230,6 +230,9 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
         duality_cases = duality_cases[:2]
     if algebra is not None:
         duality_cases = [c for c in duality_cases if c[0] == algebra.upper()]
+    if max_weight is not None:
+        duality_cases = [c for c in duality_cases
+                         if sum(c[1]) <= max_weight and sum(c[2]) <= max_weight]
     for name, lam, mu, sample in duality_cases:
         alg = _algebra_ctx(name)
         cd = alg.cd
@@ -738,8 +741,8 @@ def run_checks(names=None, quick=False, algebra=None, max_weight=None):
     ``algebra`` restricts every suite to one supported type; an unsupported
     one raises the ``ValueError`` of ``cartan_data``.  ``max_weight`` caps the
     sum of fundamental coordinates of the grid weights of ``relations`` and
-    ``dimensions`` and of the grid parts of ``hopf`` and ``schur``; the
-    fixed-case suites and parts (``hopf``'s duality cases among them) ignore it.
+    ``dimensions``, of the grid parts of ``hopf`` and ``schur``, and of both
+    weights of each of ``hopf``'s duality cases; the fixed-case suites ignore it.
     """
     if algebra is not None:
         cartan_data(algebra)

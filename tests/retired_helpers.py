@@ -4,16 +4,24 @@ Kept as references for the tests: ``coproduct_word`` (formerly in
 ``qgroups.uqrep``), ``tensor_hom`` (formerly in ``qgroups.parabolic``) and
 ``basis_inv`` (formerly the property ``CGDecomposition.basis_inv`` of
 ``qgroups.tensor``, whose only caller was ``tensor_hom``) lost their last
-caller in the package; ``fraction_v_power`` is the general path that the
-``RF_ONE`` shortcut of ``v_power`` now bypasses.  Do not optimize them.
+caller in the package, as did ``weyl_orbit`` (``qgroups.cartan``),
+``check_intertwiner`` (``qgroups.parabolic``), ``rf_arith``
+(``qgroups.scalar``), ``cartan_involution_word`` (``qgroups.uqrep``) and
+``leading_coeff`` (formerly the method ``LaurentPoly.leading_coeff``).
+``fraction_v_power`` is the general path that the ``RF_ONE`` shortcut of
+``v_power`` now bypasses, and ``direct_check_serre`` is ``check_serre`` as it
+was before its f-side records copied their e-side mirrors: every record
+computed from the matrices.  Do not optimize them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from qgroups import uqrep
+from qgroups.cartan import CartanData, reflect
 from qgroups.linalg import Mat
-from qgroups.scalar import RationalFunction, _ONE, _rf
+from qgroups.scalar import (RF_ONE, RationalFunction, _ONE, _rf, gauss_binomial,
+                            q_integer)
 from qgroups.tensor import decompose, tensor_module
 
 
@@ -93,3 +101,129 @@ def fraction_v_power(e, c=1) -> RationalFunction:
     if not c:
         return _rf(0, 1, 0, _ONE, _ONE)
     return _rf(c.numerator, c.denominator, e, _ONE, _ONE)
+
+
+def weyl_orbit(cd: CartanData, mu):
+    """Full Weyl orbit of a weight, by reflection closure."""
+    seen = {tuple(mu)}
+    queue = [tuple(mu)]
+    while queue:
+        w = queue.pop()
+        for i in range(1, cd.rank + 1):
+            s = reflect(cd, w, i)
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return seen
+
+
+def check_intertwiner(phi: Mat, m, target, p, flavor: str) -> bool:
+    """Exact re-verification of the intertwining equations for one map."""
+    gens = [("k", i) for i in range(1, p.cd.rank + 1)]
+    gens += [("e", j) for j in p.theta] + [("f", j) for j in p.theta]
+    if flavor == "parabolic":
+        gens += [("e", j) for j in p.complement]
+    for gen in gens:
+        if (phi @ m.gen_matrix(gen)) != (target.gen_matrix(gen) @ phi):
+            return False
+    return True
+
+
+def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
+    """Field arithmetic entry point; op is one of add, sub, mul, div."""
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    raise ValueError(f"unknown operation {op!r}")
+
+
+# theta = (compact star) after the antipode: an algebra homomorphism
+_CARTAN_INVOLUTION = {
+    "e": lambda cd, i: ("f", -uqrep._q_i(cd, i)),
+    "f": lambda cd, i: ("e", -uqrep._q_i_inv(cd, i)),
+    "k": lambda cd, i: ("K", RF_ONE),
+    "K": lambda cd, i: ("k", RF_ONE),
+}
+
+
+def cartan_involution_word(cd, x):
+    return uqrep._map_word(cd, x, _CARTAN_INVOLUTION, reverse=False)
+
+
+def leading_coeff(p):
+    """The coefficient of a ``LaurentPoly``'s highest power of v."""
+    return p.terms[p.degree()]
+
+
+def direct_check_serre(m) -> list:
+    """Verify every defining relation as an exact matrix identity.
+
+    Returns a list of {"relation": ..., "ok": bool}; failures are entries,
+    not exceptions.  The K relations are read off the diagonals of the stored
+    k_i and k_i^-1, each first checked to be diagonal (all that k_i k_j =
+    k_j k_i asks); k_i x k_i^-1 = v^p x is checked on each nonzero x[r, c].
+    The Serre sums form no product with the identity.
+    """
+    cd = m.cd
+    report = []
+    idx = m.lowering
+    rank = range(1, cd.rank + 1)
+
+    def record(name, ok):
+        report.append({"relation": name, "ok": bool(ok)})
+
+    def diagonal(k):   # the diagonal entries, or None unless k is diagonal
+        return None if any(r != c for r, c in k.data) else [k[s, s] for s in range(m.dim)]
+
+    kd = {i: (diagonal(m.k_matrix(i)), diagonal(m.k_matrix(i, inverse=True))) for i in rank}
+    for i in rank:
+        ki, kiv = kd[i]
+        both = ki is not None and kiv is not None
+        record(f"k{i} k{i}^-1 = 1", both and all((x * y).is_one() for x, y in zip(ki, kiv)))
+        for j in rank:
+            record(f"k{i} k{j} = k{j} k{i}", ki is not None and kd[j][0] is not None)
+        for j in idx:
+            pairing = cd.d[i - 1] * cd.cartan[i - 1][j - 1]
+            for kind, sign, p in (("e", "", pairing), ("f", "-", -pairing)):
+                vp = RationalFunction.v_power(p)
+                x = m.gen_matrix((kind, j)).data
+                record(f"k{i} {kind}{j} k{i}^-1 = v^({sign}{pairing}) {kind}{j}",
+                       both and all(ki[r] * y * kiv[c] == vp * y for (r, c), y in x.items()))
+
+    for i in idx:
+        ei = m.e_matrix(i)
+        for j in idx:
+            ej, fj = m.e_matrix(j), m.f_matrix(j)
+            lhs = (ei @ fj) - (fj @ ei)
+            if i == j:
+                rhs = Mat.diag(
+                    q_integer(m.weights[s][i - 1], cd.d[i - 1]) for s in range(m.dim)
+                )
+            else:
+                rhs = Mat.zero(m.dim, m.dim)
+            record(f"[e{i}, f{j}]", lhs == rhs)
+
+    for i in idx:
+        for j in idx:
+            if i == j:
+                continue
+            n = 1 - cd.cartan[i - 1][j - 1]
+            coeffs = [gauss_binomial(n, t, cd.d[i - 1]) for t in range(n + 1)]
+            coeffs[1::2] = [-c for c in coeffs[1::2]]
+            for kind in ("e", "f"):
+                xi = m.gen_matrix((kind, i))
+                xj = m.gen_matrix((kind, j))
+                powers = [None, xi]   # xi^t at t = 1..n
+                for _ in range(n - 1):
+                    powers.append(powers[-1] @ xi)
+                total = xj @ powers[n]   # the terms t = 0..n, summed in order
+                for t in range(1, n):
+                    total = total + (powers[t] @ xj @ powers[n - t]).scale(coeffs[t])
+                total = total + (powers[n] @ xj).scale(coeffs[n])
+                record(f"serre {kind}{i},{kind}{j}", total.is_zero())
+    return report

@@ -14,8 +14,8 @@ from qgroups.cartan import (
     reflect,
     weight_multiplicities,
     weyl_dim,
-    weyl_orbit,
 )
+from retired_helpers import weyl_orbit
 
 
 def test_tables_are_consistent():

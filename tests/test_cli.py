@@ -371,6 +371,16 @@ def test_negative_max_weight_is_a_usage_error(capsys):
     assert captured.err == "error: --max-weight must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("max_weight, duality", [("0", 0), ("1", 15400)])
+def test_max_weight_filters_hopf_duality_cases(max_weight, duality, capsys):
+    # a case stays when both of its weights have sum <= --max-weight
+    code, out = run_cli(["verify", "--check", "hopf", "--max-weight", max_weight,
+                         "--format", "json"], capsys)
+    assert code == EXIT_OK
+    (hopf,) = json.loads(out)["checks"]
+    assert hopf["passed"] and hopf["details"]["checked"]["duality"] == duality
+
+
 def test_verify_unknown_algebra_is_a_usage_error(capsys):
     # an unsupported type would otherwise pass every suite having checked nothing
     assert main(["verify", "--algebra", "Q7", "--quick"]) == EXIT_USAGE

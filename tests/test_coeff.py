@@ -24,12 +24,12 @@ from qgroups.uqrep import (
     AlgebraWord,
     act_word,
     antipode_word,
-    cartan_involution_word,
     gen_e,
     gen_f,
     gen_k,
     gen_kinv,
 )
+from retired_helpers import cartan_involution_word
 
 
 def v(n):

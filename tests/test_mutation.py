@@ -9,7 +9,9 @@ one has memoized what the datum feeds.  A perturbed entry is a new rational
 function, so the scalar memos see new keys and cannot hide it; the coproduct
 legs memo holds words only.
 The ``dimensions`` suite reads no matrix entry; its case duplicates a basis
-weight.
+weight.  Two cases concern the Gram certificate of ``check_serre``: a doubled
+mirror pair E[r, c], F[c, r] keeps it, so ``relations`` fails through copied
+f-side verdicts too, and a zero Gram value sends it down the direct path.
 """
 
 import pytest
@@ -18,8 +20,10 @@ from qgroups import coeff, uqrep, verify
 from qgroups.bundle import TruncationPolicy, borel_weil_check, frobenius_maps
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra
+from qgroups.linalg import Mat
 from qgroups.parabolic import ParabolicData
-from qgroups.scalar import Memo, RationalFunction
+from qgroups.scalar import RF_ZERO, Memo, RationalFunction
+from retired_helpers import direct_check_serre
 
 TWO = RationalFunction.const(2)
 
@@ -59,6 +63,45 @@ def test_perturbed_generator_entry_fails_relations(fresh, kind):
     assert run(verify.check_relations, "A2", 2)
     double_first(getattr(alg.irrep((1, 1)), kind)[1])
     assert not run(verify.check_relations, "A2", 2)
+
+
+def test_doubled_mirror_pair_fails_relations_on_both_serre_sides(fresh):
+    alg = fresh("A2")
+    assert run(verify.check_relations, "A2", 2)
+    m = alg.irrep((1, 1))
+    e, f = m.E[1].data, m.F[1].data
+    r, c = min(e)
+    e[r, c] = e[r, c] * TWO
+    f[c, r] = f[c, r] * TWO
+    # g_c F[c, r] = g_r E[r, c] still holds: the f-side verdicts are copies
+    assert uqrep._gram_mirrors(m)
+    report = verify.check_relations(quick=True, algebra="A2", max_weight=2)
+    failed = {x["relation"] for x in report["details"]["failures"]}
+    assert {"serre e1,e2", "serre f1,f2"} <= failed
+
+
+def test_zero_gram_entry_takes_the_direct_path(fresh, monkeypatch):
+    calls = []
+    matmul = Mat.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+
+    def products(check, m):
+        calls.clear()
+        report = check(m)
+        return len(calls), report
+
+    m = fresh("A2").irrep((1, 1))
+    mirrored, report = products(uqrep.check_serre, m)
+    direct, want = products(direct_check_serre, m)
+    assert report == want and mirrored < direct
+    m.gram[1] = RF_ZERO
+    assert not uqrep._gram_mirrors(m)
+    assert products(uqrep.check_serre, m) == (direct, want)
 
 
 # (suite, algebra, module weight, generator): the first entry of that

@@ -6,13 +6,12 @@ from qgroups.parabolic import (
     ParabolicData,
     branching_oracle,
     central_hom_count,
-    check_intertwiner,
     hom_space,
     levi_lowest_weight,
     levi_weight_multiplicities,
     restrict_levi,
 )
-from retired_helpers import tensor_hom
+from retired_helpers import check_intertwiner, tensor_hom
 
 
 def test_parabolic_data(a2):
