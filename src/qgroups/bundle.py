@@ -46,7 +46,7 @@ from .parabolic import (
     levi_lowest_weight,
     restrict_levi,
 )
-from .scalar import RF_ONE, RF_ZERO, RationalFunction
+from .scalar import RF_ONE, RF_ZERO, Memo, RationalFunction
 from .uqrep import (
     AlgebraWord,
     IrrepModule,
@@ -330,13 +330,24 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
     identical blocks, so it is solved once for the column profile and
     replicated: the returned basis has (block solution count) x d_lam
     sections.  Must span the same space as the intertwiner route.
+
+    A weight-cone test comes before W(lam*) is built.  An unknown (b, r)
+    needs wt_b = -tau_r for a weight tau_r of V, and every weight of W(lam*)
+    is lam* - beta with beta in N.{alpha_i}, since ``build_module`` only
+    subtracts simple roots.  So when no weight tau of V has lam* + tau with
+    nonnegative integral simple-root coordinates, the unknown set is empty
+    and the grade has no section: the test returns the [] the build would.
     """
     cd = alg.cd
     lam = tuple(lam)
     lam_dual = dual_weight(cd, lam)
+    vspaces = vmod.weight_spaces()
+    cone = (cd.fundamental_to_root([x + t for x, t in zip(lam_dual, tau)])
+            for tau in vspaces)
+    if not any(beta is not None and min(beta) >= 0 for beta in cone):
+        return []
     m = alg.irrep(lam_dual)
     d = m.dim
-    vspaces = vmod.weight_spaces()
     # unknown column profile: w_b in V with torus matching tau_r = -wt_b
     unknowns = []
     for b in range(d):
@@ -466,6 +477,21 @@ def _coeff_product_into(alg, left: CoeffElement, right: CoeffElement, vec, out_d
         accumulate(out_data.setdefault(pkey, {}), ((r, c * x) for r, x in vec.items()))
 
 
+def _antipoded_rows(alg, wmod: IrrepModule, times: int) -> Memo:
+    """Memo i -> [S^times(t_{ji}) for each j] on the module's coefficients:
+    each row is formed once per trivialization, on first use."""
+    def row(i):
+        out = []
+        for j in range(wmod.dim):
+            t = CoeffElement.basis(wmod.hw, j + 1, i + 1)
+            for _ in range(times):
+                t = antipode(alg, t)
+            out.append(t)
+        return out
+
+    return Memo(row)
+
+
 def eta_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
     """Right trivialization of the bundle induced by a full module.
 
@@ -473,14 +499,12 @@ def eta_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
     coefficients.  The two directions compose to the identity.
     """
     alg = zeta.alg
-    lam_w = wmod.hw
+    rows = _antipoded_rows(alg, wmod, 0 if direction == "forward" else 1)
     out_data = {}
     for key, vec in zeta.data.items():
         basis = CoeffElement({key: RF_ONE})
         for i, x in vec.items():
-            for j in range(wmod.dim):
-                t_ji = CoeffElement.basis(lam_w, j + 1, i + 1)
-                left = t_ji if direction == "forward" else antipode(alg, t_ji)
+            for j, left in enumerate(rows[i]):
                 _coeff_product_into(alg, left, basis, {j: x}, out_data)
     return Section(alg, zeta.p, wmod, out_data)
 
@@ -489,16 +513,12 @@ def kappa_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
     """Left trivialization: multiplication on the right by twice- or once-
     antipoded coefficients."""
     alg = zeta.alg
-    lam_w = wmod.hw
+    rows = _antipoded_rows(alg, wmod, 2 if direction == "forward" else 1)
     out_data = {}
     for key, vec in zeta.data.items():
         basis = CoeffElement({key: RF_ONE})
         for i, x in vec.items():
-            for j in range(wmod.dim):
-                t_ji = CoeffElement.basis(lam_w, j + 1, i + 1)
-                right = antipode(alg, t_ji)
-                if direction == "forward":
-                    right = antipode(alg, right)
+            for j, right in enumerate(rows[i]):
                 _coeff_product_into(alg, basis, right, {j: x}, out_data)
     return Section(alg, zeta.p, wmod, out_data)
 
@@ -604,12 +624,15 @@ def _module_hom(alg, p, wmod, vmod, basis, gens):
     if not basis:
         return 0, []
     nb = len(basis)
+    # one solve with the images under every generator stacked as right-hand
+    # sides: the pivots lie in the basis block alone, so each coordinate is
+    # the one a per-generator solve gives, and an image outside the span raises
+    images = [img for gen in gens for img in dot_on_sections(AlgebraWord.of_gen(gen), basis)]
+    coords = coordinates_in_basis(images, basis)
     action = {}
-    for gen in gens:
-        word = AlgebraWord.of_gen(gen)
-        coords = coordinates_in_basis(dot_on_sections(word, basis), basis)
+    for g, gen in enumerate(gens):
         a = Mat(nb, nb)
-        for c, vec in enumerate(coords):
+        for c, vec in enumerate(coords[g * nb:(g + 1) * nb]):
             for rr, x in vec.items():
                 a.data[(rr, c)] = x
         action[gen] = a

@@ -82,6 +82,17 @@ class CartanData:
             for i in range(self.rank)
         )
 
+    def fundamental_to_root(self, w):
+        """Simple-root coordinates C^-1 w of a weight, as ints; None when w is
+        not in the root lattice."""
+        out = []
+        for row in self._inv_scaled:
+            c, rem = divmod(sum(x * y for x, y in zip(row, w)), self.denom)
+            if rem:
+                return None
+            out.append(c)
+        return tuple(out)
+
     def alpha_fundamental(self, i):
         """Fundamental coordinates of the simple root alpha_i (1-based i)."""
         return tuple(self.cartan[k][i - 1] for k in range(self.rank))
@@ -276,11 +287,10 @@ def freudenthal(cd: CartanData, lam, theta) -> dict:
     roots = [(af, ad, aa, ht) for root, af, ad, aa, ht in cd.root_forms
              if all(c == 0 or j + 1 in theta for j, c in enumerate(root))]
     low = reflect_to_antidominant(cd, lam, theta)
-    diff = [a - b for a, b in zip(lam, low)]
-    height, rem = divmod(
-        sum(x * y for row in cd._inv_scaled for x, y in zip(row, diff)), cd.denom)
-    if rem:
+    coords = cd.fundamental_to_root([a - b for a, b in zip(lam, low)])
+    if coords is None:
         raise ArithmeticError("non-integral height bound")
+    height = sum(coords)
 
     gram = cd.gram
     two_rho = [sum(r[0][t] for r in roots) for t in range(cd.rank)]

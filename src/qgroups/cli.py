@@ -111,6 +111,13 @@ def cmd_irrep(args, stream):
         payload = cache.load(descriptor)
         if payload is not None:
             module = irrep_from_json(cd, payload)
+            # a well-formed payload may still hold a Levi module or another weight
+            if module.lowering != cd.simple_indices():
+                raise CacheIntegrityError("cached module is not an irreducible of "
+                                          f"{cd.name}: lowering {list(module.lowering)}")
+            if module.hw != weight:
+                raise CacheIntegrityError(f"cached module has highest weight "
+                                          f"{module.hw}, not {weight}")
     if module is None:
         from .uqrep import build_irrep
 

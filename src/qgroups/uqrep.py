@@ -695,7 +695,9 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
     """Module from an ``irrep_to_json`` payload.
 
     The payload is read from a cache file, so its shape is checked: a missing
-    key, a wrong type or size, or text that is not a rational function raises
+    key, a wrong type or size, a lowering set that is not strictly increasing
+    (``build_module`` sorts it, and ``check_serre`` lists records in its
+    order), or text that is not a rational function raises
     CacheIntegrityError.
     """
     _require(isinstance(obj, dict), "not an object")
@@ -705,7 +707,8 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
     rank = cd.rank
     _require(_is_ints(obj["highest_weight"], rank), "highest_weight")
     lowering = obj["lowering"]
-    _require(_is_ints(lowering) and all(1 <= i <= rank for i in lowering), "lowering")
+    _require(_is_ints(lowering) and all(1 <= i <= rank for i in lowering)
+             and all(a < b for a, b in zip(lowering, lowering[1:])), "lowering")
     weights = obj["weights"]
     _require(isinstance(weights, list) and all(_is_ints(w, rank) for w in weights),
              "weights")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qgroups import bundle
 from qgroups.bundle import (
     Section,
     TruncationPolicy,
@@ -26,9 +27,9 @@ from qgroups.bundle import (
     span_rank,
     trivial_bundle_check,
 )
-from qgroups.coeff import CoeffElement
+from qgroups.coeff import CoeffElement, antipode, product
 from qgroups.parabolic import ParabolicData, hom_space
-from qgroups.scalar import RationalFunction
+from qgroups.scalar import RF_ONE, RF_ZERO, RationalFunction
 from qgroups.uqrep import AlgebraWord, act_word, gen_e, gen_f, gen_k
 
 
@@ -193,6 +194,46 @@ def test_eta_kappa_roundtrips(a1):
         assert eta_map(eta_map(z, w1, "forward"), w1, "inverse") == z
         assert kappa_map(kappa_map(z, w1, "inverse"), w1, "forward") == z
         assert kappa_map(kappa_map(z, w1, "forward"), w1, "inverse") == z
+
+
+def reference_trivialization(zeta, wmod, side, times):
+    """eta (side "left") or kappa (side "right") with S^times(t_ji) formed
+    afresh for every key and index, as the maps did before sharing rows."""
+    alg = zeta.alg
+    out = {}
+    for key, vec in zeta.data.items():
+        basis = CoeffElement({key: RF_ONE})
+        for i, x in vec.items():
+            for j in range(wmod.dim):
+                t = CoeffElement.basis(wmod.hw, j + 1, i + 1)
+                for _ in range(times):
+                    t = antipode(alg, t)
+                left, right = (t, basis) if side == "left" else (basis, t)
+                for pkey, c in product(alg, left, right).terms.items():
+                    vec_out = out.setdefault(pkey, {})
+                    vec_out[j] = vec_out.get(j, RF_ZERO) + c * x
+    return Section(alg, zeta.p, wmod, out)
+
+
+def test_trivializations_share_one_antipode_row_per_index(a2, monkeypatch):
+    # two keys carry the same index i = 0, so both read one antipoded row
+    p = ParabolicData(a2.cd, (1,))
+    w = a2.irrep((1, 0))
+    z = Section(a2, p, w, {((0, 0), 1, 1): {0: v(1), 2: v(-1)},
+                           ((1, 0), 2, 3): {0: v(2)}})
+    calls = []
+    counted = bundle.antipode
+    monkeypatch.setattr(bundle, "antipode", lambda alg, a: calls.append(a) or counted(alg, a))
+    for fmap, side, times in ((eta_map, "left", {"forward": 0, "inverse": 1}),
+                              (kappa_map, "right", {"forward": 2, "inverse": 1})):
+        for direction, n in times.items():
+            del calls[:]
+            image = fmap(z, w, direction)
+            # one row of w.dim coefficients per index i in {0, 2}
+            assert len(calls) == 2 * w.dim * n
+            assert image == reference_trivialization(z, w, side, n)
+            other = "inverse" if direction == "forward" else "forward"
+            assert fmap(image, w, other) == z
 
 
 def test_eta_trivial_module_is_identity(a1):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from qgroups.cache import ResultCache, descriptor_hash
+from qgroups.cartan import cartan_data
 from qgroups import cli, uqrep
 from qgroups.cli import (
     EXIT_FAILED,
@@ -301,6 +302,41 @@ def test_cache_payload_garbled_entry_is_an_integrity_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(args) == EXIT_USAGE
     assert "not a rational function" in capsys.readouterr().err
+
+
+def assert_one_integrity_error(args, capsys):
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("cache integrity error: ")
+    return line
+
+
+def test_cache_payload_with_unsorted_lowering_is_an_integrity_error(tmp_path, capsys):
+    # loaded, it would list the check_serre records in another order than a build
+    args = ["irrep", "--algebra", "A2", "--weight", "1,1", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    edit_cached_payload(tmp_path, lambda payload: payload.update(lowering=[2, 1]))
+    assert assert_one_integrity_error(args, capsys).endswith("lowering")
+
+
+def test_cache_payload_of_a_levi_module_is_an_integrity_error(tmp_path, capsys):
+    args = ["irrep", "--algebra", "A2", "--weight", "1,1", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    levi = uqrep.irrep_to_json(uqrep.build_module(cartan_data("A2"), (1, 1), (1,)))
+    assert levi["lowering"] == [1]
+    edit_cached_payload(tmp_path, lambda payload: (payload.clear(), payload.update(levi)))
+    assert "lowering [1]" in assert_one_integrity_error(args, capsys)
+
+
+def test_cache_payload_of_another_weight_is_an_integrity_error(tmp_path, capsys):
+    args = ["irrep", "--algebra", "A1", "--weight", "2", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    other = uqrep.irrep_to_json(uqrep.build_irrep(cartan_data("A1"), (3,)))
+    edit_cached_payload(tmp_path, lambda payload: (payload.clear(), payload.update(other)))
+    assert "highest weight (3,), not (2,)" in assert_one_integrity_error(args, capsys)
 
 
 def test_argparse_usage_error_exits_1(capsys):

@@ -8,6 +8,8 @@ scans every index for each nonzero, sorts the rows and eliminates densely.
 with a nonzero and first drops the unknowns that a one-entry row forces to
 zero.  The kernel bases must be the same vectors, in the same order.  The
 cases take in the section cases of the benchmark's ``sections`` workload.
+The reference ``sections_direct`` also builds W(lam*) on every grade, so it
+checks the weight-cone test that skips that build.
 """
 
 import itertools
@@ -23,11 +25,12 @@ from qgroups.bundle import (
     sections_direct,
 )
 from qgroups.cartan import dual_weight
+from qgroups.coeff import CoeffAlgebra
 from qgroups.linalg import Mat, kernel_basis
 from qgroups.parabolic import ParabolicData, branching_oracle, hom_space
 from qgroups.scalar import RF_ONE, RF_ZERO, RationalFunction
 from qgroups.uqrep import AlgebraWord, act_word, antipode_word
-from qgroups.verify import algebra
+from qgroups.verify import _borel_weil_cases, _frobenius_cases, algebra
 
 
 def _dense_kernel(rows, nunknowns):
@@ -93,17 +96,19 @@ def reference_hom_space(m, target, p, flavor):
     return maps
 
 
+def reference_unknowns(m, vmod):
+    """The unknowns (b, r) of a grade: w_b in W(lam*) and tau_r = -wt_b in V."""
+    vspaces = vmod.weight_spaces()
+    return [(b, r) for b in range(m.dim)
+            for r in vspaces.get(tuple(-c for c in m.weights[b]), ())]
+
+
 def reference_sections_direct(alg, vmod, p, lam, flavor):
     cd = alg.cd
     lam_dual = dual_weight(cd, tuple(lam))
     m = alg.irrep(lam_dual)
     d = m.dim
-    vspaces = vmod.weight_spaces()
-    unknowns = []
-    for b in range(d):
-        neg = tuple(-c for c in m.weights[b])
-        for r in vspaces.get(neg, ()):
-            unknowns.append((b, r))
+    unknowns = reference_unknowns(m, vmod)
     if not unknowns:
         return []
     pos = {u: k for k, u in enumerate(unknowns)}
@@ -272,6 +277,78 @@ def test_module_hom_matches_dense_assembler(name, theta, w, v, height):
     got = bundle._module_hom(alg, p, wmod, vmod, basis, gens)
     assert got == reference_module_hom(wmod, basis, gens)
     assert got[0] == 1
+
+
+def test_module_hom_raises_when_an_image_leaves_the_span():
+    # without one section of the basis, some generator carries another basis
+    # section out of the span: the one stacked solve raises as the solve per
+    # generator does
+    name, theta, w, v, height = FROBENIUS_CASES[0]
+    alg = algebra(name)
+    cd = alg.cd
+    p = ParabolicData(cd, theta)
+    wmod = alg.irrep(w)
+    vmod = alg.irreps.levi(cd, theta, v)
+    basis = []
+    for lam in TruncationPolicy(height=height).weights(cd):
+        basis.extend(sections_direct(alg, vmod, p, lam, "levi"))
+    gens = [(kind, i) for kind in "efk" for i in range(1, cd.rank + 1)]
+    for dropped in range(len(basis)):
+        part = basis[:dropped] + basis[dropped + 1:]
+        with pytest.raises(ArithmeticError) as expected:
+            reference_module_hom(wmod, part, gens)
+        with pytest.raises(ArithmeticError) as got:
+            bundle._module_hom(alg, p, wmod, vmod, part, gens)
+        assert str(got.value) == str(expected.value) == "inconsistent linear system"
+
+
+# --- the weight-cone test of sections_direct -------------------------------
+
+def _cone_cases():
+    """(algebra, theta, V's highest weight, V a full module?, height, flavor)
+    for every sections_direct call of the full frobenius and borel_weil grids
+    (trivial bundles included) and of the benchmark's section cases."""
+    cases = {(name, theta, v, False, h, "levi")
+             for name, theta, _, v, h in _frobenius_cases() + FROBENIUS_CASES}
+    cases |= {(name, theta, mu, False, h, "parabolic")
+              for name, theta, mu, _, h in _borel_weil_cases()}
+    cases |= {(name, theta, mu, False, h, "parabolic")
+              for name, theta, mu, h in SECTION_CASES}
+    # check_borel_weil's trivial bundles, induced from full modules
+    cases |= {("A1", (), (1,), True, 2, "parabolic"), ("A2", (), (1, 0), True, 2, "parabolic")}
+    return sorted(cases)
+
+
+def _root_cone(cd, bound=12):
+    """Fundamental coordinates of sum_i beta_i alpha_i for beta in a box of N^rank;
+    a point of the cone outside the box reads as outside, so the test fails."""
+    return {cd.root_to_fundamental(beta)
+            for beta in itertools.product(range(bound + 1), repeat=cd.rank)}
+
+
+def test_weight_cone_test_skips_exactly_the_grades_outside_the_cone():
+    cones = {}
+    skipped = 0
+    for name, theta, hw, full, height, flavor in _cone_cases():
+        alg = algebra(name)
+        cd = alg.cd
+        cone = cones.setdefault(name, _root_cone(cd))
+        p = ParabolicData(cd, theta)
+        vmod = alg.irrep(hw) if full else alg.irreps.levi(cd, theta, hw)
+        for lam in TruncationPolicy(height=height).weights(cd):
+            lam_dual = dual_weight(cd, lam)
+            fresh = CoeffAlgebra(cd)
+            got = sections_direct(fresh, vmod, p, lam, flavor)
+            case = (name, theta, hw, lam, flavor)
+            assert got == reference_sections_direct(alg, vmod, p, lam, flavor), case
+            skip = (cd, lam_dual, cd.simple_indices()) not in fresh.irreps._store
+            in_cone = any(tuple(x + t for x, t in zip(lam_dual, tau)) in cone
+                          for tau in vmod.weight_spaces())
+            assert skip == (not in_cone), case
+            if skip:
+                assert not reference_unknowns(alg.irrep(lam_dual), vmod), case
+                skipped += 1
+    assert skipped
 
 
 # --- act_word -----------------------------------------------------------------
