@@ -9,7 +9,8 @@ Each CartanData carries an integer form of the inner product: with D the
 least common denominator of the inverse Cartan matrix, D (lam, mu) =
 lam^T G mu for an integer matrix G.  The Weyl-dimension and Freudenthal
 oracles run on it in Python ints only, and stay independent of the deformed
-layers.
+layers.  Freudenthal's recursion runs at dominant weights and copies onto
+their Weyl orbits (Moody-Patera, Bull. AMS 7, 1982).
 """
 
 from __future__ import annotations
@@ -178,18 +179,8 @@ SUPPORTED_TYPES = tuple(sorted(_TABLES))
 
 
 def inner_scaled(cd: CartanData, lam, mu) -> int:
-    """D (lam, mu), an integer; orders weights as ``inner`` does."""
+    """D (lam, mu), an integer, for the normalization (a_i, a_i) = 2 d_i."""
     return sum(x * g * y for x, row in zip(lam, cd.gram) for g, y in zip(row, mu))
-
-
-def inner(cd: CartanData, lam, mu) -> Fraction:
-    """Inner product (lam, mu) induced by the normalization (a_i, a_i) = 2 d_i."""
-    return Fraction(inner_scaled(cd, lam, mu), cd.denom)
-
-
-def inner_with_root(cd: CartanData, lam, root) -> int:
-    """(lam, alpha) with alpha in simple-root coordinates; integral for integral lam."""
-    return sum(c * x * dj for c, x, dj in zip(root, lam, cd.d))
 
 
 def reflect(cd: CartanData, lam, i):
@@ -281,7 +272,10 @@ def freudenthal(cd: CartanData, lam, theta) -> dict:
     Freudenthal's recursion with the positive roots supported on theta and
     their half sum rho_theta, every norm multiplied by D, so that all terms
     are ints.  A candidate at depth L below lam only looks up root strings
-    with k <= L // ht(alpha): weights above lam have multiplicity 0.
+    with k <= L // ht(alpha): weights above lam have multiplicity 0.  As
+    multiplicities are constant on W_theta-orbits (Moody-Patera), it runs at
+    theta-dominant weights only and gives each result to the orbit; every
+    other weight lies below its dominant conjugate, so it is known by then.
     """
     lam = tuple(lam)
     roots = [(af, ad, aa, ht) for root, af, ad, aa, ht in cd.root_forms
@@ -302,17 +296,24 @@ def freudenthal(cd: CartanData, lam, theta) -> dict:
                    for x, c, row in zip(w, lin, gram))
 
     top = norm(lam)
-    scale = 2 * cd.denom
     alphas = [cd.alpha_fundamental(j) for j in theta]
-    mults = {lam: 1}
+    mults = {}
+
+    def settle(mu, m):   # give m to the whole W_theta-orbit of mu
+        mults[mu], orbit = m, [mu]
+        for w in orbit:   # grows while it is walked
+            for u in (reflect(cd, w, j) for j in theta if w[j - 1]):
+                if u not in mults:
+                    mults[u] = m
+                    orbit.append(u)
+
+    settle(lam, 1)
     level = {lam}
     for depth in range(1, height + 1):
-        candidates = set()
-        for w in level:
-            for a in alphas:
-                candidates.add(tuple([x - y for x, y in zip(w, a)]))
-        nxt = set()
+        candidates = {tuple([x - y for x, y in zip(w, a)]) for w in level for a in alphas}
         for mu in candidates:
+            if mu in mults or any(mu[j - 1] < 0 for j in theta):
+                continue   # known from its dominant conjugate, or not a weight
             total = 0
             for af, ad, aa, ht in roots:
                 nu = mu
@@ -328,16 +329,13 @@ def freudenthal(cd: CartanData, lam, theta) -> dict:
             denom = top - norm(mu)
             if not denom:
                 raise ArithmeticError("Freudenthal denominator vanished")
-            m, rem = divmod(scale * total, denom)
+            m, rem = divmod(2 * cd.denom * total, denom)
             if rem:
                 raise ArithmeticError("non-integral Freudenthal multiplicity")
             if m < 0:
                 raise ArithmeticError(f"negative Freudenthal multiplicity {m}")
-            mults[mu] = m
-            nxt.add(mu)
-        level = nxt
-        if not level:
-            break
+            settle(mu, m)
+        level = {mu for mu in candidates if mu in mults}
     return mults
 
 

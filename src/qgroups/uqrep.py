@@ -483,15 +483,16 @@ def check_serre(m: IrrepModule) -> list:
     k_i and k_i^-1, each first checked to be diagonal (all that k_i k_j =
     k_j k_i asks); k_i x k_i^-1 = v^p x is checked on each nonzero x[r, c].
 
-    The f side mirrors the e side when the Gram certificate holds
+    The two sides mirror each other when the Gram certificate holds
     (``_gram_mirrors``: every g_s is nonzero and F_i = G^-1 E_i^T G exactly,
     checked entry by entry).  Then S_f(i, j) = +-G^-1 S_e(i, j)^T G for the
     Serre sums, [e_j, f_i] = G^-1 [e_i, f_j]^T G for i != j, and, once the
     record k_i k_i^-1 = 1 is true, k_i f_j k_i^-1 = v^-p f_j holds exactly
-    when k_i e_j k_i^-1 = v^p e_j does; so each of these f-side records
-    copies the verdict of its mirror.  Without the certificate (no ``gram``,
-    a zero Gram entry, or an E or F that breaks the identity) every record
-    is computed directly.
+    when k_i e_j k_i^-1 = v^p e_j does.  So the Serre sums and K conjugations
+    run on the f side, whose entries are mostly ``RF_ONE`` (free to multiply),
+    and each e-side record copies its mirror; [e_j, f_i] copies [e_i, f_j].
+    Without the certificate (no ``gram``, a zero Gram entry, or an E or F
+    that breaks the identity) every record is computed directly.
     """
     cd = m.cd
     report = []
@@ -522,9 +523,10 @@ def check_serre(m: IrrepModule) -> list:
             record(f"k{i} k{j} = k{j} k{i}", ki is not None and kd[j][0] is not None)
         for j in idx:
             p = cd.d[i - 1] * cd.cartan[i - 1][j - 1]
-            ok = record(f"k{i} e{j} k{i}^-1 = v^({p}) e{j}", conjugates(m.e_matrix(j), p))
-            record(f"k{i} f{j} k{i}^-1 = v^(-{p}) f{j}",
-                   ok if mirrored and inverse else conjugates(m.f_matrix(j), -p))
+            ok = conjugates(m.f_matrix(j), -p)
+            record(f"k{i} e{j} k{i}^-1 = v^({p}) e{j}",
+                   ok if mirrored and inverse else conjugates(m.e_matrix(j), p))
+            record(f"k{i} f{j} k{i}^-1 = v^(-{p}) f{j}", ok)
 
     commutes = {}
     for i in idx:
@@ -551,10 +553,10 @@ def check_serre(m: IrrepModule) -> list:
             n = 1 - cd.cartan[i - 1][j - 1]
             coeffs = [gauss_binomial(n, t, cd.d[i - 1]) for t in range(n + 1)]
             coeffs[1::2] = [-c for c in coeffs[1::2]]
-            ok = record(f"serre e{i},e{j}",
-                        _serre_sum(m.e_matrix(i), m.e_matrix(j), coeffs).is_zero())
-            record(f"serre f{i},f{j}", ok if mirrored else
-                   _serre_sum(m.f_matrix(i), m.f_matrix(j), coeffs).is_zero())
+            ok = _serre_sum(m.f_matrix(i), m.f_matrix(j), coeffs).is_zero()
+            record(f"serre e{i},e{j}", ok if mirrored else
+                   _serre_sum(m.e_matrix(i), m.e_matrix(j), coeffs).is_zero())
+            record(f"serre f{i},f{j}", ok)
     return report
 
 

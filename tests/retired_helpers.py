@@ -7,7 +7,8 @@ Kept as references for the tests: ``coproduct_word`` (formerly in
 caller in the package, as did ``weyl_orbit`` (``qgroups.cartan``),
 ``check_intertwiner`` (``qgroups.parabolic``), ``rf_arith``
 (``qgroups.scalar``), ``cartan_involution_word`` (``qgroups.uqrep``) and
-``leading_coeff`` (formerly the method ``LaurentPoly.leading_coeff``).
+``leading_coeff`` (formerly the method ``LaurentPoly.leading_coeff``),
+``inner`` and ``inner_with_root`` (``qgroups.cartan``).
 ``fraction_v_power`` is the general path that the ``RF_ONE`` shortcut of
 ``v_power`` now bypasses, and ``direct_check_serre`` is ``check_serre`` as it
 was before its f-side records copied their e-side mirrors: every record
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qgroups import uqrep
-from qgroups.cartan import CartanData, reflect
+from qgroups.cartan import CartanData, inner_scaled, reflect
 from qgroups.linalg import Mat
 from qgroups.scalar import (RF_ONE, RationalFunction, _ONE, _rf, gauss_binomial,
                             q_integer)
@@ -158,6 +159,16 @@ def cartan_involution_word(cd, x):
 def leading_coeff(p):
     """The coefficient of a ``LaurentPoly``'s highest power of v."""
     return p.terms[p.degree()]
+
+
+def inner(cd: CartanData, lam, mu) -> Fraction:
+    """Inner product (lam, mu) induced by the normalization (a_i, a_i) = 2 d_i."""
+    return Fraction(inner_scaled(cd, lam, mu), cd.denom)
+
+
+def inner_with_root(cd: CartanData, lam, root) -> int:
+    """(lam, alpha) with alpha in simple-root coordinates; integral for integral lam."""
+    return sum(c * x * dj for c, x, dj in zip(root, lam, cd.d))
 
 
 def direct_check_serre(m) -> list:

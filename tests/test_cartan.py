@@ -8,14 +8,13 @@ from qgroups.cartan import (
     char_decompose_oracle,
     dominant_orbit_rep,
     dual_weight,
-    inner,
     is_dominant,
     lowest_weight,
     reflect,
     weight_multiplicities,
     weyl_dim,
 )
-from retired_helpers import weyl_orbit
+from retired_helpers import inner, weyl_orbit
 
 
 def test_tables_are_consistent():

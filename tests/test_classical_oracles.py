@@ -3,17 +3,21 @@ Fraction oracles they replaced (``tests/fraction_oracles.py``)."""
 
 import itertools
 
+import pytest
+
 import fraction_oracles as frozen
 from qgroups.cartan import (
+    _TABLES,
     SUPPORTED_TYPES,
+    CartanData,
     cartan_data,
-    inner,
-    inner_with_root,
+    freudenthal,
     weight_multiplicities,
     weyl_dim,
 )
 from qgroups.parabolic import ParabolicData, levi_weight_multiplicities
 from qgroups.verify import relations_grid
+from retired_helpers import inner, inner_with_root
 
 
 def test_weyl_dim_and_freudenthal_match_on_relations_grid():
@@ -55,6 +59,42 @@ def test_levi_multiplicities_match_under_every_theta():
                         name, theta, mu)
                     checked += 1
     assert checked > 800
+
+
+def test_freudenthal_matches_frozen_under_every_theta_on_small_weights():
+    # the recursion runs at Theta-dominant weights only and fills in their
+    # W_Theta-orbits; the frozen oracle runs it at every weight
+    checked = 0
+    for name in SUPPORTED_TYPES:
+        cd = cartan_data(name)
+        for r in range(cd.rank + 1):
+            for theta in itertools.combinations(cd.simple_indices(), r):
+                for lam in itertools.product(range(-5, 6), repeat=cd.rank):
+                    if sum(map(abs, lam)) > 5 or any(lam[j - 1] < 0 for j in theta):
+                        continue
+                    got = freudenthal(cd, lam, theta)
+                    assert got == frozen.levi_weight_multiplicities(cd, theta, lam), (
+                        name, theta, lam)
+                    checked += 1
+    assert checked == 1323
+
+
+def doctored(name, **changes):
+    table = dict(_TABLES[name], **changes)
+    return CartanData(name[0], int(name[1:]), table["cartan"], table["d"],
+                      table["positive_roots"], table["highest_root"])
+
+
+@pytest.mark.parametrize("cd,lam,message", [
+    # d_1 a_12 != d_2 a_21: the form is not symmetric
+    (doctored("A2", d=[1, 2]), (2, 2), "Freudenthal denominator vanished"),
+    # 2 alpha as an extra positive root (a non-reduced system)
+    (doctored("A1", positive_roots=[(1,), (2,)]), (2,), "non-integral Freudenthal"),
+    (doctored("A2", d=[1, 3]), (2, 0), "negative Freudenthal multiplicity"),
+])
+def test_each_freudenthal_guard_fires_on_doctored_cartan_data(cd, lam, message):
+    with pytest.raises(ArithmeticError, match=message):
+        freudenthal(cd, lam, cd.simple_indices())
 
 
 def test_cartan_data_is_shared():

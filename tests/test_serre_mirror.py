@@ -1,9 +1,11 @@
 """``check_serre`` against ``direct_check_serre``, which computes every record.
 
-When the Gram certificate holds, ``check_serre`` copies each f-side record
-from its e-side mirror; without it, it computes them.  Either way the report
-must be the one the direct computation gives, on intact modules and on
-faulted ones, including faults that keep the certificate.
+When the Gram certificate holds, ``check_serre`` computes the Serre sums and
+the K conjugations on the f side and copies each verdict to the e-side
+mirror, and copies each [e_j, f_i] with i != j from [e_i, f_j]; without it,
+it computes every record.  Either way the report must be the one the direct
+computation gives, on intact modules and on faulted ones, including faults
+that keep the certificate.
 """
 
 import pytest
@@ -67,38 +69,41 @@ def test_gramless_tensor_shim_matches_direct(a1):
     assert_same(Shim())
 
 
-def double_f_entry(m):
-    f = m.F[1].data
+def double_f_entry(m, i=1):
+    f = m.F[i].data
     f[min(f)] = f[min(f)] * TWO
 
 
-def double_e_entry(m):
-    e = m.E[1].data
+def double_e_entry(m, i=1):
+    e = m.E[i].data
     e[min(e)] = e[min(e)] * TWO
 
 
-def double_mirror_pair(m):
-    e, f = m.E[1].data, m.F[1].data
+def double_mirror_pair(m, i=1):
+    e, f = m.E[i].data, m.F[i].data
     r, c = min(e)
     e[r, c] = e[r, c] * TWO
     f[c, r] = f[c, r] * TWO
 
 
-def zero_gram_entry(m):
-    m.gram[1] = RF_ZERO
+def zero_gram_entry(m, s=1):
+    m.gram[s] = RF_ZERO
 
 
-def double_gram_entry(m):
-    m.gram[1] = m.gram[1] * TWO
+def double_gram_entry(m, s=1):
+    m.gram[s] = m.gram[s] * TWO
 
 
-@pytest.mark.parametrize("fault,mirrored", [
+FAULTS = [
     (double_f_entry, False),
     (double_e_entry, False),
     (double_mirror_pair, True),
     (zero_gram_entry, False),
     (double_gram_entry, False),
-])
+]
+
+
+@pytest.mark.parametrize("fault,mirrored", FAULTS)
 @pytest.mark.parametrize("name,hw", [("A1", (2,)), ("A2", (1, 1)), ("B2", (1, 1)),
                                      ("A3", (1, 0, 0))])
 def test_faulted_module_matches_direct(name, hw, fault, mirrored):
@@ -109,3 +114,55 @@ def test_faulted_module_matches_direct(name, hw, fault, mirrored):
     if fault is not zero_gram_entry and fault is not double_gram_entry:
         # the gram feeds no relation; every matrix fault shows in the report
         assert not all(r["ok"] for r in check_serre(m))
+
+
+@pytest.mark.parametrize("fault,mirrored", FAULTS)
+def test_index_two_fault_on_b2_matches_direct(fault, mirrored):
+    # the fault matrix at index 2 of B2, whose Serre pair (2, 1) has n = 3
+    cd = cartan_data("B2")
+    assert 1 - cd.cartan[1][0] == 3
+    m = build_irrep(cd, (1, 1))
+    fault(m, 2)
+    assert uqrep._gram_mirrors(m) is mirrored
+    assert_same(m)
+    failed = {r["relation"] for r in check_serre(m) if not r["ok"]}
+    if fault is not zero_gram_entry and fault is not double_gram_entry:
+        assert failed
+    if mirrored:
+        # the certificate holds, so the f-side sum decides both records
+        assert {"serre e2,e1", "serre f2,f1"} <= failed
+
+
+def serre_operands(monkeypatch, m):
+    """Run check_serre with ``_serre_sum`` wrapped; return the kind of each
+    operand it received: "e" or "f" for a stored matrix of m."""
+    stored = {id(x): kind for kind, mats in (("e", m.E), ("f", m.F)) for x in mats.values()}
+    seen = []
+    real = uqrep._serre_sum
+
+    def wrapped(xi, xj, coeffs):
+        seen.extend(stored.get(id(x), "other") for x in (xi, xj))
+        return real(xi, xj, coeffs)
+
+    monkeypatch.setattr(uqrep, "_serre_sum", wrapped)
+    check_serre(m)
+    return seen
+
+
+@pytest.mark.parametrize("name,hw", [("A2", (1, 1)), ("B2", (1, 1)), ("B2", (2, 2)),
+                                     ("A3", (1, 0, 1))])
+def test_certified_module_sums_serre_on_f_only(monkeypatch, name, hw):
+    m = build_irrep(cartan_data(name), hw)
+    assert uqrep._gram_mirrors(m)
+    seen = serre_operands(monkeypatch, m)
+    n_pairs = len(m.lowering) * (len(m.lowering) - 1)
+    assert seen == ["f"] * (2 * n_pairs)
+
+
+@pytest.mark.parametrize("fault", [double_f_entry, double_e_entry])
+def test_uncertified_module_sums_serre_on_both_sides(monkeypatch, fault):
+    m = build_irrep(cartan_data("B2"), (1, 1))
+    fault(m)
+    assert not uqrep._gram_mirrors(m)
+    seen = serre_operands(monkeypatch, m)
+    assert seen.count("e") == seen.count("f") == 4 and len(seen) == 8

@@ -26,7 +26,7 @@ from qgroups.uqrep import (
     quantum_dimension,
     relations_ok,
 )
-from retired_helpers import coproduct_word
+from retired_helpers import coproduct_word, inner_with_root
 
 
 def v(n):
@@ -118,8 +118,6 @@ def test_k2rho(a1, a2):
 def q_weyl_dimension_oracle(alg, lam):
     """Product formula: prod over positive roots of [ (lam+rho, a) ] / [ (rho, a) ]
     in balanced quantum integers of the (halved) pairing exponents."""
-    from qgroups.cartan import inner_with_root
-
     cd = alg.cd
     rho = (1,) * cd.rank
     lam_rho = tuple(c + 1 for c in lam)
