@@ -161,22 +161,23 @@ def cmd_irrep(args, stream):
 def cmd_verify(args, stream):
     # imported here: no other command needs the suites, and every process
     # would otherwise pay for loading them
-    from .verify import empty_checks, run_checks
+    from .verify import empty_checks, report_header, run_checks
 
     names = args.check or None
     if args.max_weight is not None and args.max_weight < 0:
         raise UsageError(f"--max-weight must be non-negative, got {args.max_weight}")
-    report = run_checks(names, quick=args.quick, algebra=args.algebra,
-                        max_weight=args.max_weight)
-    empty = empty_checks(report)
+    filters = dict(quick=args.quick, algebra=args.algebra, max_weight=args.max_weight)
+    # decided from the selected cases, before any suite runs
+    empty = empty_checks(report_header(names, **filters))
     if empty:
-        filters = " ".join(["--quick"] * args.quick + [
+        flags = " ".join(["--quick"] * args.quick + [
             f"--{flag} {value}" for flag, value in
             (("algebra", args.algebra), ("max-weight", args.max_weight)) if value is not None])
         if names:
-            raise UsageError(f"--check {', '.join(empty)} ran no case under {filters}")
+            raise UsageError(f"--check {', '.join(empty)} ran no case under {flags}")
         for name in empty:
-            print(f"warning: {name} ran no case under {filters}", file=sys.stderr)
+            print(f"warning: {name} ran no case under {flags}", file=sys.stderr)
+    report = run_checks(names, **filters)
     lines = []
     for chk in report["checks"]:
         lines.append(f"{chk['name']}: {'pass' if chk['passed'] else 'FAIL'}")
@@ -374,7 +375,7 @@ def build_parser(config=None):
     p.add_argument("--max-weight", type=int, dest="max_weight",
                    help="cap the sum of fundamental coordinates in the grids of "
                         "relations, dimensions, hopf (both weights of each duality "
-                        "case) and the grid part of schur; the fixed-case suites "
+                        "case) and all three parts of schur; the fixed-case suites "
                         "ignore it")
     common(p)
     p.set_defaults(func=cmd_verify)

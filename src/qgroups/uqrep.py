@@ -699,7 +699,9 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
     The payload is read from a cache file, so its shape is checked: a missing
     key, a wrong type or size, a lowering set that is not strictly increasing
     (``build_module`` sorts it, and ``check_serre`` lists records in its
-    order), or text that is not a rational function raises
+    order), text that is not a rational function, a first weight other than
+    the highest weight, or a stored ``F_i`` entry that does not lower its
+    column's weight by alpha_i (an ``E_i`` entry: raise) raises
     CacheIntegrityError.
     """
     _require(isinstance(obj, dict), "not an object")
@@ -712,16 +714,22 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
     _require(_is_ints(lowering) and all(1 <= i <= rank for i in lowering)
              and all(a < b for a, b in zip(lowering, lowering[1:])), "lowering")
     weights = obj["weights"]
-    _require(isinstance(weights, list) and all(_is_ints(w, rank) for w in weights),
-             "weights")
+    _require(isinstance(weights, list) and all(_is_ints(w, rank) for w in weights)
+             and weights[:1] == [obj["highest_weight"]], "weights")
     dim = len(weights)
     mats = {}
-    for name in ("E", "F"):
+    for name, sign in (("E", 1), ("F", -1)):
         table = obj[name]
         _require(isinstance(table, dict)
                  and sorted(table) == sorted(str(i) for i in lowering), name)
         mats[name] = {int(i): _mat_from_json(mj, f"{name}[{i}]", (dim, dim))
                       for i, mj in table.items()}
+        # an edited weight would otherwise reach check_serre's q-integers
+        for i, mat in mats[name].items():
+            alpha = cd.alpha_fundamental(i)
+            _require(all(wr == wc + sign * a for r, c in mat.data
+                         for wr, wc, a in zip(weights[r], weights[c], alpha)),
+                     f"{name}[{i}] weights")
     gram = obj["gram"]
     _require(isinstance(gram, list) and len(gram) == dim, "gram")
     constructions = obj["constructions"]

@@ -3,9 +3,12 @@
 Each suite returns {"name", "passed", "details"} with deterministic,
 JSON-serializable details.  The command-line driver and the acceptance tests
 both run these; everything is exact except where a suite explicitly
-specializes at a rational point.  Each suite also carries ``cases_run``, set
-by ``_counts_cases`` beside its definition, which reads off its details how
-many cases it ran.
+specializes at a rational point.
+
+Each suite declares its cases as tables of ``Row``s beside its definition.
+``_select`` is the one filter of ``quick``, ``algebra`` and ``max_weight``,
+and ``empty_checks`` reads the same tables, so a suite that selects no row
+is known before it runs.
 
 Grid choices (fixed here, shrunk by quick=True):
   relations/dimensions: A1 up to weight 8, A2 up to total weight 4,
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 from .bundle import (
     Section,
@@ -39,6 +43,7 @@ from .coeff import (
     CoeffElement,
     antipode,
     coeff_eval,
+    coproduct,
     haar,
     haar_positivity,
     k2rho_word,
@@ -59,35 +64,41 @@ from .scalar import LaurentPoly, Memo, RF_ONE, RationalFunction, rf_to_text
 from .uqrep import AlgebraWord, check_serre, k2rho
 
 
+class Row(NamedTuple):
+    """One case of a suite: ``case`` is what its loop takes, algebra first;
+    ``quick`` says the quick grid keeps it; ``weights`` are what
+    ``max_weight`` caps (None where the suite ignores the cap)."""
+
+    case: tuple
+    quick: bool
+    weights: tuple | None = None
+
+
+def _select(rows, quick, algebra, max_weight):
+    """The cases of ``rows`` that the filters keep, in table order; a weight
+    passes ``max_weight`` when its fundamental coordinates sum to at most it."""
+    return [r.case for r in rows
+            if (r.quick or not quick)
+            and (algebra is None or r.case[0] == algebra.upper())
+            and (max_weight is None or r.weights is None
+                 or all(sum(w) <= max_weight for w in r.weights))]
+
+
+_RELATIONS = (
+    [Row(("A1", (n,)), n <= 4, ((n,),)) for n in range(9)]
+    + [Row(("A2", (a, b)), a + b <= 2, ((a, b),)) for a in range(5) for b in range(5 - a)]
+    + [Row(("A3", w), True, (w,)) for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    + [Row(("B2", (a, b)), max(a, b) <= 1, ((a, b),)) for a in range(3) for b in range(3)])
+
+_COEFFICIENTS = (
+    [Row(("A1", (n,)), n <= 2, ((n,),)) for n in range(4)]
+    + [Row(("A2", w), w != (1, 1), (w,)) for w in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    + [Row((name, w), False, (w,)) for name, w in (("A3", (1, 0, 0)), ("A3", (0, 0, 1)),
+                                                   ("B2", (1, 0)), ("B2", (0, 1)))])
+
+
 def relations_grid(quick=False, algebra=None, max_weight=None):
-    grid = []
-    a1 = 4 if quick else 8
-    grid += [("A1", (n,)) for n in range(a1 + 1)]
-    a2 = 2 if quick else 4
-    grid += [("A2", (a, b)) for a in range(a2 + 1) for b in range(a2 + 1 - a)]
-    grid += [("A3", w) for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    b2 = 1 if quick else 2
-    grid += [("B2", (a, b)) for a in range(b2 + 1) for b in range(b2 + 1)]
-    return _filter_grid(grid, algebra, max_weight)
-
-
-def _filter_grid(grid, algebra, max_weight):
-    if algebra is not None:
-        grid = [(n, w) for n, w in grid if n == algebra.upper()]
-    if max_weight is not None:
-        grid = [(n, w) for n, w in grid if sum(w) <= max_weight]
-    return grid
-
-
-def coefficient_grid(quick=False, algebra=None, max_weight=None):
-    a1 = 2 if quick else 3
-    out = [("A1", (n,)) for n in range(a1 + 1)]
-    out += [("A2", w) for w in ((0, 0), (1, 0), (0, 1))]
-    if not quick:
-        out.append(("A2", (1, 1)))
-        out += [("A3", w) for w in ((1, 0, 0), (0, 0, 1))]
-        out += [("B2", w) for w in ((1, 0), (0, 1))]
-    return _filter_grid(out, algebra, max_weight)
+    return _select(_RELATIONS, quick, algebra, max_weight)
 
 
 _ALGEBRAS = Memo(lambda name: CoeffAlgebra(cartan_data(name)))
@@ -102,15 +113,6 @@ def _algebra_ctx(name) -> CoeffAlgebra:
 algebra = _algebra_ctx
 
 
-def _counts_cases(count):
-    """Marks a suite with ``count``, the number of cases its details say it
-    ran; a suite that ran none (its filtered grid was empty) proves nothing."""
-    def mark(check):
-        check.cases_run = count
-        return check
-    return mark
-
-
 def _word_alphabet(cd):
     gens = []
     for i in range(1, cd.rank + 1):
@@ -118,7 +120,6 @@ def _word_alphabet(cd):
     return gens
 
 
-@_counts_cases(lambda d: sum(d["checked"].values()))
 def check_relations(quick=False, algebra=None, max_weight=None):
     """Every defining relation, as exact matrix identities, on the grid."""
     failures = []
@@ -138,7 +139,6 @@ def check_relations(quick=False, algebra=None, max_weight=None):
     }
 
 
-@_counts_cases(lambda d: d["modules"])
 def check_dimensions(quick=False, algebra=None, max_weight=None):
     """Dimensions against the Weyl formula, multiplicities against Freudenthal."""
     failures = []
@@ -163,15 +163,21 @@ def check_dimensions(quick=False, algebra=None, max_weight=None):
     }
 
 
-@_counts_cases(lambda d: sum(d["checked"].values()))
+# (algebra, lambda, mu, sampled index tuples or None for all of them)
+_DUALITY = [Row((name, lam, mu, sample), quick, (lam, mu))
+            for name, lam, mu, sample, quick in (("A1", (1,), (1,), None, True),
+                                                 ("A1", (1,), (2,), None, True),
+                                                 ("A1", (2,), (2,), None, False),
+                                                 ("A2", (1, 0), (0, 1), 12, False),
+                                                 ("A2", (1, 0), (1, 0), 12, False))]
+
+
 def check_hopf(quick=False, algebra=None, max_weight=None):
     """Coassociativity, counit and antipode laws, and product/coproduct duality."""
-    from .coeff import coproduct
-
     failures = []
     checked = {"coassociativity": 0, "counit": 0, "antipode_law": 0, "duality": 0}
 
-    for name, lam in coefficient_grid(quick, algebra, max_weight):
+    for name, lam in _select(_COEFFICIENTS, quick, algebra, max_weight):
         alg = _algebra_ctx(name)
         d = alg.irrep(lam).dim
         unit = alg.unit()
@@ -219,21 +225,7 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
                                      "weight": list(lam), "i": i, "j": j})
 
     # duality <ab, x> = <a (x) b, Delta x> for all words of length <= 3
-    duality_cases = [
-        ("A1", (1,), (1,), None),
-        ("A1", (1,), (2,), None),
-        ("A1", (2,), (2,), None),
-        ("A2", (1, 0), (0, 1), 12),
-        ("A2", (1, 0), (1, 0), 12),
-    ]
-    if quick:
-        duality_cases = duality_cases[:2]
-    if algebra is not None:
-        duality_cases = [c for c in duality_cases if c[0] == algebra.upper()]
-    if max_weight is not None:
-        duality_cases = [c for c in duality_cases
-                         if sum(c[1]) <= max_weight and sum(c[2]) <= max_weight]
-    for name, lam, mu, sample in duality_cases:
+    for name, lam, mu, sample in _select(_DUALITY, quick, algebra, max_weight):
         alg = _algebra_ctx(name)
         cd = alg.cd
         dl, dm = alg.irrep(lam).dim, alg.irrep(mu).dim
@@ -265,7 +257,12 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
             "details": {"checked": checked, "failures": failures}}
 
 
-@_counts_cases(lambda d: d["integrals"] + d["s_squared"])
+# every ordered pair of weights of one algebra
+_SCHUR_PAIRS = [Row((name, lam, mu), name == "A1" and max(lam + mu) <= 2, (lam, mu))
+                for name, weights in (("A1", [(n,) for n in range(4)]), ("A2", [(1, 0), (0, 1)]))
+                for lam, mu in itertools.product(weights, repeat=2)]
+
+
 def check_schur(quick=False, algebra=None, max_weight=None):
     """Integrals of coefficient pairs against the closed forms, both index
     patterns, plus the antipode-square conjugation identity as matrices.
@@ -277,48 +274,39 @@ def check_schur(quick=False, algebra=None, max_weight=None):
     checked = 0
     table = [] if algebra is not None else None
 
-    pair_grid = [("A1", [(n,) for n in range(0, 3 if quick else 4)])]
-    if not quick:
-        pair_grid.append(("A2", [(1, 0), (0, 1)]))
-    if algebra is not None:
-        pair_grid = [g for g in pair_grid if g[0] == algebra.upper()]
-    if max_weight is not None:
-        pair_grid = [(n, [w for w in ws if sum(w) <= max_weight])
-                     for n, ws in pair_grid]
-    for name, weights in pair_grid:
+    for name, lam, mu in _select(_SCHUR_PAIRS, quick, algebra, max_weight):
         alg = _algebra_ctx(name)
-        for lam, mu in itertools.product(weights, repeat=2):
-            dl, dm = alg.irrep(lam).dim, alg.irrep(mu).dim
-            for i in range(1, dl + 1):
-                for j in range(1, dl + 1):
-                    for r in range(1, dm + 1):
-                        for s in range(1, dm + 1):
-                            t_ij = CoeffElement.basis(lam, i, j)
-                            t_rs = CoeffElement.basis(mu, r, s)
-                            # dual coefficient with indices (r, s) is S(t_sr)
-                            got = haar(alg, product(alg, t_ij,
-                                                    antipode(alg, CoeffElement.basis(mu, s, r))))
-                            want = schur_pair(alg, lam, i, j, r, s, mu, "t_dual")
-                            checked += 1
-                            if got != want:
-                                failures.append({"variant": "t_dual", "algebra": name,
-                                                 "weights": [list(lam), list(mu)],
-                                                 "indices": [i, j, r, s]})
-                            got2 = haar(alg, product(alg,
-                                                     antipode(alg, CoeffElement.basis(lam, j, i)),
-                                                     t_rs))
-                            want2 = schur_pair(alg, lam, i, j, r, s, mu, "dual_t")
-                            checked += 1
-                            if got2 != want2:
-                                failures.append({"variant": "dual_t", "algebra": name,
-                                                 "weights": [list(lam), list(mu)],
-                                                 "indices": [i, j, r, s]})
-                            if table is not None and got:
-                                table.append({
-                                    "weights": [list(lam), list(mu)],
-                                    "indices": [i, j, r, s],
-                                    "integral": rf_to_text(got),
-                                })
+        dl, dm = alg.irrep(lam).dim, alg.irrep(mu).dim
+        for i in range(1, dl + 1):
+            for j in range(1, dl + 1):
+                for r in range(1, dm + 1):
+                    for s in range(1, dm + 1):
+                        t_ij = CoeffElement.basis(lam, i, j)
+                        t_rs = CoeffElement.basis(mu, r, s)
+                        # dual coefficient with indices (r, s) is S(t_sr)
+                        got = haar(alg, product(alg, t_ij,
+                                                antipode(alg, CoeffElement.basis(mu, s, r))))
+                        want = schur_pair(alg, lam, i, j, r, s, mu, "t_dual")
+                        checked += 1
+                        if got != want:
+                            failures.append({"variant": "t_dual", "algebra": name,
+                                             "weights": [list(lam), list(mu)],
+                                             "indices": [i, j, r, s]})
+                        got2 = haar(alg, product(alg,
+                                                 antipode(alg, CoeffElement.basis(lam, j, i)),
+                                                 t_rs))
+                        want2 = schur_pair(alg, lam, i, j, r, s, mu, "dual_t")
+                        checked += 1
+                        if got2 != want2:
+                            failures.append({"variant": "dual_t", "algebra": name,
+                                             "weights": [list(lam), list(mu)],
+                                             "indices": [i, j, r, s]})
+                        if table is not None and got:
+                            table.append({
+                                "weights": [list(lam), list(mu)],
+                                "indices": [i, j, r, s],
+                                "integral": rf_to_text(got),
+                            })
 
     # antipode square as conjugation, matrix form, on the relations grid
     s2_checked = 0
@@ -340,7 +328,7 @@ def check_schur(quick=False, algebra=None, max_weight=None):
                                  "weight": list(hw), "generator": f"f{i}"})
 
     # pairing form of the same identity on a small sample
-    for name, lam in coefficient_grid(quick, algebra, max_weight)[:4]:
+    for name, lam in _select(_COEFFICIENTS, quick, algebra, max_weight)[:4]:
         alg = _algebra_ctx(name)
         cd = alg.cd
         d = alg.irrep(lam).dim
@@ -382,8 +370,13 @@ def _random_element(alg, supports, rng):
     return CoeffElement(terms)
 
 
-@_counts_cases(lambda d: d["samples"])
-def check_haar_positivity(quick=False, algebra=None, max_weight=None, samples=50, v0=2):
+# one row per draw of each algebra's generator, in the order it draws them
+_HAAR = [Row((name, k), name in ("A1", "A2") and k < 10)
+         for name in ("A1", "A2", "A3", "B2") for k in range(50)]
+_HAAR_V0 = 2
+
+
+def check_haar_positivity(quick=False, algebra=None, max_weight=None):
     """Positivity of the invariant integral on pseudo-random elements."""
     failures = []
     supports = {
@@ -392,17 +385,14 @@ def check_haar_positivity(quick=False, algebra=None, max_weight=None, samples=50
         "A3": [(0, 0, 0), (1, 0, 0), (0, 0, 1)],
         "B2": [(0, 0), (1, 0), (0, 1)],
     }
-    names = ["A1", "A2"] if quick else ["A1", "A2", "A3", "B2"]
-    if algebra is not None:
-        names = [n for n in names if n == algebra.upper()]
-    n = 10 if quick else samples
     checked = 0
-    for name in names:
+    for name, samples in itertools.groupby(_select(_HAAR, quick, algebra, max_weight),
+                                           key=lambda case: case[0]):
         alg = _algebra_ctx(name)
         rng = random.Random(2024)
-        for _ in range(n):
+        for _ in samples:
             a = _random_element(alg, supports[name], rng)
-            val = haar_positivity(alg, a, v0)
+            val = haar_positivity(alg, a, _HAAR_V0)
             checked += 1
             if a.is_zero():
                 if val.value != 0:
@@ -410,46 +400,38 @@ def check_haar_positivity(quick=False, algebra=None, max_weight=None, samples=50
             elif not val.value > 0:
                 failures.append({"algebra": name, "kind": "nonpositive",
                                  "value": str(val.value)})
-        zero = haar_positivity(alg, CoeffElement(), v0)
+        zero = haar_positivity(alg, CoeffElement(), _HAAR_V0)
         if zero.value != 0:
             failures.append({"algebra": name, "kind": "zero-element"})
     return {"name": "haar_positivity", "passed": not failures,
-            "details": {"samples": checked, "v0": v0, "failures": failures}}
+            "details": {"samples": checked, "v0": _HAAR_V0, "failures": failures}}
 
 
-def _hom_grid(quick=False):
-    grid = []
-    nmax = 3 if quick else 5
-    grid.append(("A1", (), [(n,) for n in range(nmax + 1)],
-                 [(m,) for m in range(-nmax, nmax + 1)]))
-    total = 2 if quick else 3
-    a2_weights = [(a, b) for a in range(total + 1) for b in range(total + 1 - a)]
-    for theta in ((), (1,), (2,)):
-        grid.append(("A2", theta, a2_weights, None))
-    return grid
+# (algebra, theta, lambda); the targets of each (algebra, theta) group are
+# read off the selected lambdas
+_HOM = ([Row(("A1", (), (n,)), n <= 3) for n in range(6)]
+        + [Row(("A2", theta, (a, b)), a + b <= 2)
+           for theta in ((), (1,), (2,)) for a in range(4) for b in range(4 - a)])
 
 
-@_counts_cases(lambda d: d["checked"])
 def check_hom_criterion(quick=False, algebra=None, max_weight=None):
     """Intertwiner dimension from a full module to a parabolic irreducible is
     one exactly when the lowest weights agree, zero otherwise."""
     failures = []
     checked = 0
-    grid = _hom_grid(quick)
-    if algebra is not None:
-        grid = [g for g in grid if g[0] == algebra.upper()]
-    for name, theta, weights, explicit_targets in grid:
+    for (name, theta), group in itertools.groupby(
+            _select(_HOM, quick, algebra, max_weight), key=lambda case: case[:2]):
+        weights = [lam for _, _, lam in group]
         alg = _algebra_ctx(name)
         cd = alg.cd
         p = ParabolicData(cd, theta)
-        if explicit_targets is not None:
-            targets = explicit_targets
-        else:
-            targets = sorted({
-                mu
-                for lam in weights
-                for mu in restrict_levi(alg.irrep(lam), p, alg.irreps).multiplicities()
-            })
+        # every Levi weight in the restrictions of the group's modules; on A1
+        # with theta = () these are all of -n..n up to the largest n
+        targets = sorted({
+            mu
+            for lam in weights
+            for mu in restrict_levi(alg.irrep(lam), p, alg.irreps).multiplicities()
+        })
         for lam in weights:
             w = alg.irrep(lam)
             lam_bar = lowest_weight(cd, lam)
@@ -469,53 +451,45 @@ def check_hom_criterion(quick=False, algebra=None, max_weight=None):
             "details": {"checked": checked, "failures": failures}}
 
 
-@_counts_cases(lambda d: len(d["central_counts"]) + d["products"])
+# every theta of each type, by size
+_INVARIANTS = [Row((name, theta), name in ("A1", "A2"))
+               for name, rank in (("A1", 1), ("A2", 2), ("B2", 2), ("A3", 3))
+               for size in range(rank + 1)
+               for theta in itertools.combinations(range(1, rank + 1), size)]
+_PRODUCTS = [Row(("A1", ()), True), Row(("A2", (1,)), True), Row(("B2", (1,)), False)]
+
+
 def check_invariants(quick=False, algebra=None, max_weight=None):
     """Invariant-function algebra: closure under products, central intertwiner
     counts, and the dimension of the top-root invariant space."""
     failures = []
     details = {"central_counts": {}, "gamma_dims": {}, "products": 0}
 
-    type_thetas = {
-        "A1": [(), (1,)],
-        "A2": [(), (1,), (2,), (1, 2)],
-        "B2": [(), (1,), (2,), (1, 2)],
-        "A3": [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)],
-    }
-    names = ["A1", "A2"] if quick else ["A1", "A2", "B2", "A3"]
-    if algebra is not None:
-        names = [n for n in names if n == algebra.upper()]
-    for name in names:
+    for name, theta in _select(_INVARIANTS, quick, algebra, max_weight):
         alg = _algebra_ctx(name)
         cd = alg.cd
         gamma = cd.root_to_fundamental(cd.highest_root)
+        p = ParabolicData(cd, theta)
+        n = central_hom_count(p, alg.irreps)
+        expect = cd.rank - len(theta)
+        details["central_counts"][f"{name} theta={theta}"] = n
+        if n != expect:
+            failures.append({"kind": "central_count", "algebra": name,
+                             "theta": list(theta), "got": n, "expect": expect})
+        inv = invariant_functions(alg, p, TruncationPolicy(explicit=[gamma]))
+        got_dim = len(inv[gamma])
+        details["gamma_dims"][f"{name} theta={theta}"] = got_dim
         d_gamma = alg.irrep(gamma).dim
-        for theta in type_thetas[name]:
-            p = ParabolicData(cd, theta)
-            n = central_hom_count(p, alg.irreps)
-            expect = cd.rank - len(theta)
-            details["central_counts"][f"{name} theta={theta}"] = n
-            if n != expect:
-                failures.append({"kind": "central_count", "algebra": name,
-                                 "theta": list(theta), "got": n, "expect": expect})
-            inv = invariant_functions(alg, p, TruncationPolicy(explicit=[gamma]))
-            got_dim = len(inv[gamma])
-            details["gamma_dims"][f"{name} theta={theta}"] = got_dim
-            if got_dim != d_gamma * expect:
-                failures.append({"kind": "gamma_dim", "algebra": name,
-                                 "theta": list(theta), "got": got_dim,
-                                 "expect": d_gamma * expect})
-            for f in inv[gamma]:
-                if not is_invariant_function(alg, p, f):
-                    failures.append({"kind": "invariance", "algebra": name,
-                                     "theta": list(theta)})
+        if got_dim != d_gamma * expect:
+            failures.append({"kind": "gamma_dim", "algebra": name,
+                             "theta": list(theta), "got": got_dim,
+                             "expect": d_gamma * expect})
+        for f in inv[gamma]:
+            if not is_invariant_function(alg, p, f):
+                failures.append({"kind": "invariance", "algebra": name,
+                                 "theta": list(theta)})
 
-    product_cases = [("A1", ()), ("A2", (1,))]
-    if not quick:
-        product_cases.append(("B2", (1,)))
-    if algebra is not None:
-        product_cases = [c for c in product_cases if c[0] == algebra.upper()]
-    for name, theta in product_cases:
+    for name, theta in _select(_PRODUCTS, quick, algebra, max_weight):
         alg = _algebra_ctx(name)
         cd = alg.cd
         p = ParabolicData(cd, theta)
@@ -537,24 +511,22 @@ def check_invariants(quick=False, algebra=None, max_weight=None):
         "failures": failures}}
 
 
-def _projectivity_cases(quick=False):
-    cases = [("A1", (), (-1,)), ("A1", (), (1,))]
-    if not quick:
-        cases += [("A2", (1,), (1, 0)), ("A2", (1,), (0, -1))]
-    return cases
+# one row per eta/kappa round trip of each (algebra, theta, mu), in the
+# order its generator draws them
+_PROJECTIVITY = [Row((name, theta, mu, k), name == "A1" and k < 5)
+                 for name, theta, mu in (("A1", (), (-1,)), ("A1", (), (1,)),
+                                         ("A2", (1,), (1, 0)), ("A2", (1,), (0, -1)))
+                 for k in range(20)]
 
 
-@_counts_cases(lambda d: len(d["cases"]) + d["roundtrips"])
-def check_projectivity(quick=False, algebra=None, max_weight=None, n_samples=20):
+def check_projectivity(quick=False, algebra=None, max_weight=None):
     """Trivialization maps invert each other, carry induced sections to
     invariant-coefficient columns, and every Levi module complements into the
     restriction of a full module."""
     failures = []
     details = {"cases": [], "roundtrips": 0}
-    cases = _projectivity_cases(quick)
-    if algebra is not None:
-        cases = [c for c in cases if c[0] == algebra.upper()]
-    for name, theta, mu in cases:
+    for (name, theta, mu), roundtrips in itertools.groupby(
+            _select(_PROJECTIVITY, quick, algebra, max_weight), key=lambda case: case[:3]):
         alg = _algebra_ctx(name)
         cd = alg.cd
         p = ParabolicData(cd, theta)
@@ -572,8 +544,7 @@ def check_projectivity(quick=False, algebra=None, max_weight=None, n_samples=20)
         # eta/kappa roundtrips on pseudo-random truncated elements
         rng = random.Random(7)
         supports = [(0,) * cd.rank, w.hw]
-        n = 5 if quick else n_samples
-        for _ in range(n):
+        for _ in roundtrips:
             data = {}
             for _ in range(rng.randint(1, 2)):
                 lam = supports[rng.randrange(len(supports))]
@@ -620,24 +591,19 @@ def check_projectivity(quick=False, algebra=None, max_weight=None, n_samples=20)
             "details": details | {"failures": failures}}
 
 
-def _frobenius_cases(quick=False):
-    cases = [("A1", (), (2,), (-2,), 3), ("A1", (), (2,), (0,), 3),
-             ("A1", (), (2,), (2,), 3), ("A1", (), (2,), (1,), 3)]
-    if not quick:
-        cases += [("A2", (1,), (1, 0), (1, 0), 2), ("A2", (1,), (1, 0), (0, -1), 2)]
-    return cases
+# (algebra, theta, W, V, truncation height)
+_FROBENIUS = [Row(case, case[0] == "A1")
+              for case in (("A1", (), (2,), (-2,), 3), ("A1", (), (2,), (0,), 3),
+                           ("A1", (), (2,), (2,), 3), ("A1", (), (2,), (1,), 3),
+                           ("A2", (1,), (1, 0), (1, 0), 2), ("A2", (1,), (1, 0), (0, -1), 2))]
 
 
-@_counts_cases(lambda d: len(d["cases"]))
 def check_frobenius(quick=False, algebra=None, max_weight=None):
     """Dimension equality of the two intertwiner spaces, the reductive one
     against the classical branching multiplicity, and both round trips."""
     failures = []
     rows = []
-    cases = _frobenius_cases(quick)
-    if algebra is not None:
-        cases = [c for c in cases if c[0] == algebra.upper()]
-    for name, theta, w_hw, v_hw, height in cases:
+    for name, theta, w_hw, v_hw, height in _select(_FROBENIUS, quick, algebra, max_weight):
         alg = _algebra_ctx(name)
         cd = alg.cd
         p = ParabolicData(cd, theta)
@@ -657,32 +623,23 @@ def check_frobenius(quick=False, algebra=None, max_weight=None):
             "details": {"cases": rows, "failures": failures}}
 
 
-def _borel_weil_cases(quick=False):
-    nmax = 3 if quick else 5
-    cases = [("A1", (), (-n,), 1 + n, nmax + 1) for n in range(nmax + 1)]
-    cases += [("A1", (), (n,), 0, nmax + 1) for n in (1, 2)]
-    if not quick:
-        cases += [
-            ("A2", (), (-1, 0), 3, 2),
-            ("A2", (), (0, -1), 3, 2),
-            ("A2", (), (1, 0), 0, 2),
-            ("A2", (), (0, 0), 1, 2),
-            ("A2", (1,), (0, -1), 3, 2),
-            ("A2", (1,), (1, 0), 0, 2),
-        ]
-    return cases
+# (algebra, theta, mu, expected section dimension, truncation height)
+_BOREL_WEIL = (
+    [Row(("A1", (), (-n,), 1 + n, 6), n <= 3) for n in range(6)]
+    + [Row(("A1", (), (n,), 0, 6), True) for n in (1, 2)]
+    + [Row(case, False) for case in (("A2", (), (-1, 0), 3, 2), ("A2", (), (0, -1), 3, 2),
+                                     ("A2", (), (1, 0), 0, 2), ("A2", (), (0, 0), 1, 2),
+                                     ("A2", (1,), (0, -1), 3, 2), ("A2", (1,), (1, 0), 0, 2))])
+# (algebra, theta, highest weight of the full module, truncation height)
+_TRIVIAL = [Row(("A1", (), (1,), 2), True), Row(("A2", (), (1, 0), 2), False)]
 
 
-@_counts_cases(lambda d: len(d["cases"]))
 def check_borel_weil(quick=False, algebra=None, max_weight=None):
     """Holomorphic-section spaces against the predicted irreducibles,
     including the unit-coefficient description for full-module bundles."""
     failures = []
     rows = []
-    cases = _borel_weil_cases(quick)
-    if algebra is not None:
-        cases = [c for c in cases if c[0] == algebra.upper()]
-    for name, theta, mu, expect_dim, height in cases:
+    for name, theta, mu, expect_dim, height in _select(_BOREL_WEIL, quick, algebra, max_weight):
         alg = _algebra_ctx(name)
         cd = alg.cd
         p = ParabolicData(cd, theta)
@@ -696,12 +653,7 @@ def check_borel_weil(quick=False, algebra=None, max_weight=None):
                              "status": rep["status"], "dim": rep["total_dim"],
                              "expect": expect_dim})
 
-    trivial_cases = [("A1", (), (1,), 2)]
-    if not quick:
-        trivial_cases.append(("A2", (), (1, 0), 2))
-    if algebra is not None:
-        trivial_cases = [c for c in trivial_cases if c[0] == algebra.upper()]
-    for name, theta, w_hw, height in trivial_cases:
+    for name, theta, w_hw, height in _select(_TRIVIAL, quick, algebra, max_weight):
         alg = _algebra_ctx(name)
         p = ParabolicData(alg.cd, theta)
         rep = trivial_bundle_check(alg, alg.irrep(w_hw), p, TruncationPolicy(height=height))
@@ -728,38 +680,61 @@ ALL_CHECKS = {
 }
 
 
-def empty_checks(report) -> list:
-    """The suites of a report that ran no case: their filtered grids were
-    empty, so their ``passed`` says nothing."""
-    return [r["name"] for r in report["checks"]
-            if not ALL_CHECKS[r["name"]].cases_run(r["details"])]
+# the tables each suite selects from; a suite is empty when all are
+_TABLES = {
+    "relations": [_RELATIONS],
+    "dimensions": [_RELATIONS],
+    "hopf": [_COEFFICIENTS, _DUALITY],
+    "schur": [_SCHUR_PAIRS, _RELATIONS, _COEFFICIENTS],
+    "haar_positivity": [_HAAR],
+    "hom_criterion": [_HOM],
+    "invariants": [_INVARIANTS, _PRODUCTS],
+    "projectivity": [_PROJECTIVITY],
+    "frobenius": [_FROBENIUS],
+    "borel_weil": [_BOREL_WEIL, _TRIVIAL],
+}
 
 
-def run_checks(names=None, quick=False, algebra=None, max_weight=None):
-    """The report of the named suites (default: all).
-
-    ``algebra`` restricts every suite to one supported type; an unsupported
-    one raises the ``ValueError`` of ``cartan_data``.  ``max_weight`` caps the
-    sum of fundamental coordinates of the grid weights of ``relations`` and
-    ``dimensions``, of the grid parts of ``hopf`` and ``schur``, and of both
-    weights of each of ``hopf``'s duality cases; the fixed-case suites ignore it.
-    """
+def report_header(names=None, quick=False, algebra=None, max_weight=None):
+    """The report of ``run_checks`` before any suite runs: its filter fields
+    and one ``{"name"}`` entry per named suite (default: all).  An unknown
+    suite or an unsupported algebra raises ``ValueError``."""
     if algebra is not None:
         cartan_data(algebra)
-    results = []
-    for name in names or sorted(ALL_CHECKS):
+    names = names or sorted(ALL_CHECKS)
+    for name in names:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name!r} (known: {sorted(ALL_CHECKS)})")
-        results.append(ALL_CHECKS[name](quick=quick, algebra=algebra,
-                                        max_weight=max_weight))
-    report = {
-        "schema": "qgroups-report/1",
-        "quick": bool(quick),
-        "passed": all(r["passed"] for r in results),
-        "checks": results,
-    }
+    report = {"schema": "qgroups-report/1", "quick": bool(quick),
+              "checks": [{"name": name} for name in names]}
     if algebra is not None:
         report["algebra"] = algebra.upper()
     if max_weight is not None:
         report["max_weight"] = max_weight
+    return report
+
+
+def empty_checks(report) -> list:
+    """The suites of a report, or of its ``report_header``, that select no
+    row of their tables under the report's filters: their ``passed`` says
+    nothing."""
+    filters = report["quick"], report.get("algebra"), report.get("max_weight")
+    return [c["name"] for c in report["checks"]
+            if not any(_select(rows, *filters) for rows in _TABLES[c["name"]])]
+
+
+def run_checks(names=None, quick=False, algebra=None, max_weight=None):
+    """The report of the named suites (default: all), each run on the rows of
+    its tables that ``quick``, ``algebra`` and ``max_weight`` select.
+
+    ``max_weight`` caps the weights of ``relations`` and ``dimensions``, of
+    ``hopf`` (its grid and both weights of each duality case) and of all three
+    parts of ``schur`` (pair integrals, ``s_squared``, pairing sample); the
+    six other suites have no row weights and ignore it.
+    """
+    report = report_header(names, quick, algebra, max_weight)
+    report["checks"] = [ALL_CHECKS[c["name"]](quick=quick, algebra=algebra,
+                                              max_weight=max_weight)
+                        for c in report["checks"]]
+    report["passed"] = all(r["passed"] for r in report["checks"])
     return report

@@ -339,6 +339,25 @@ def test_cache_payload_of_another_weight_is_an_integrity_error(tmp_path, capsys)
     assert "highest weight (3,), not (2,)" in assert_one_integrity_error(args, capsys)
 
 
+@pytest.mark.parametrize("edit", ["huge", "shift"])
+@pytest.mark.parametrize("coordinate", range(16))
+def test_cache_payload_with_an_edited_weight_is_an_integrity_error(tmp_path, capsys,
+                                                                  edit, coordinate):
+    # A2 (1,1) has 8 weights of 2 coordinates; a huge one used to reach
+    # check_serre's q-integers, a shifted one to load as a wrong module
+    args = ["irrep", "--algebra", "A2", "--weight", "1,1", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    row, col = divmod(coordinate, 2)
+
+    def change(payload):
+        weights = payload["weights"]
+        assert len(weights) == 8
+        weights[row][col] = 10 ** 30 if edit == "huge" else weights[row][col] + 1
+
+    edit_cached_payload(tmp_path, change)
+    assert assert_one_integrity_error(args, capsys).endswith("weights")
+
+
 def test_argparse_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["irrep", "--algebra", "A1"])

@@ -30,7 +30,7 @@ from qgroups.linalg import Mat, kernel_basis
 from qgroups.parabolic import ParabolicData, branching_oracle, hom_space
 from qgroups.scalar import RF_ONE, RF_ZERO, RationalFunction
 from qgroups.uqrep import AlgebraWord, act_word, antipode_word
-from qgroups.verify import _borel_weil_cases, _frobenius_cases, algebra
+from qgroups.verify import _BOREL_WEIL, _FROBENIUS, algebra
 
 
 def _dense_kernel(rows, nunknowns):
@@ -309,9 +309,9 @@ def _cone_cases():
     for every sections_direct call of the full frobenius and borel_weil grids
     (trivial bundles included) and of the benchmark's section cases."""
     cases = {(name, theta, v, False, h, "levi")
-             for name, theta, _, v, h in _frobenius_cases() + FROBENIUS_CASES}
+             for name, theta, _, v, h in [r.case for r in _FROBENIUS] + FROBENIUS_CASES}
     cases |= {(name, theta, mu, False, h, "parabolic")
-              for name, theta, mu, _, h in _borel_weil_cases()}
+              for name, theta, mu, _, h in [r.case for r in _BOREL_WEIL]}
     cases |= {(name, theta, mu, False, h, "parabolic")
               for name, theta, mu, h in SECTION_CASES}
     # check_borel_weil's trivial bundles, induced from full modules
