@@ -3,8 +3,9 @@
 Keys are canonical JSON descriptors; the file name is the SHA-256 of the
 descriptor, so identical requests share an entry and differing ones never
 collide.  Writes go through a temporary file and an atomic rename; readers
-never see partial files.  A stored entry repeats its descriptor, which is
-checked on load to catch corruption or hash collisions.
+never see partial files.  A stored entry repeats its descriptor and carries
+the SHA-256 of its payload's canonical JSON; both are checked on load, so an
+edited entry is an integrity error, never a different result.
 """
 
 from __future__ import annotations
@@ -22,11 +23,18 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def descriptor_hash(descriptor) -> str:
-    # imported here: loading _hashlib costs every process that never hashes
-    import hashlib
+def sha256_hex(text: str) -> str:
+    """Hex SHA-256 of ``text`` in UTF-8.  CPython's built-in ``_sha256`` gives
+    ``hashlib``'s digest without loading OpenSSL (several ms per process)."""
+    try:
+        from _sha256 import sha256
+    except ImportError:   # Python 3.12 renamed it _sha2
+        from hashlib import sha256
+    return sha256(text.encode("utf-8")).hexdigest()
 
-    return hashlib.sha256(canonical_json(descriptor).encode("utf-8")).hexdigest()
+
+def descriptor_hash(descriptor) -> str:
+    return sha256_hex(canonical_json(descriptor))
 
 
 def atomic_write(path, text):
@@ -66,12 +74,17 @@ class ResultCache:
                 obj = json.load(fh)
         except (OSError, ValueError) as exc:
             raise CacheIntegrityError(f"unreadable cache entry {path}: {exc}")
-        if obj.get("descriptor") != descriptor:
+        if not isinstance(obj, dict) or obj.get("descriptor") != descriptor:
             raise CacheIntegrityError(f"descriptor mismatch in cache entry {path}")
-        return obj.get("payload")
+        payload = obj.get("payload")
+        if obj.get("sha256") != sha256_hex(canonical_json(payload)):
+            raise CacheIntegrityError(f"payload checksum mismatch in cache entry {path}")
+        return payload
 
     def store(self, descriptor, payload):
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(descriptor)
-        atomic_write(path, canonical_json({"descriptor": descriptor, "payload": payload}))
+        entry = {"descriptor": descriptor, "payload": payload,
+                 "sha256": sha256_hex(canonical_json(payload))}
+        atomic_write(path, canonical_json(entry))
         return path

@@ -594,18 +594,6 @@ class RationalFunction:
             return _rf(-self._cd, -cn, -self._s, self._d, self._n)
         return _rf(self._cd, cn, -self._s, self._d, self._n)
 
-    def bar(self):
-        """The field automorphism v -> 1/v."""
-        cn = self._cn
-        if not cn:
-            return self
-        n, d = self._n[::-1], self._d[::-1]
-        if n[-1] < 0:
-            n, cn = tuple(-c for c in n), -cn
-        if d[-1] < 0:
-            d, cn = tuple(-c for c in d), -cn
-        return _rf(cn, self._cd, len(d) - len(n) - self._s, n, d)
-
     def __str__(self):
         if len(self._d) == 1:
             return str(self.num)

@@ -1,14 +1,18 @@
 """Finite-dimensional highest-weight modules of the quantized enveloping algebra.
 
 Modules are built as explicit generator matrices over Q(v).  Starting from
-the highest-weight vector, lowering operators are applied level by level;
-within each weight space the contravariant form (the bilinear form with
-(x u, w) = (u, x* w) for the compact star structure e* = f, f* = e, k* = k)
-is computed recursively, dependent vectors are discarded and the survivors
-are Gram-Schmidt orthogonalized.  Because the specialized form is positive
-definite for real v > 0, v != 1, a vector is zero in the module exactly when
-its self-pairing vanishes, so the procedure lands on the irreducible module
-with a per-weight orthogonal basis and a diagonal Gram matrix.
+the highest-weight vector, lowering operators are applied level by level,
+and each weight space is orthogonalized, candidate by candidate, under the
+contravariant form (the bilinear form with (x u, w) = (u, x* w) for the
+compact star structure e* = f, f* = e, k* = k).  No pairing is summed: for a
+candidate c = f_i v_p, adjointness gives (v_s, c) = g_p E_i[p, s] for each
+accepted vector v_s of its weight, and the residual r of c after projection
+has (r, r) = g_p [e_i r]_p, both read off raising columns already built.
+Because the specialized form is positive definite for real v > 0, v != 1, a
+vector is zero in the module exactly when its self-pairing vanishes, so a
+candidate with zero residual is dropped and the procedure lands on the
+irreducible module with a per-weight orthogonal basis and a diagonal Gram
+matrix.
 
 The same machinery builds modules of a reductive (Levi) subalgebra by
 restricting the set of lowering indices.
@@ -334,68 +338,52 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
         new_level = []
         for w in sorted(groups, key=_weight_key):
             cands = groups[w]
-            ncand = len(cands)
-            # raising action on each candidate: e_j f_i w_p =
-            #   f_i e_j w_p + delta_ij [<wt(p), i>] w_p
-            ecols = []
-            for p, i in cands:
-                col = {}
-                for j in lowering:
-                    terms = [(rr, y * x) for r, x in e_cols[j].get(p, {}).items()
-                             for rr, y in f_cols[i].get(r, {}).items()]
-                    if j == i:
-                        terms.append((p, q_integer(weights[p][i - 1], cd.d[i - 1])))
-                    col[j] = accumulate({}, terms)
-                ecols.append(col)
-            # candidate pair Gram: (c_a, c_b) = g_{p_a} * [e_{i_a} c_b]_{p_a}
-            G = [[RF_ZERO] * ncand for _ in range(ncand)]
-            for a, (pa, ia) in enumerate(cands):
-                ga = gram[pa]
-                for b in range(ncand):
-                    comp = ecols[b][ia].get(pa)
-                    if comp:
-                        G[a][b] = ga * comp
-            # Gram-Schmidt over the candidate span; zero self-pairing means the
-            # candidate is already a combination of the accepted vectors
-            accepted = []   # (basis_index, coeffs over candidate indices, g)
+            accepted = []   # (basis_index, coeffs over candidate indices)
             for b, (pb, ib) in enumerate(cands):
+                # raising action on the candidate c_b = f_{i_b} v_{p_b}:
+                #   e_j f_i v_p = f_i e_j v_p + delta_ij [<wt(p), i>] v_p
+                ecol = {}
+                for j in lowering:
+                    terms = [(rr, y * x) for r, x in e_cols[j].get(pb, {}).items()
+                             for rr, y in f_cols[ib].get(r, {}).items()]
+                    if j == ib:
+                        terms.append((pb, q_integer(weights[pb][ib - 1], cd.d[ib - 1])))
+                    ecol[j] = accumulate({}, terms)
+                # f_i is adjoint to e_i: (v_s, c_b) = g_{p_b} E_{i_b}[p_b, s] for
+                # each accepted v_s, and r = c_b - sum_s proj_s v_s has
+                # (r, r) = (r, c_b) = g_{p_b} [e_{i_b} r]_{p_b} (``top``)
+                gp = gram[pb]
+                top = ecol[ib].get(pb, RF_ZERO)
                 proj = {}
-                for s_idx, coeffs, g in accepted:
-                    pair = RF_ZERO
-                    for u, cu in coeffs.items():
-                        if G[u][b]:
-                            pair = pair + cu * G[u][b]
-                    if pair:
-                        proj[s_idx] = pair / g
-                r_coeffs = {b: RF_ONE}
-                for s_idx, coeffs, g in accepted:
-                    x = proj.get(s_idx)
+                for s_idx, _ in accepted:
+                    x = e_cols[ib].get(s_idx, {}).get(pb)
                     if x:
-                        accumulate(r_coeffs, ((u, -x * cu) for u, cu in coeffs.items()))
-                g_r = RF_ZERO
-                for u, cu in r_coeffs.items():
-                    if G[u][b]:
-                        g_r = g_r + cu * G[u][b]
-                if g_r:
+                        proj[s_idx] = gp * x / gram[s_idx]
+                        top = top - proj[s_idx] * x
+                # zero self-pairing: c_b is a combination of the accepted vectors
+                if top:
                     s_new = len(weights)
                     weights.append(w)
-                    gram.append(g_r)
+                    gram.append(gp * top)
+                    r_coeffs = {b: RF_ONE}
+                    for s_idx, coeffs in accepted:
+                        x = proj.get(s_idx)
+                        if x:
+                            accumulate(r_coeffs, ((u, -x * cu) for u, cu in coeffs.items()))
                     constructions.append(
                         [(cands[u][0], cands[u][1], cu) for u, cu in sorted(r_coeffs.items())]
                     )
-                    # raising matrices on the new basis vector
+                    # raising columns: e_j r = e_j c_b - sum_s proj_s E_j[:, s]
                     for j in lowering:
-                        acc = accumulate({}, ((rr, cu * y) for u, cu in r_coeffs.items()
-                                              for rr, y in ecols[u][j].items()))
+                        acc = accumulate(ecol[j], ((rr, -x * y) for s_idx, x in proj.items()
+                                                   for rr, y in e_cols[j].get(s_idx, {}).items()))
                         if acc:
                             e_cols[j][s_new] = acc
-                    coords = {s_new: RF_ONE}
-                    for s_idx, x in proj.items():
-                        coords[s_idx] = x
-                    accepted.append((s_new, r_coeffs, g_r))
+                    coords = {s_new: RF_ONE, **proj}
+                    accepted.append((s_new, r_coeffs))
                     new_level.append(s_new)
                 else:
-                    coords = dict(proj)
+                    coords = proj
                 # lowering matrix column for the candidate's parent
                 if coords:
                     accumulate(f_cols[ib].setdefault(pb, {}), coords.items())
@@ -631,8 +619,9 @@ def _mat_to_json(m: Mat):
     }
 
 
-# names the layout of irrep_to_json payloads; change it with the layout
-IRREP_SCHEMA = "qgroups-irrep/1"
+# names the layout of irrep_to_json payloads and of their cache entries;
+# change it with either
+IRREP_SCHEMA = "qgroups-irrep/2"
 
 
 def irrep_to_json(m: IrrepModule) -> dict:

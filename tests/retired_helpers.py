@@ -12,7 +12,11 @@ caller in the package, as did ``weyl_orbit`` (``qgroups.cartan``),
 ``fraction_v_power`` is the general path that the ``RF_ONE`` shortcut of
 ``v_power`` now bypasses, and ``direct_check_serre`` is ``check_serre`` as it
 was before its f-side records copied their e-side mirrors: every record
-computed from the matrices.  Do not optimize them.
+computed from the matrices.  ``gram_build_module`` is ``build_module`` as it
+was before it read each pairing off the E columns already built: it fills
+the candidate Gram matrix and sums every pairing from it.  ``bar`` (formerly
+the method ``RationalFunction.bar``) lost its last caller in the package.
+Do not optimize them.
 """
 from __future__ import annotations
 
@@ -20,9 +24,9 @@ from fractions import Fraction
 
 from qgroups import uqrep
 from qgroups.cartan import CartanData, inner_scaled, reflect
-from qgroups.linalg import Mat
-from qgroups.scalar import (RF_ONE, RationalFunction, _ONE, _rf, gauss_binomial,
-                            q_integer)
+from qgroups.linalg import Mat, accumulate
+from qgroups.scalar import (RF_ONE, RF_ZERO, RationalFunction, _ONE, _rf,
+                            gauss_binomial, q_integer)
 from qgroups.tensor import decompose, tensor_module
 
 
@@ -238,3 +242,123 @@ def direct_check_serre(m) -> list:
                 total = total + (powers[n] @ xj).scale(coeffs[n])
                 record(f"serre {kind}{i},{kind}{j}", total.is_zero())
     return report
+
+
+def gram_build_module(cd: CartanData, hw, lowering) -> uqrep.IrrepModule:
+    """``uqrep.build_module`` as it was before it read each pairing off the E
+    columns: it fills the candidate Gram matrix G and sums every pairing and
+    self-pairing from it."""
+    lowering = tuple(sorted(lowering))
+    for i in lowering:
+        if hw[i - 1] < 0:
+            raise ValueError(f"weight {hw} not dominant for lowering set {lowering}")
+
+    weights = [tuple(hw)]
+    gram = [RF_ONE]
+    constructions = [[]]
+    e_cols = {i: {} for i in lowering}   # column index -> {row: RF}
+    f_cols = {i: {} for i in lowering}
+    level = [0]
+
+    alphas = {i: cd.alpha_fundamental(i) for i in lowering}
+
+    while level:
+        groups = {}
+        for p in level:
+            wp = weights[p]
+            for i in lowering:
+                w = tuple(wp[t] - alphas[i][t] for t in range(cd.rank))
+                groups.setdefault(w, []).append((p, i))
+        new_level = []
+        for w in sorted(groups, key=uqrep._weight_key):
+            cands = groups[w]
+            ncand = len(cands)
+            # raising action on each candidate: e_j f_i w_p =
+            #   f_i e_j w_p + delta_ij [<wt(p), i>] w_p
+            ecols = []
+            for p, i in cands:
+                col = {}
+                for j in lowering:
+                    terms = [(rr, y * x) for r, x in e_cols[j].get(p, {}).items()
+                             for rr, y in f_cols[i].get(r, {}).items()]
+                    if j == i:
+                        terms.append((p, q_integer(weights[p][i - 1], cd.d[i - 1])))
+                    col[j] = accumulate({}, terms)
+                ecols.append(col)
+            # candidate pair Gram: (c_a, c_b) = g_{p_a} * [e_{i_a} c_b]_{p_a}
+            G = [[RF_ZERO] * ncand for _ in range(ncand)]
+            for a, (pa, ia) in enumerate(cands):
+                ga = gram[pa]
+                for b in range(ncand):
+                    comp = ecols[b][ia].get(pa)
+                    if comp:
+                        G[a][b] = ga * comp
+            # Gram-Schmidt over the candidate span; zero self-pairing means the
+            # candidate is already a combination of the accepted vectors
+            accepted = []   # (basis_index, coeffs over candidate indices, g)
+            for b, (pb, ib) in enumerate(cands):
+                proj = {}
+                for s_idx, coeffs, g in accepted:
+                    pair = RF_ZERO
+                    for u, cu in coeffs.items():
+                        if G[u][b]:
+                            pair = pair + cu * G[u][b]
+                    if pair:
+                        proj[s_idx] = pair / g
+                r_coeffs = {b: RF_ONE}
+                for s_idx, coeffs, g in accepted:
+                    x = proj.get(s_idx)
+                    if x:
+                        accumulate(r_coeffs, ((u, -x * cu) for u, cu in coeffs.items()))
+                g_r = RF_ZERO
+                for u, cu in r_coeffs.items():
+                    if G[u][b]:
+                        g_r = g_r + cu * G[u][b]
+                if g_r:
+                    s_new = len(weights)
+                    weights.append(w)
+                    gram.append(g_r)
+                    constructions.append(
+                        [(cands[u][0], cands[u][1], cu) for u, cu in sorted(r_coeffs.items())]
+                    )
+                    # raising matrices on the new basis vector
+                    for j in lowering:
+                        acc = accumulate({}, ((rr, cu * y) for u, cu in r_coeffs.items()
+                                              for rr, y in ecols[u][j].items()))
+                        if acc:
+                            e_cols[j][s_new] = acc
+                    coords = {s_new: RF_ONE}
+                    for s_idx, x in proj.items():
+                        coords[s_idx] = x
+                    accepted.append((s_new, r_coeffs, g_r))
+                    new_level.append(s_new)
+                else:
+                    coords = dict(proj)
+                # lowering matrix column for the candidate's parent
+                if coords:
+                    accumulate(f_cols[ib].setdefault(pb, {}), coords.items())
+        level = new_level
+
+    dim = len(weights)
+    E = {
+        i: Mat(dim, dim, {(r, c): x for c, col in e_cols[i].items() for r, x in col.items()})
+        for i in lowering
+    }
+    F = {
+        i: Mat(dim, dim, {(r, c): x for c, col in f_cols[i].items() for r, x in col.items()})
+        for i in lowering
+    }
+    return uqrep.IrrepModule(cd, hw, lowering, weights, E, F, gram, constructions)
+
+
+def bar(x: RationalFunction) -> RationalFunction:
+    """The field automorphism v -> 1/v."""
+    cn = x._cn
+    if not cn:
+        return x
+    n, d = x._n[::-1], x._d[::-1]
+    if n[-1] < 0:
+        n, cn = tuple(-c for c in n), -cn
+    if d[-1] < 0:
+        d, cn = tuple(-c for c in d), -cn
+    return _rf(cn, x._cd, len(d) - len(n) - x._s, n, d)

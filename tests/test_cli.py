@@ -1,12 +1,14 @@
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from qgroups.cache import ResultCache, descriptor_hash
+from qgroups.cache import ResultCache, canonical_json, descriptor_hash, sha256_hex
 from qgroups.cartan import cartan_data
 from qgroups import cli, uqrep
 from qgroups.cli import (
@@ -276,9 +278,12 @@ def test_internal_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def edit_cached_payload(cache_dir, edit):
+    # the entry's checksum is made to match the edited payload, as in an
+    # entry written by a faulty build, so the load reaches the payload checks
     entry = next(cache_dir.glob("*.json"))
     obj = json.loads(entry.read_text())
     edit(obj["payload"])
+    obj["sha256"] = sha256_hex(canonical_json(obj["payload"]))
     entry.write_text(json.dumps(obj))
 
 
@@ -356,6 +361,127 @@ def test_cache_payload_with_an_edited_weight_is_an_integrity_error(tmp_path, cap
 
     edit_cached_payload(tmp_path, change)
     assert assert_one_integrity_error(args, capsys).endswith("weights")
+
+
+def test_cache_entry_with_an_edited_matrix_value_is_an_integrity_error(tmp_path, capsys):
+    # a well-formed wrong value used to load and fail check_serre with exit 2
+    args = ["irrep", "--algebra", "A2", "--weight", "1,1", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_text())
+    cell = obj["payload"]["E"]["1"]["entries"][0]
+    num, den = cell[2].split(" / ")
+    cell[2] = f"{num} + 1*v^99 / {den}"
+    entry.write_text(json.dumps(obj))
+    assert "payload checksum mismatch" in assert_one_integrity_error(args, capsys)
+
+
+@pytest.mark.parametrize("text", ["[]", "3", "null"])
+def test_cache_entry_that_is_not_an_object_is_an_integrity_error(tmp_path, capsys, text):
+    # used to end in an AttributeError traceback
+    args = ["irrep", "--algebra", "A1", "--weight", "2", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    next(tmp_path.glob("*.json")).write_text(text)
+    assert "descriptor mismatch" in assert_one_integrity_error(args, capsys)
+
+
+def _entry_nodes(obj, path=()):
+    """Every path below the root of a parsed cache entry, containers too."""
+    if path:
+        yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, x in items:
+        yield from _entry_nodes(x, path + (key,))
+
+
+def _edit_one_field(obj, rng):
+    """Apply one random edit to one field of ``obj`` in place."""
+    path = rng.choice(list(_entry_nodes(obj)))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    x = parent[key]
+    if rng.random() < 0.15:
+        parent.pop(key)
+    elif isinstance(x, bool) or x is None:
+        parent[key] = 0
+    elif isinstance(x, int):
+        parent[key] = rng.choice([x + 1, x - 1, -x, 0, 10 ** 30, str(x), [x]])
+    elif isinstance(x, str):
+        n = rng.randrange(len(x) + 1)
+        parent[key] = rng.choice([
+            x[:n] + rng.choice("0123456789v^*/+- ") + x[n:],
+            x[:n] + x[n + 1:],
+            x[:n] + x[n:].replace(rng.choice("0123456789"), rng.choice("0123456789"), 1),
+            "", 0, None,
+        ])
+    elif isinstance(x, list):
+        parent[key] = x + x[-1:] if x and rng.random() < 0.5 else x[:-1]
+    else:
+        parent[key] = {**x, "extra": 1} if rng.random() < 0.5 else []
+
+
+def test_warm_run_gives_the_cold_report_or_an_integrity_error(tmp_path, capsys):
+    args = ["irrep", "--algebra", "A2", "--weight", "1,1", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    code, cold = run_cli(args, capsys)
+    assert code == EXIT_OK
+    (entry,) = tmp_path.glob("*.json")
+    text = entry.read_text()
+    assert run_cli(args, capsys) == (EXIT_OK, cold)
+    rng = random.Random(17)
+    errors = 0
+    for _ in range(300):
+        obj = json.loads(text)
+        _edit_one_field(obj, rng)
+        entry.write_text(json.dumps(obj))
+        code = main(args)
+        captured = capsys.readouterr()
+        if code == EXIT_OK:
+            assert (captured.out, captured.err) == (cold, "")
+        else:
+            assert code == EXIT_USAGE and captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("cache integrity error: ")
+            errors += 1
+    assert errors > 250
+
+
+@pytest.mark.parametrize("text", ["", "abc", canonical_json({"kind": "irrep", "weight": [1, 2]}),
+                                  "v^-3 · λ* " * 40])
+def test_sha256_hex_is_hashlib_sha256(text):
+    assert sha256_hex(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="the built-in module is _sha2 from Python 3.12; hashlib is the fallback")
+def test_cached_irrep_runs_do_not_load_hashlib(tmp_path):
+    # -S: no site hooks, which may import hashlib on their own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); from qgroups.cli import main; "
+             "code = main(sys.argv[2:]); "
+             "print(code, 'hashlib' in sys.modules, '_hashlib' in sys.modules, file=sys.stderr)")
+    args = ["irrep", "--algebra", "A1", "--weight", "2", "--cache-dir", str(tmp_path)]
+    for _ in ("cold", "warm"):
+        proc = subprocess.run([sys.executable, "-S", "-c", probe, src, *args],
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stderr == "0 False False\n"
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_cache_entry_without_the_builtin_sha256_module(tmp_path, capsys, monkeypatch):
+    args = ["irrep", "--algebra", "A1", "--weight", "2", "--format", "json"]
+    code, cold = run_cli(args + ["--cache-dir", str(tmp_path / "builtin")], capsys)
+    assert code == EXIT_OK
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    fallback = args + ["--cache-dir", str(tmp_path / "fallback")]
+    assert run_cli(fallback, capsys) == (EXIT_OK, cold)
+    assert run_cli(fallback, capsys) == (EXIT_OK, cold)
+    names = [sorted(p.name for p in (tmp_path / d).iterdir()) for d in ("builtin", "fallback")]
+    assert names[0] == names[1] and len(names[0]) == 1
+    assert ((tmp_path / "builtin" / names[0][0]).read_text()
+            == (tmp_path / "fallback" / names[0][0]).read_text())
 
 
 def test_argparse_usage_error_exits_1(capsys):

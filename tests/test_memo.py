@@ -19,7 +19,7 @@ from qgroups.linalg import index_applier
 from qgroups.scalar import RF_ONE, RF_ZERO, Memo, q_integer, rf_to_text
 from qgroups.tensor import tensor_module
 from qgroups.uqrep import AlgebraWord, IrrepCache, build_irrep
-from retired_helpers import coproduct_word
+from retired_helpers import bar, coproduct_word
 
 BOUND = 2
 
@@ -48,7 +48,7 @@ def test_full_memo_keeps_its_entries_and_rebuilds_the_rest(monkeypatch):
 def q_quotients():
     total = RF_ZERO
     for n in range(1, 7):
-        total = total + q_integer(n + 1) / q_integer(n) * total.bar() + RF_ONE
+        total = total + q_integer(n + 1) / q_integer(n) * bar(total) + RF_ONE
     return rf_to_text(total)
 
 
