@@ -116,8 +116,13 @@ class Section:
                     lam, a, b = key
                     self.data[(tuple(lam), a, b)] = vec
 
-    def copy_with(self, data):
-        return Section(self.alg, self.p, self.vmod, data)
+    def copy_with(self, data, vmod=None):
+        """Section of this bundle (or ``vmod``'s) over clean ``data``, with
+        canonical keys: vectors are kept as they are, the empty ones dropped."""
+        out = object.__new__(Section)
+        out.alg, out.p, out.vmod = self.alg, self.p, self.vmod if vmod is None else vmod
+        out.data = {key: vec for key, vec in data.items() if vec}
+        return out
 
     def is_zero(self):
         return not self.data
@@ -506,7 +511,7 @@ def eta_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
         for i, x in vec.items():
             for j, left in enumerate(rows[i]):
                 _coeff_product_into(alg, left, basis, {j: x}, out_data)
-    return Section(alg, zeta.p, wmod, out_data)
+    return zeta.copy_with(out_data, wmod)
 
 
 def kappa_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
@@ -520,7 +525,7 @@ def kappa_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
         for i, x in vec.items():
             for j, right in enumerate(rows[i]):
                 _coeff_product_into(alg, basis, right, {j: x}, out_data)
-    return Section(alg, zeta.p, wmod, out_data)
+    return zeta.copy_with(out_data, wmod)
 
 
 # --- complements and Frobenius reciprocity --------------------------------------

@@ -24,12 +24,16 @@ def canonical_json(obj) -> str:
 
 
 def sha256_hex(text: str) -> str:
-    """Hex SHA-256 of ``text`` in UTF-8.  CPython's built-in ``_sha256`` gives
-    ``hashlib``'s digest without loading OpenSSL (several ms per process)."""
+    """Hex SHA-256 of ``text`` in UTF-8.  CPython's built-in module (``_sha2``
+    from Python 3.12 on, ``_sha256`` before) gives ``hashlib``'s digest
+    without loading OpenSSL (several ms per process)."""
     try:
-        from _sha256 import sha256
-    except ImportError:   # Python 3.12 renamed it _sha2
-        from hashlib import sha256
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     return sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -69,12 +69,8 @@ class CoeffElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    lam, i, j = key
-                    self.terms[(tuple(lam), int(i), int(j))] = c
+        self.terms = {(tuple(lam), int(i), int(j)): c
+                      for (lam, i, j), c in (terms or {}).items() if c}
 
     @classmethod
     def basis(cls, lam, i, j, coeff=RF_ONE):
@@ -88,7 +84,7 @@ class CoeffElement:
         return not self.terms
 
     def __add__(self, other):
-        return CoeffElement(accumulate(dict(self.terms), other.terms.items()))
+        return _coeff(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-RF_ONE)
@@ -96,7 +92,7 @@ class CoeffElement:
     def scale(self, c: RationalFunction):
         if not c:
             return CoeffElement()
-        return CoeffElement({key: c * x for key, x in self.terms.items()})
+        return _coeff({key: c * x for key, x in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, CoeffElement) and self.terms == other.terms
@@ -121,6 +117,13 @@ class CoeffElement:
         for (lam, i, j), c in sorted(self.terms.items()):
             bits.append(f"({c}) t{lam}[{i},{j}]")
         return " + ".join(bits) if bits else "0"
+
+
+def _coeff(terms):
+    """CoeffElement over clean {(lam tuple, int i, int j): nonzero} terms, as is."""
+    a = object.__new__(CoeffElement)
+    a.terms = terms
+    return a
 
 
 class CoeffTensor:
@@ -287,7 +290,7 @@ def product(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement) -> CoeffElement
     For basis coefficients this is the product-module coefficient at the
     paired indices, pushed through the isotypic change of basis.
     """
-    return CoeffElement(accumulate({}, _product_terms(alg, a, b)))
+    return _coeff(accumulate({}, _product_terms(alg, a, b)))
 
 
 def _product_terms(alg, a, b):
@@ -320,7 +323,7 @@ def antipode(alg: CoeffAlgebra, a: CoeffElement) -> CoeffElement:
         qicol = [(r, y) for (r, cc), y in qinv.data.items() if cc == i - 1]
         accumulate(out, (((lam_dual, aa + 1, bb + 1), c * x * y)
                          for aa, x in qrow for bb, y in qicol))
-    return CoeffElement(out)
+    return _coeff(out)
 
 
 def star(alg: CoeffAlgebra, a: CoeffElement) -> CoeffElement:
@@ -368,7 +371,7 @@ def schur_pair(alg: CoeffAlgebra, lam, i, j, r, s, mu, variant="t_dual"):
 
 def circ_action(alg: CoeffAlgebra, x: AlgebraWord, a: CoeffElement) -> CoeffElement:
     """Right-translation action: x acts through the second coefficient index."""
-    return CoeffElement(accumulate({}, (
+    return _coeff(accumulate({}, (
         ((lam, i, k0 + 1), c * val) for (lam, i, j), c in a.terms.items()
         for k0, val in alg.word_matrix(lam, x, j - 1, "col").items())))
 
@@ -376,7 +379,7 @@ def circ_action(alg: CoeffAlgebra, x: AlgebraWord, a: CoeffElement) -> CoeffElem
 def dot_action(alg: CoeffAlgebra, x: AlgebraWord, a: CoeffElement) -> CoeffElement:
     """Left-translation action, through the inverse antipode on the word."""
     xs = antipode_inv_word(alg.cd, x)
-    return CoeffElement(accumulate({}, (
+    return _coeff(accumulate({}, (
         ((lam, k0 + 1, j), c * val) for (lam, i, j), c in a.terms.items()
         for k0, val in alg.word_matrix(lam, xs, i - 1, "row").items())))
 

@@ -25,6 +25,13 @@ def accumulate(acc: dict, pairs) -> dict:
     return acc
 
 
+def _mat(nrows, ncols, data):
+    """Mat over an already clean {(row, col): nonzero} dict, taken as it is."""
+    m = object.__new__(Mat)
+    m.nrows, m.ncols, m.data = nrows, ncols, data
+    return m
+
+
 class Mat:
     """Sparse matrix over Q(v)."""
 
@@ -33,15 +40,11 @@ class Mat:
     def __init__(self, nrows, ncols, data=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.data = {}
-        if data:
-            for (r, c), x in data.items():
-                if x:
-                    self.data[(r, c)] = x
+        self.data = {rc: x for rc, x in data.items() if x} if data else {}
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): RF_ONE for i in range(n)})
+        return _mat(n, n, {(i, i): RF_ONE for i in range(n)})
 
     @classmethod
     def zero(cls, nrows, ncols):
@@ -55,12 +58,8 @@ class Mat:
 
     @classmethod
     def from_rows(cls, rows):
-        m = cls(len(rows), len(rows[0]) if rows else 0)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if x:
-                    m.data[(i, j)] = x
-        return m
+        return _mat(len(rows), len(rows[0]) if rows else 0,
+                    {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x})
 
     def __getitem__(self, rc):
         return self.data.get(rc, RF_ZERO)
@@ -83,22 +82,20 @@ class Mat:
         return not self.data
 
     def __add__(self, other):
-        out = Mat(self.nrows, self.ncols, self.data)
-        accumulate(out.data, other.data.items())
-        return out
+        return _mat(self.nrows, self.ncols, accumulate(dict(self.data), other.data.items()))
 
     def __neg__(self):
-        return Mat(self.nrows, self.ncols, {rc: -x for rc, x in self.data.items()})
+        return _mat(self.nrows, self.ncols, {rc: -x for rc, x in self.data.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: RationalFunction):
         if not c:
-            return Mat(self.nrows, self.ncols)
+            return _mat(self.nrows, self.ncols, {})
         if c.is_one():
-            return Mat(self.nrows, self.ncols, self.data)
-        return Mat(self.nrows, self.ncols, {rc: c * x for rc, x in self.data.items()})
+            return _mat(self.nrows, self.ncols, dict(self.data))
+        return _mat(self.nrows, self.ncols, {rc: c * x for rc, x in self.data.items()})
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -107,13 +104,12 @@ class Mat:
         rows = {}
         for (k, c), y in other.data.items():
             rows.setdefault(k, []).append((c, y))
-        out = Mat(self.nrows, other.ncols)
-        accumulate(out.data, (((r, c), x * y) for (r, k), x in self.data.items()
-                              for c, y in rows.get(k, ())))
-        return out
+        return _mat(self.nrows, other.ncols,
+                    accumulate({}, (((r, c), x * y) for (r, k), x in self.data.items()
+                                    for c, y in rows.get(k, ()))))
 
     def transpose(self):
-        return Mat(self.ncols, self.nrows, {(c, r): x for (r, c), x in self.data.items()})
+        return _mat(self.ncols, self.nrows, {(c, r): x for (r, c), x in self.data.items()})
 
     def kron(self, other):
         """Kronecker product; index (i, j) of the factors maps to i*other.n + j."""
@@ -297,13 +293,7 @@ def invert(m: Mat) -> Mat:
     pivots = rref(work, n)
     if len(pivots) != n:
         raise ArithmeticError("singular matrix")
-    out = Mat(n, n)
-    for i in range(n):
-        for j in range(n):
-            x = work[i][n + j]
-            if x:
-                out.data[(i, j)] = x
-    return out
+    return _mat(n, n, {(i, j): x for i in range(n) for j, x in enumerate(work[i][n:]) if x})
 
 
 def apply_index(index: dict, vec: dict) -> dict:

@@ -35,12 +35,14 @@ results are inflated back; gcd(A(v^g), B(v^g)) = gcd(A, B)(v^g) over Z[v].
 
 The same operand pairs recur across a computation, so the arithmetic reaches
 the gcd and the products of two non-constant polynomials through bounded
-memos (``_GCD_MEMO``, ``_PROD_MEMO``).  ``Memo`` is the one memo policy of
-the package: a memo takes new entries until it holds ``MEMO_MAX`` of them and
-is then left as it is.  The raw ``_dense_gcd`` and ``_pmul`` stay unmemoized.
+memos (``_GCD_MEMO``, ``_PROD_MEMO``), and the quantum integers and Gauss
+binomials come from memos too.  ``Memo`` is the one memo policy of the
+package: a memo takes new entries until it holds ``MEMO_MAX`` of them and is
+then left as it is.  The raw ``_dense_gcd`` and ``_pmul`` stay unmemoized.
 A built value never changes (only its lazy views and hash are filled in), so
 every v^0 with coefficient one is the one instance ``RF_ONE``, and a product
-with ``RF_ONE`` as a factor is the other factor itself.
+with ``RF_ONE`` as a factor is the other factor itself; v^e with coefficient
+one is built directly, with no ``Fraction``.
 
 ``num`` and ``den`` are LaurentPoly views, built on first use, in the
 classical normal form: a monic denominator with lowest exponent 0 and
@@ -53,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _add, mul as _mul
+from operator import add as _add, index as _index, mul as _mul
 
 
 class LaurentPoly:
@@ -470,8 +472,8 @@ class RationalFunction:
 
     @classmethod
     def v_power(cls, e, c=1):
-        if c == 1 and not e:
-            return RF_ONE
+        if c == 1:
+            return _rf(1, 1, e, _ONE, _ONE) if e else RF_ONE
         c = Fraction(c)
         if not c:
             return _rf(0, 1, 0, _ONE, _ONE)
@@ -628,8 +630,12 @@ def q_integer(n: int, d: int = 1) -> RationalFunction:
     """Balanced quantum integer [n] in q_i = v^(2d).
 
     [n] = (q_i^n - q_i^-n) / (q_i - q_i^-1), a Laurent polynomial fixed by
-    v -> 1/v, with [-n] = -[n] and [0] = 0.
+    v -> 1/v, with [-n] = -[n] and [0] = 0.  Memoized under (n, d).
     """
+    return _Q_INTEGERS[_index(n), _index(d)]
+
+
+def _q_integer(n, d):
     if d <= 0:
         raise ValueError("d must be a positive integer")
     if n == 0:
@@ -644,13 +650,21 @@ def q_integer(n: int, d: int = 1) -> RationalFunction:
 
 
 def gauss_binomial(m: int, t: int, d: int = 1) -> RationalFunction:
-    """Balanced Gauss polynomial [m choose t] in q_i = v^(2d)."""
+    """Balanced Gauss polynomial [m choose t] in q_i = v^(2d), memoized."""
+    return _GAUSS_BINOMIALS[_index(m), _index(t), _index(d)]
+
+
+def _gauss_binomial(m, t, d):
     if t < 0 or t > m:
         raise ValueError(f"binomial index t={t} outside 0..{m}")
     out = RF_ONE
     for k in range(1, t + 1):
         out = out * q_integer(m - t + k, d) / q_integer(k, d)
     return out
+
+
+_Q_INTEGERS = Memo(lambda k: _q_integer(*k))
+_GAUSS_BINOMIALS = Memo(lambda k: _gauss_binomial(*k))
 
 
 def check_v0(v0) -> Fraction:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .cache import CacheIntegrityError
 from .cartan import CartanData
-from .linalg import Mat, accumulate
+from .linalg import Mat, _mat, accumulate
 from .scalar import (
     RF_ONE,
     RF_ZERO,
@@ -390,12 +390,13 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
         level = new_level
 
     dim = len(weights)
+    # every stored column entry is a nonzero sum: the matrices take them as they are
     E = {
-        i: Mat(dim, dim, {(r, c): x for c, col in e_cols[i].items() for r, x in col.items()})
+        i: _mat(dim, dim, {(r, c): x for c, col in e_cols[i].items() for r, x in col.items()})
         for i in lowering
     }
     F = {
-        i: Mat(dim, dim, {(r, c): x for c, col in f_cols[i].items() for r, x in col.items()})
+        i: _mat(dim, dim, {(r, c): x for c, col in f_cols[i].items() for r, x in col.items()})
         for i in lowering
     }
     return IrrepModule(cd, hw, lowering, weights, E, F, gram, constructions)
@@ -452,15 +453,19 @@ def _gram_mirrors(m) -> bool:
 
 
 def _serre_sum(xi: Mat, xj: Mat, coeffs) -> Mat:
-    """sum_t coeffs[t] xi^t xj xi^(n-t), with no product with the identity."""
+    """sum_t coeffs[t] xi^t xj xi^(n-t), with no product with the identity.
+    The terms t = 0..n are summed in order into one dict, each scaled inline."""
     n = len(coeffs) - 1
     powers = [None, xi]   # xi^t at t = 1..n
     for _ in range(n - 1):
         powers.append(powers[-1] @ xi)
-    total = xj @ powers[n]   # the terms t = 0..n, summed in order
-    for t in range(1, n):
-        total = total + (powers[t] @ xj @ powers[n - t]).scale(coeffs[t])
-    return total + (powers[n] @ xj).scale(coeffs[n])
+    total = (xj @ powers[n]).data
+    for t in range(1, n + 1):
+        term = powers[t] @ xj if t == n else powers[t] @ xj @ powers[n - t]
+        c = coeffs[t]
+        accumulate(total, term.data.items() if c.is_one() else
+                   ((rc, c * x) for rc, x in term.data.items()))
+    return _mat(xi.nrows, xi.ncols, total)
 
 
 def check_serre(m: IrrepModule) -> list:
@@ -470,6 +475,8 @@ def check_serre(m: IrrepModule) -> list:
     not exceptions.  The K relations are read off the diagonals of the stored
     k_i and k_i^-1, each first checked to be diagonal (all that k_i k_j =
     k_j k_i asks); k_i x k_i^-1 = v^p x is checked on each nonzero x[r, c].
+    [e_i, f_j] is decided as E_i F_j == F_j E_i + delta_ij diag([wt_i]_i), the
+    q-integers added into the product F_j E_i in place.
 
     The two sides mirror each other when the Gram certificate holds
     (``_gram_mirrors``: every g_s is nonzero and F_i = G^-1 E_i^T G exactly,
@@ -523,15 +530,12 @@ def check_serre(m: IrrepModule) -> list:
             if mirrored and i != j and (j, i) in commutes:
                 ok = commutes[j, i]
             else:
-                ej, fj = m.e_matrix(j), m.f_matrix(j)
-                lhs = (ei @ fj) - (fj @ ei)
+                fj = m.f_matrix(j)
+                rhs = fj @ ei
                 if i == j:
-                    rhs = Mat.diag(
-                        q_integer(m.weights[s][i - 1], cd.d[i - 1]) for s in range(m.dim)
-                    )
-                else:
-                    rhs = Mat.zero(m.dim, m.dim)
-                ok = lhs == rhs
+                    accumulate(rhs.data, (((s, s), q_integer(w[i - 1], cd.d[i - 1]))
+                                          for s, w in enumerate(m.weights)))
+                ok = ei @ fj == rhs
             commutes[i, j] = record(f"[e{i}, f{j}]", ok)
 
     for i in idx:

@@ -9,13 +9,17 @@ caller in the package, as did ``weyl_orbit`` (``qgroups.cartan``),
 (``qgroups.scalar``), ``cartan_involution_word`` (``qgroups.uqrep``) and
 ``leading_coeff`` (formerly the method ``LaurentPoly.leading_coeff``),
 ``inner`` and ``inner_with_root`` (``qgroups.cartan``).
-``fraction_v_power`` is the general path that the ``RF_ONE`` shortcut of
+``fraction_v_power`` is the general path that the coefficient-one shortcut of
 ``v_power`` now bypasses, and ``direct_check_serre`` is ``check_serre`` as it
 was before its f-side records copied their e-side mirrors: every record
 computed from the matrices.  ``gram_build_module`` is ``build_module`` as it
 was before it read each pairing off the E columns already built: it fills
 the candidate Gram matrix and sums every pairing from it.  ``bar`` (formerly
 the method ``RationalFunction.bar``) lost its last caller in the package.
+``difference_check_serre`` and ``copying_serre_sum`` are ``check_serre`` and
+``_serre_sum`` as they were before each value was built once: every
+[e_i, f_j] formed a difference matrix, and each Serre term was added to a
+copy of the running total.
 Do not optimize them.
 """
 from __future__ import annotations
@@ -362,3 +366,88 @@ def bar(x: RationalFunction) -> RationalFunction:
     if d[-1] < 0:
         d, cn = tuple(-c for c in d), -cn
     return _rf(cn, x._cd, len(d) - len(n) - x._s, n, d)
+
+
+def copying_serre_sum(xi: Mat, xj: Mat, coeffs) -> Mat:
+    """``uqrep._serre_sum`` as it was before it summed into one dict: each
+    term is scaled into a new matrix and added to a copy of the running
+    total."""
+    n = len(coeffs) - 1
+    powers = [None, xi]   # xi^t at t = 1..n
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ xi)
+    total = xj @ powers[n]   # the terms t = 0..n, summed in order
+    for t in range(1, n):
+        total = total + (powers[t] @ xj @ powers[n - t]).scale(coeffs[t])
+    return total + (powers[n] @ xj).scale(coeffs[n])
+
+
+def difference_check_serre(m) -> list:
+    """``uqrep.check_serre`` as it was before it compared E_i F_j with
+    F_j E_i: each [e_i, f_j] forms the difference E_i F_j - F_j E_i (through
+    a negated copy) and compares it with ``Mat.diag`` of the q-integers or
+    ``Mat.zero``; the Serre sums go through ``copying_serre_sum``."""
+    cd = m.cd
+    report = []
+    idx = m.lowering
+    rank = range(1, cd.rank + 1)
+    mirrored = uqrep._gram_mirrors(m)
+
+    def record(name, ok):
+        ok = bool(ok)
+        report.append({"relation": name, "ok": ok})
+        return ok
+
+    def diagonal(k):   # the diagonal entries, or None unless k is diagonal
+        return None if any(r != c for r, c in k.data) else [k[s, s] for s in range(m.dim)]
+
+    kd = {i: (diagonal(m.k_matrix(i)), diagonal(m.k_matrix(i, inverse=True))) for i in rank}
+    for i in rank:
+        ki, kiv = kd[i]
+        both = ki is not None and kiv is not None
+
+        def conjugates(x, p):   # k_i x k_i^-1 = v^p x on each stored x[r, c]
+            vp = RationalFunction.v_power(p)
+            return both and all(ki[r] * y * kiv[c] == vp * y for (r, c), y in x.data.items())
+
+        inverse = record(f"k{i} k{i}^-1 = 1",
+                         both and all((x * y).is_one() for x, y in zip(ki, kiv)))
+        for j in rank:
+            record(f"k{i} k{j} = k{j} k{i}", ki is not None and kd[j][0] is not None)
+        for j in idx:
+            p = cd.d[i - 1] * cd.cartan[i - 1][j - 1]
+            ok = conjugates(m.f_matrix(j), -p)
+            record(f"k{i} e{j} k{i}^-1 = v^({p}) e{j}",
+                   ok if mirrored and inverse else conjugates(m.e_matrix(j), p))
+            record(f"k{i} f{j} k{i}^-1 = v^(-{p}) f{j}", ok)
+
+    commutes = {}
+    for i in idx:
+        ei = m.e_matrix(i)
+        for j in idx:
+            if mirrored and i != j and (j, i) in commutes:
+                ok = commutes[j, i]
+            else:
+                ej, fj = m.e_matrix(j), m.f_matrix(j)
+                lhs = (ei @ fj) - (fj @ ei)
+                if i == j:
+                    rhs = Mat.diag(
+                        q_integer(m.weights[s][i - 1], cd.d[i - 1]) for s in range(m.dim)
+                    )
+                else:
+                    rhs = Mat.zero(m.dim, m.dim)
+                ok = lhs == rhs
+            commutes[i, j] = record(f"[e{i}, f{j}]", ok)
+
+    for i in idx:
+        for j in idx:
+            if i == j:
+                continue
+            n = 1 - cd.cartan[i - 1][j - 1]
+            coeffs = [gauss_binomial(n, t, cd.d[i - 1]) for t in range(n + 1)]
+            coeffs[1::2] = [-c for c in coeffs[1::2]]
+            ok = copying_serre_sum(m.f_matrix(i), m.f_matrix(j), coeffs).is_zero()
+            record(f"serre e{i},e{j}", ok if mirrored else
+                   copying_serre_sum(m.e_matrix(i), m.e_matrix(j), coeffs).is_zero())
+            record(f"serre f{i},f{j}", ok)
+    return report

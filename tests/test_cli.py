@@ -454,8 +454,6 @@ def test_sha256_hex_is_hashlib_sha256(text):
     assert sha256_hex(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="the built-in module is _sha2 from Python 3.12; hashlib is the fallback")
 def test_cached_irrep_runs_do_not_load_hashlib(tmp_path):
     # -S: no site hooks, which may import hashlib on their own
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -474,7 +472,9 @@ def test_cache_entry_without_the_builtin_sha256_module(tmp_path, capsys, monkeyp
     args = ["irrep", "--algebra", "A1", "--weight", "2", "--format", "json"]
     code, cold = run_cli(args + ["--cache-dir", str(tmp_path / "builtin")], capsys)
     assert code == EXIT_OK
-    monkeypatch.setitem(sys.modules, "_sha256", None)
+    # the built-in module is _sha2 from Python 3.12 on, _sha256 before
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
     fallback = args + ["--cache-dir", str(tmp_path / "fallback")]
     assert run_cli(fallback, capsys) == (EXIT_OK, cold)
     assert run_cli(fallback, capsys) == (EXIT_OK, cold)

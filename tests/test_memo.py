@@ -16,7 +16,7 @@ from qgroups import scalar, uqrep, verify
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra, CoeffElement, antipode, product
 from qgroups.linalg import index_applier
-from qgroups.scalar import RF_ONE, RF_ZERO, Memo, q_integer, rf_to_text
+from qgroups.scalar import RF_ONE, RF_ZERO, Memo, gauss_binomial, q_integer, rf_to_text
 from qgroups.tensor import tensor_module
 from qgroups.uqrep import AlgebraWord, IrrepCache, build_irrep
 from retired_helpers import bar, coproduct_word
@@ -52,11 +52,16 @@ def q_quotients():
     return rf_to_text(total)
 
 
-def scalar_case(name):
+def gauss_rows():
+    return [rf_to_text(gauss_binomial(m, t, d)) for m in range(5) for t in range(m + 1)
+            for d in (1, 2)]
+
+
+def scalar_case(name, compute=q_quotients):
     def case(monkeypatch):
         memo = Memo(getattr(scalar, name).make)
         monkeypatch.setattr(scalar, name, memo)
-        return q_quotients, memo
+        return compute, memo
     return case
 
 
@@ -146,6 +151,8 @@ def index_applier_case(monkeypatch):
 CASES = {
     "gcd": scalar_case("_GCD_MEMO"),
     "product": scalar_case("_PROD_MEMO"),
+    "q_integers": scalar_case("_Q_INTEGERS"),
+    "gauss_binomials": scalar_case("_GAUSS_BINOMIALS", gauss_rows),
     "legs": legs_case("_LEGS"),
     "leg_words": legs_case("_LEG_WORDS"),
     "word_vecs": algebra_case(lambda alg: alg._word_vecs, word_vectors),
