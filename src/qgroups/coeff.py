@@ -26,9 +26,23 @@ equivariance checks need one column or one row of it.  So the evaluator
 the generators of each word to one basis vector, right to left for a
 column and left to right for a row.  The name is kept because the
 benchmark's layer map refers to it.
+
+The pairing is weight-graded.  Every module is weight-homogeneous: an
+E_k entry at [r, c] has wt(r) = wt(c) + alpha_k, an F_k entry wt(r) =
+wt(c) - alpha_k, and K is diagonal (``build_module`` builds it so,
+``irrep_from_json`` checks the step of every stored entry, and
+``check_serre``'s k_i x k_i^-1 records verify it).  So <t^(lam)_{ij}, w> = 0
+unless wt_lam(i) - wt_lam(j) = wt(w), where wt(e_k) = alpha_k, wt(f_k) =
+-alpha_k and wt(k_k) = wt(k_k^-1) = 0.  ``coeff_eval`` and ``word_pairing``
+compare these weights before they read any entry.  The comparison is exact
+for every weight: weights are compared as packed ints (``_pack_weight``)
+where the packing is injective, and as tuples where a module is too wide
+for it.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .cartan import CartanData, dual_weight
 # kernel_basis is not called here, but perfbench's tracer test checks that
@@ -63,6 +77,27 @@ from .uqrep import (
 )
 
 
+# bits per coordinate of a packed weight; see _pack_weight
+_BITS = 16
+
+
+def _pack_weight(w, bound):
+    """The int sum_k w_k 2^(16 k), or None unless every |w_k| < bound.
+
+    Packing is additive, and injective on vectors whose coordinates are all
+    below 2^15 in absolute value, the largest bound it is given.  A word
+    weight beyond that bound packs to None, which equals no packed step; it
+    could not equal one anyway, since a packed module's steps, and sums of
+    two, stay inside it.  A module too wide to pack is graded by tuples.
+    """
+    code = 0
+    for c in reversed(w):
+        if not -bound < c < bound:
+            return None
+        code = (code << _BITS) + c
+    return code
+
+
 class CoeffElement:
     """Finite combination {(lam, i, j): coefficient}, indices 1-based."""
 
@@ -72,13 +107,13 @@ class CoeffElement:
         self.terms = {(tuple(lam), int(i), int(j)): c
                       for (lam, i, j), c in (terms or {}).items() if c}
 
-    @classmethod
-    def basis(cls, lam, i, j, coeff=RF_ONE):
-        return cls({(tuple(lam), i, j): coeff})
+    @staticmethod
+    def basis(lam, i, j, coeff=RF_ONE):
+        return _coeff({(tuple(lam), int(i), int(j)): coeff} if coeff else {})
 
-    @classmethod
-    def unit(cls, cd: CartanData):
-        return cls({((0,) * cd.rank, 1, 1): RF_ONE})
+    @staticmethod
+    def unit(cd: CartanData):
+        return _coeff({((0,) * cd.rank, 1, 1): RF_ONE})
 
     def is_zero(self):
         return not self.terms
@@ -154,7 +189,15 @@ class CoeffAlgebra:
         self._dual = Memo(self._make_dual)
         self._gen_lines = Memo(self._make_gen_lines)
         self._word_vecs = Memo(self._make_word_vec)
+        # the weight grading: each word's weight, exact and packed, and each
+        # module's basis weights packed relative to its first one (None when
+        # the module is too wide to pack)
+        self.word_weight = Memo(self._make_word_weight)
+        self.word_code = Memo(
+            lambda word: _pack_weight(self._make_word_weight(word), 1 << (_BITS - 1)))
+        self.basis_codes = Memo(self._make_basis_codes)
         self.zero_weight = (0,) * cd.rank
+        self._alphas = [cd.alpha_fundamental(k) for k in range(1, cd.rank + 1)]
 
     def irrep(self, lam) -> IrrepModule:
         return self.irreps.irrep(self.cd, tuple(lam))
@@ -192,6 +235,31 @@ class CoeffAlgebra:
         gen, rest = (word[0], word[1:]) if side == "col" else (word[-1], word[:-1])
         vec = self._word_vecs[lam, rest, index, side]
         return apply_index(self._gen_lines[lam, gen, side], vec)
+
+    def _make_word_weight(self, word):
+        """wt(e_k) = alpha_k, wt(f_k) = -alpha_k, wt(k_k) = wt(k_k^-1) = 0,
+        summed over the word, in fundamental coordinates."""
+        wt = self.zero_weight
+        for kind, k in word:
+            if kind == "e" or kind == "f":
+                wt = tuple(map(add if kind == "e" else sub, wt, self._alphas[k - 1]))
+        return wt
+
+    def _make_basis_codes(self, lam):
+        """The weight of each basis index minus the first one, packed when
+        every coordinate is below 2^13 in absolute value (so that any step
+        wt(i) - wt(j), and the sum of two steps, packs injectively); else
+        None."""
+        weights = self.irrep(lam).weights
+        top = weights[0]
+        codes = [_pack_weight(tuple(map(sub, w, top)), 1 << (_BITS - 3)) for w in weights]
+        return None if None in codes else codes
+
+    def weight_step(self, lam, i, j):
+        """wt_lam(i) - wt_lam(j) as a tuple: how a module too wide to pack
+        is graded."""
+        w = self.irrep(lam).weights
+        return tuple(map(sub, w[i - 1], w[j - 1]))
 
     def _make_gen_lines(self, key):
         """The column index of one generator's matrix (side="col"), or the
@@ -262,12 +330,24 @@ class CoeffAlgebra:
 def coeff_eval(alg: CoeffAlgebra, a: CoeffElement, x) -> RationalFunction:
     """Pairing of a coefficient element against an algebra word.
 
-    x is an AlgebraWord or a single word; each (lam, j) column is evaluated
-    once and t^(lam)_{ij} reads its entry i.
+    x is an AlgebraWord or a single word.  The pairing is weight-graded
+    (see the module docstring): a term t^(lam)_{ij} reads column j of x
+    only when wt_lam(i) - wt_lam(j) is the weight of one of x's words, and
+    is zero otherwise.  Each (lam, j) column that is read is evaluated once,
+    and t^(lam)_{ij} reads its entry i.
     """
+    words = (x,) if isinstance(x, tuple) else x.terms
+    codes, wt = alg.basis_codes, alg.word_code
+    steps = {wt[w] for w in words}
     cols = {}
     total = RF_ZERO
     for (lam, i, j), c in a.terms.items():
+        w = codes[lam]
+        if w is None:
+            if alg.weight_step(lam, i, j) not in {alg.word_weight[u] for u in words}:
+                continue
+        elif w[i - 1] - w[j - 1] not in steps:
+            continue
         col = cols.get((lam, j))
         if col is None:
             col = cols[(lam, j)] = alg.word_matrix(lam, x, j - 1)
@@ -394,14 +474,33 @@ def word_pairing(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement,
                  x: AlgebraWord) -> RationalFunction:
     """Evaluate a (x) b against the coproduct of a word, term pair by term
     pair: each coproduct leg pair reads its two entries through
-    ``word_matrix`` on the bare leg words."""
+    ``word_matrix`` on the bare leg words.
+
+    The pairing is weight-graded (see the module docstring).  With dl =
+    wt_lam(i) - wt_lam(j) and dm = wt_mu(r) - wt_mu(s), a word whose weight
+    is not dl + dm pairs to zero and is skipped before its legs are taken,
+    and a leg pair (w1, w2) with wt(w1) != dl is skipped before either entry
+    is read (then wt(w2) = dm as well)."""
+    codes = alg.basis_codes
     total = RF_ZERO
     for (lam, i, j), ca in a.terms.items():
+        cl = codes[lam]
         for (mu, r, s), cb in b.terms.items():
+            cm = codes[mu]
+            if cl is None or cm is None:
+                wt, dl = alg.word_weight, alg.weight_step(lam, i, j)
+                dx = tuple(map(add, dl, alg.weight_step(mu, r, s)))
+            else:
+                wt, dl = alg.word_code, cl[i - 1] - cl[j - 1]
+                dx = dl + cm[r - 1] - cm[s - 1]
             part = RF_ZERO
             for word, c in x.terms.items():
+                if wt[word] != dx:
+                    continue
                 legs = RF_ZERO
                 for w1, w2 in _coproduct_legs(word):
+                    if wt[w1] != dl:
+                        continue
                     v1 = alg.word_matrix(lam, w1, j - 1).get(i - 1)
                     if v1:
                         v2 = alg.word_matrix(mu, w2, s - 1).get(r - 1)

@@ -84,12 +84,6 @@ class Mat:
     def __add__(self, other):
         return _mat(self.nrows, self.ncols, accumulate(dict(self.data), other.data.items()))
 
-    def __neg__(self):
-        return _mat(self.nrows, self.ncols, {rc: -x for rc, x in self.data.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c: RationalFunction):
         if not c:
             return _mat(self.nrows, self.ncols, {})

@@ -76,20 +76,20 @@ class AlgebraWord:
                 if c:
                     self.terms[tuple(w)] = c
 
-    @classmethod
-    def unit(cls):
-        return cls({(): RF_ONE})
+    @staticmethod
+    def unit():
+        return _word({(): RF_ONE})
 
     @classmethod
     def of_gen(cls, gen, coeff=RF_ONE):
         return cls({(gen,): coeff})
 
-    @classmethod
-    def of_word(cls, *gens):
-        return cls({tuple(gens): RF_ONE})
+    @staticmethod
+    def of_word(*gens):
+        return _word({gens: RF_ONE})
 
     def __add__(self, other):
-        return AlgebraWord(accumulate(dict(self.terms), other.terms.items()))
+        return _word(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-RF_ONE)
@@ -98,14 +98,21 @@ class AlgebraWord:
         return AlgebraWord({w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
-        return AlgebraWord(accumulate({}, ((w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
-                                           for w2, c2 in other.terms.items())))
+        return _word(accumulate({}, ((w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+                                     for w2, c2 in other.terms.items())))
 
     def __eq__(self, other):
         return isinstance(other, AlgebraWord) and self.terms == other.terms
 
     def __repr__(self):
         return f"AlgebraWord({self.terms})"
+
+
+def _word(terms):
+    """AlgebraWord over clean {word tuple: nonzero} terms, as is."""
+    x = object.__new__(AlgebraWord)
+    x.terms = terms
+    return x
 
 
 def _q_i(cd: CartanData, i) -> RationalFunction:

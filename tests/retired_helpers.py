@@ -19,7 +19,12 @@ the method ``RationalFunction.bar``) lost its last caller in the package.
 ``difference_check_serre`` and ``copying_serre_sum`` are ``check_serre`` and
 ``_serre_sum`` as they were before each value was built once: every
 [e_i, f_j] formed a difference matrix, and each Serre term was added to a
-copy of the running total.
+copy of the running total.  ``mat_neg`` and ``mat_sub`` (formerly
+``Mat.__neg__`` and ``Mat.__sub__`` of ``qgroups.linalg``) lost their last
+caller in the package when ``check_serre`` stopped forming that difference.
+``ungraded_coeff_eval`` and ``ungraded_word_pairing`` are ``coeff_eval`` and
+``word_pairing`` as they were before the weight grading: every term reads
+its column of x, and every leg pair of every word reads its first entry.
 Do not optimize them.
 """
 from __future__ import annotations
@@ -27,11 +32,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qgroups import uqrep
+from qgroups.uqrep import _coproduct_legs
 from qgroups.cartan import CartanData, inner_scaled, reflect
-from qgroups.linalg import Mat, accumulate
+from qgroups.linalg import Mat, _mat, accumulate
 from qgroups.scalar import (RF_ONE, RF_ZERO, RationalFunction, _ONE, _rf,
                             gauss_binomial, q_integer)
 from qgroups.tensor import decompose, tensor_module
+
+
+def mat_neg(m: Mat) -> Mat:
+    """-m, entry by entry (formerly ``Mat.__neg__``)."""
+    return _mat(m.nrows, m.ncols, {rc: -x for rc, x in m.data.items()})
+
+
+def mat_sub(a: Mat, b: Mat) -> Mat:
+    """a - b, as a + (-b) (formerly ``Mat.__sub__``)."""
+    return a + mat_neg(b)
 
 
 def coproduct_word(cd, x) -> dict:
@@ -218,7 +234,7 @@ def direct_check_serre(m) -> list:
         ei = m.e_matrix(i)
         for j in idx:
             ej, fj = m.e_matrix(j), m.f_matrix(j)
-            lhs = (ei @ fj) - (fj @ ei)
+            lhs = mat_sub(ei @ fj, fj @ ei)
             if i == j:
                 rhs = Mat.diag(
                     q_integer(m.weights[s][i - 1], cd.d[i - 1]) for s in range(m.dim)
@@ -429,7 +445,7 @@ def difference_check_serre(m) -> list:
                 ok = commutes[j, i]
             else:
                 ej, fj = m.e_matrix(j), m.f_matrix(j)
-                lhs = (ei @ fj) - (fj @ ei)
+                lhs = mat_sub(ei @ fj, fj @ ei)
                 if i == j:
                     rhs = Mat.diag(
                         q_integer(m.weights[s][i - 1], cd.d[i - 1]) for s in range(m.dim)
@@ -451,3 +467,40 @@ def difference_check_serre(m) -> list:
                    copying_serre_sum(m.e_matrix(i), m.e_matrix(j), coeffs).is_zero())
             record(f"serre f{i},f{j}", ok)
     return report
+
+
+def ungraded_coeff_eval(alg, a, x) -> RationalFunction:
+    """``coeff.coeff_eval`` before the weight grading: each (lam, j) column
+    is evaluated once and t^(lam)_{ij} reads its entry i."""
+    cols = {}
+    total = RF_ZERO
+    for (lam, i, j), c in a.terms.items():
+        col = cols.get((lam, j))
+        if col is None:
+            col = cols[(lam, j)] = alg.word_matrix(lam, x, j - 1)
+        mij = col.get(i - 1)
+        if mij:
+            total = total + c * mij
+    return total
+
+
+def ungraded_word_pairing(alg, a, b, x) -> RationalFunction:
+    """``coeff.word_pairing`` before the weight grading: each coproduct leg
+    pair of each word reads its two entries through ``word_matrix``."""
+    total = RF_ZERO
+    for (lam, i, j), ca in a.terms.items():
+        for (mu, r, s), cb in b.terms.items():
+            part = RF_ZERO
+            for word, c in x.terms.items():
+                legs = RF_ZERO
+                for w1, w2 in _coproduct_legs(word):
+                    v1 = alg.word_matrix(lam, w1, j - 1).get(i - 1)
+                    if v1:
+                        v2 = alg.word_matrix(mu, w2, s - 1).get(r - 1)
+                        if v2:
+                            legs = legs + v1 * v2
+                if legs:
+                    part = part + c * legs
+            if part:
+                total = total + ca * cb * part
+    return total

@@ -8,10 +8,13 @@ order, on intact, Levi and faulted modules.  The structure constants come
 from memos and must equal their builders; v^e with coefficient one is built
 without a Fraction and must equal the general constructor.
 
-The containers (``Mat``, ``CoeffElement``, ``Section``) take the results of
-their own operations as they are, without a second zero test.  On seeded
+The containers (``Mat``, ``CoeffElement``, ``AlgebraWord``, ``Section``)
+take the results of their own operations, and their one-term constructors
+their single term, as they are, without a second zero test.  On seeded
 operands with cancelling entries, no result stores a zero or an empty
 vector, none shares a dict with an operand, and every key stays canonical.
+The retired ``mat_sub`` and ``mat_neg`` (formerly ``Mat.__sub__`` and
+``Mat.__neg__``) are held to the same standard.
 """
 
 import itertools
@@ -28,7 +31,7 @@ from qgroups.parabolic import ParabolicData
 from qgroups.scalar import (RF_ONE, RF_ZERO, LaurentPoly, RationalFunction, gauss_binomial,
                             q_integer, rf_to_text)
 from qgroups.uqrep import AlgebraWord, build_irrep, build_module, check_serre
-from retired_helpers import difference_check_serre
+from retired_helpers import difference_check_serre, mat_neg, mat_sub
 
 TWO = RationalFunction.const(2)
 
@@ -189,8 +192,8 @@ def test_mat_results_are_clean_and_owned(seed):
     da, db = dense(a), dense(b)
     cases = [
         (a + b, (nr, nc), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
-        (a - b, (nr, nc), [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
-        (-a, (nr, nc), [[-x for x in ra] for ra in da]),
+        (mat_sub(a, b), (nr, nc), [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
+        (mat_neg(a), (nr, nc), [[-x for x in ra] for ra in da]),
         (a.transpose(), (nc, nr), [list(col) for col in zip(*da)]),
     ]
     cases += [(a.scale(c), (nr, nc), [[c * x for x in ra] for ra in da]) for c in SCALARS]
@@ -260,6 +263,59 @@ def test_coeff_seeds_exercise_cancellation(a1):
         b = random_coeff(rng, a1, a.terms)
         sums += any(k not in (a + b).terms for k in a.terms.keys() & b.terms.keys())
     assert sums > 2
+
+
+def assert_clean_word(x):
+    assert isinstance(x, AlgebraWord)
+    for word, c in x.terms.items():
+        assert type(word) is tuple and all(type(g) is tuple for g in word)
+        assert isinstance(c, RationalFunction) and c
+
+
+A1_GEN_WORDS = [w for n in range(3) for w in itertools.product([(k, 1) for k in "efkK"], repeat=n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_word_results_are_clean_and_owned(seed):
+    rng = random.Random(3800 + seed)
+    x = AlgebraWord(cancelling(rng, rng.sample(A1_GEN_WORDS, 4), {}))
+    y = AlgebraWord(cancelling(rng, rng.sample(A1_GEN_WORDS, 3) + list(x.terms), x.terms))
+    ops = [(x, snapshot(x.terms)), (y, snapshot(y.terms))]
+    results = [x + y, x - y, x * y, y * x, x * (x - x)]
+    # the constructor's normalization gives the same words
+    assert results[0] == AlgebraWord(accumulate(dict(x.terms), y.terms.items()))
+    assert results[2] == AlgebraWord(accumulate({}, ((w1 + w2, c1 * c2)
+                                                     for w1, c1 in x.terms.items()
+                                                     for w2, c2 in y.terms.items())))
+    assert not results[4].terms
+    for out in results:
+        assert_clean_word(out)
+        assert_owns(out.terms, [(z.terms, snap) for z, snap in ops])
+
+
+def test_word_seeds_exercise_cancellation():
+    sums = 0
+    for seed in range(12):
+        rng = random.Random(3800 + seed)
+        x = AlgebraWord(cancelling(rng, rng.sample(A1_GEN_WORDS, 4), {}))
+        y = AlgebraWord(cancelling(rng, rng.sample(A1_GEN_WORDS, 3) + list(x.terms), x.terms))
+        sums += any(k not in (x + y).terms for k in x.terms.keys() & y.terms.keys())
+    assert sums > 2
+
+
+def test_one_term_constructors_give_canonical_terms():
+    lam, i, j = [2], 1.0, 2.0   # a list weight and float indices are normalized
+    a = CoeffElement.basis(lam, i, j, v(3))
+    assert a.terms == {((2,), 1, 2): v(3)} and a == CoeffElement({((2,), 1, 2): v(3)})
+    assert_clean_coeff(a)
+    assert not CoeffElement.basis(lam, i, j, RF_ZERO).terms
+    assert CoeffElement.unit(cartan_data("A2")).terms == {((0, 0), 1, 1): RF_ONE}
+    for x, want in [(AlgebraWord.of_word(("e", 1), ("k", 2)), {(("e", 1), ("k", 2)): RF_ONE}),
+                    (AlgebraWord.unit(), {(): RF_ONE}),
+                    (AlgebraWord.of_gen(("f", 1)), {(("f", 1),): RF_ONE})]:
+        assert x.terms == want and x == AlgebraWord(want)
+        assert_clean_word(x)
+    assert not AlgebraWord.of_gen(("f", 1), RF_ZERO).terms
 
 
 def test_product_drops_a_cancelled_unit_coefficient(a1):

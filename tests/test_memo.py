@@ -87,6 +87,14 @@ def word_vectors(alg):
             for w in a1_words(2) for j in range(3) for side in ("col", "row")]
 
 
+def word_weights(alg):
+    return [(alg.word_weight[w], alg.word_code[w]) for w in a1_words(2)]
+
+
+def basis_codes(alg):
+    return [alg.basis_codes[(n,)] for n in range(4)]
+
+
 def basis_products(alg):
     weights = [(1,), (2,)]
     return [product(alg, CoeffElement.basis(lam, 1, 1), CoeffElement.basis(mu, 2, 1))
@@ -157,6 +165,9 @@ CASES = {
     "leg_words": legs_case("_LEG_WORDS"),
     "word_vecs": algebra_case(lambda alg: alg._word_vecs, word_vectors),
     "gen_lines": algebra_case(lambda alg: alg._gen_lines, word_vectors),
+    "word_weight": algebra_case(lambda alg: alg.word_weight, word_weights),
+    "word_code": algebra_case(lambda alg: alg.word_code, word_weights),
+    "basis_codes": algebra_case(lambda alg: alg.basis_codes, basis_codes),
     "cg": algebra_case(lambda alg: alg._cg, basis_products),
     "col_map": algebra_case(lambda alg: alg.cg((1,), (1,))[2], all_products),
     "dual": algebra_case(lambda alg: alg._dual, antipodes),
