@@ -34,10 +34,8 @@ wt(c) - alpha_k, and K is diagonal (``build_module`` builds it so,
 ``check_serre``'s k_i x k_i^-1 records verify it).  So <t^(lam)_{ij}, w> = 0
 unless wt_lam(i) - wt_lam(j) = wt(w), where wt(e_k) = alpha_k, wt(f_k) =
 -alpha_k and wt(k_k) = wt(k_k^-1) = 0.  ``coeff_eval`` and ``word_pairing``
-compare these weights before they read any entry.  The comparison is exact
-for every weight: weights are compared as packed ints (``_pack_weight``)
-where the packing is injective, and as tuples where a module is too wide
-for it.
+compare these weights, as tuples of ints (so exactly, for every weight),
+before they read any entry.
 """
 
 from __future__ import annotations
@@ -75,27 +73,6 @@ from .uqrep import (
     k2rho,
     quantum_dimension,
 )
-
-
-# bits per coordinate of a packed weight; see _pack_weight
-_BITS = 16
-
-
-def _pack_weight(w, bound):
-    """The int sum_k w_k 2^(16 k), or None unless every |w_k| < bound.
-
-    Packing is additive, and injective on vectors whose coordinates are all
-    below 2^15 in absolute value, the largest bound it is given.  A word
-    weight beyond that bound packs to None, which equals no packed step; it
-    could not equal one anyway, since a packed module's steps, and sums of
-    two, stay inside it.  A module too wide to pack is graded by tuples.
-    """
-    code = 0
-    for c in reversed(w):
-        if not -bound < c < bound:
-            return None
-        code = (code << _BITS) + c
-    return code
 
 
 class CoeffElement:
@@ -189,13 +166,12 @@ class CoeffAlgebra:
         self._dual = Memo(self._make_dual)
         self._gen_lines = Memo(self._make_gen_lines)
         self._word_vecs = Memo(self._make_word_vec)
-        # the weight grading: each word's weight, exact and packed, and each
-        # module's basis weights packed relative to its first one (None when
-        # the module is too wide to pack)
+        # the weight grading: the weight of each word, the weight step
+        # wt_lam(i) - wt_lam(j) of each coefficient index (lam, i, j), and
+        # the coproduct legs of each word grouped by their two weights
         self.word_weight = Memo(self._make_word_weight)
-        self.word_code = Memo(
-            lambda word: _pack_weight(self._make_word_weight(word), 1 << (_BITS - 1)))
-        self.basis_codes = Memo(self._make_basis_codes)
+        self.weight_step = Memo(self._make_weight_step)
+        self.leg_groups = Memo(self._make_leg_groups)
         self.zero_weight = (0,) * cd.rank
         self._alphas = [cd.alpha_fundamental(k) for k in range(1, cd.rank + 1)]
 
@@ -245,19 +221,19 @@ class CoeffAlgebra:
                 wt = tuple(map(add if kind == "e" else sub, wt, self._alphas[k - 1]))
         return wt
 
-    def _make_basis_codes(self, lam):
-        """The weight of each basis index minus the first one, packed when
-        every coordinate is below 2^13 in absolute value (so that any step
-        wt(i) - wt(j), and the sum of two steps, packs injectively); else
-        None."""
-        weights = self.irrep(lam).weights
-        top = weights[0]
-        codes = [_pack_weight(tuple(map(sub, w, top)), 1 << (_BITS - 3)) for w in weights]
-        return None if None in codes else codes
+    def _make_leg_groups(self, word):
+        """{(wt(w1), wt(w2)): [(w1, w2), ...]} over ``_coproduct_legs(word)``:
+        each leg is filed under its own weights, so a leg that breaks the
+        grading is filed, and read, like any other."""
+        wt = self.word_weight
+        groups = {}
+        for w1, w2 in _coproduct_legs(word):
+            groups.setdefault((wt[w1], wt[w2]), []).append((w1, w2))
+        return groups
 
-    def weight_step(self, lam, i, j):
-        """wt_lam(i) - wt_lam(j) as a tuple: how a module too wide to pack
-        is graded."""
+    def _make_weight_step(self, key):
+        """wt_lam(i) - wt_lam(j) for the coefficient index (lam, i, j)."""
+        lam, i, j = key
         w = self.irrep(lam).weights
         return tuple(map(sub, w[i - 1], w[j - 1]))
 
@@ -336,18 +312,14 @@ def coeff_eval(alg: CoeffAlgebra, a: CoeffElement, x) -> RationalFunction:
     is zero otherwise.  Each (lam, j) column that is read is evaluated once,
     and t^(lam)_{ij} reads its entry i.
     """
-    words = (x,) if isinstance(x, tuple) else x.terms
-    codes, wt = alg.basis_codes, alg.word_code
-    steps = {wt[w] for w in words}
+    wt, step = alg.word_weight, alg.weight_step
+    weights = {wt[w] for w in ((x,) if isinstance(x, tuple) else x.terms)}
     cols = {}
     total = RF_ZERO
-    for (lam, i, j), c in a.terms.items():
-        w = codes[lam]
-        if w is None:
-            if alg.weight_step(lam, i, j) not in {alg.word_weight[u] for u in words}:
-                continue
-        elif w[i - 1] - w[j - 1] not in steps:
+    for key, c in a.terms.items():
+        if step[key] not in weights:
             continue
+        lam, i, j = key
         col = cols.get((lam, j))
         if col is None:
             col = cols[(lam, j)] = alg.word_matrix(lam, x, j - 1)
@@ -476,31 +448,25 @@ def word_pairing(alg: CoeffAlgebra, a: CoeffElement, b: CoeffElement,
     pair: each coproduct leg pair reads its two entries through
     ``word_matrix`` on the bare leg words.
 
-    The pairing is weight-graded (see the module docstring).  With dl =
-    wt_lam(i) - wt_lam(j) and dm = wt_mu(r) - wt_mu(s), a word whose weight
-    is not dl + dm pairs to zero and is skipped before its legs are taken,
-    and a leg pair (w1, w2) with wt(w1) != dl is skipped before either entry
-    is read (then wt(w2) = dm as well)."""
-    codes = alg.basis_codes
+    The pairing is weight-graded (see the module docstring): with dl =
+    wt_lam(i) - wt_lam(j) and dm = wt_mu(r) - wt_mu(s), only the legs
+    (w1, w2) with wt(w1) = dl and wt(w2) = dm are read (``leg_groups``); any
+    other leg pairs to zero on homogeneous modules.  That rests on the
+    modules alone.  A word is not skipped for its own weight: that would
+    trust the coproduct to be graded, and its legs are what the duality law
+    checks."""
+    step, groups = alg.weight_step, alg.leg_groups
     total = RF_ZERO
-    for (lam, i, j), ca in a.terms.items():
-        cl = codes[lam]
-        for (mu, r, s), cb in b.terms.items():
-            cm = codes[mu]
-            if cl is None or cm is None:
-                wt, dl = alg.word_weight, alg.weight_step(lam, i, j)
-                dx = tuple(map(add, dl, alg.weight_step(mu, r, s)))
-            else:
-                wt, dl = alg.word_code, cl[i - 1] - cl[j - 1]
-                dx = dl + cm[r - 1] - cm[s - 1]
+    for key, ca in a.terms.items():
+        lam, i, j = key
+        dl = step[key]
+        for key_b, cb in b.terms.items():
+            mu, r, s = key_b
+            steps = (dl, step[key_b])
             part = RF_ZERO
             for word, c in x.terms.items():
-                if wt[word] != dx:
-                    continue
                 legs = RF_ZERO
-                for w1, w2 in _coproduct_legs(word):
-                    if wt[w1] != dl:
-                        continue
+                for w1, w2 in groups[word].get(steps, ()):
                     v1 = alg.word_matrix(lam, w1, j - 1).get(i - 1)
                     if v1:
                         v2 = alg.word_matrix(mu, w2, s - 1).get(r - 1)

@@ -183,7 +183,7 @@ def _leg_pairs(word) -> tuple:
             pieces = ((((kind, i),), ((kind, i),)),)
         legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
     words = _LEG_WORDS
-    return tuple(tuple(words[w] for w in pair) for pair in legs)
+    return tuple((words[w1], words[w2]) for w1, w2 in legs)
 
 
 # leg pairs of the coproduct of each word, and one stored copy of each leg word

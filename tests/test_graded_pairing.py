@@ -8,7 +8,8 @@ values of the frozen ``ungraded_coeff_eval`` and ``ungraded_word_pairing``:
 on basis coefficients, on products and antipodes (several terms), and on
 combinations of several words with coefficients other than one.
 ``check_hopf`` must give the same report with either pair, intact and under
-the hopf faults of ``test_mutation.py``.
+the hopf faults of ``test_mutation.py``, one of them a coproduct leg that
+breaks the weight grading.
 
 The grading rests on homogeneity, and ``check_serre`` can see it broken.
 Its weight test must be exact for every weight: crafted modules with
@@ -30,6 +31,7 @@ from qgroups.linalg import Mat
 from qgroups.scalar import RF_ONE, RF_ZERO, Memo, RationalFunction
 from qgroups.uqrep import AlgebraWord, IrrepModule, build_irrep, check_serre
 from retired_helpers import ungraded_coeff_eval, ungraded_word_pairing
+from test_mutation import off_weight_legs
 
 MODULES = [row.case for row in verify._COEFFICIENTS]
 
@@ -128,6 +130,11 @@ def dropped_leg(monkeypatch):
     monkeypatch.setattr(uqrep, "_LEGS", Memo(lambda word: uqrep._leg_pairs(word)[1:]))
 
 
+def off_weight_leg(monkeypatch):
+    fresh(monkeypatch)
+    monkeypatch.setattr(uqrep, "_LEGS", Memo(off_weight_legs))
+
+
 def perturbed_gram(monkeypatch):
     gram = fresh(monkeypatch).irrep((1,)).gram
     gram[1] = gram[1] * RationalFunction.const(2)
@@ -152,7 +159,7 @@ def perturbed_dual_intertwiner(monkeypatch):
     double_first(q)
 
 
-@pytest.mark.parametrize("fault", [perturbed_entry, dropped_leg, perturbed_gram,
+@pytest.mark.parametrize("fault", [perturbed_entry, dropped_leg, off_weight_leg, perturbed_gram,
                                    perturbed_cg_column, perturbed_dual_intertwiner])
 def test_faulted_check_hopf_report_equals_the_ungraded_one(fault, monkeypatch):
     def report(graded):
@@ -217,7 +224,9 @@ PROBE = RationalFunction.const(3)
 
 
 def offsets(big):
-    return [(1, 0), (0, -1), (2 ** 12, 0), (2 ** 13, 0), (2 ** 16, -1), (-2 ** 16, 1),
+    # near misses, and misses that a packing of 16 bits a coordinate would
+    # take for hits
+    return [(1, 0), (0, -1), (2 ** 16, -1), (-2 ** 16, 1),
             (big, 0), (0, big), (big, -big), (2 ** 16 * big, -big)]
 
 
@@ -250,7 +259,7 @@ def test_weight_test_is_exact_for_huge_coordinates(big, where):
     for off in offsets(big):
         shifted = tuple(w + o for w, o in zip(exact, off))
         # a non-homogeneous entry: its step misses alpha_1 by off, so the
-        # grading never reads it, whether or not the weights pack
+        # grading never reads it
         alg, lam = crafted(cd, [top, shifted], {(1, 0, 1): PROBE})
         for word in WORDS:
             graded, ungraded_values = read(alg, lam, word)
@@ -265,28 +274,26 @@ def test_huge_homogeneous_modules_pair_as_before(big):
     cd = cartan_data("A2")
     raising = [(kind, i) for i in (1, 2) for kind in "ef"]
     ef_words = [w for n in range(3) for w in itertools.product(raising, repeat=n)]
-    # an A2 module moved to basis weights around (big, -big): packed, since
-    # only differences of its weights are packed
+    # an A2 module moved to basis weights around (big, -big)
     m = build_irrep(cd, (1, 1))
     moved = [tuple(w + o for w, o in zip(wt, (big, -big))) for wt in m.weights]
     alg = CoeffAlgebra(cd)
     lam = (7, 7)
     alg.irreps._store[cd, lam, m.lowering] = IrrepModule(
         cd, moved[0], m.lowering, moved, m.E, m.F, m.gram, m.constructions)
-    cases = [(alg, lam, True, ef_words, False)]
-    # a wide module: two alpha_1 strings big apart, graded by tuples
+    cases = [(alg, lam, ef_words, False)]
+    # a wide module: two alpha_1 strings big apart
     a1 = cd.alpha_fundamental(1)
     far = (big, 0)
     weights = [(0, 0), tuple(-a for a in a1), far, tuple(f - a for f, a in zip(far, a1))]
     cases.append(crafted(cd, weights, {(1, 0, 1): PROBE, (1, 2, 3): RF_ONE + PROBE})
-                 + (False, ef_words, False))
-    # huge word weights on a packed module: alpha_1 = (big, 0) never steps in it
+                 + (ef_words, False))
+    # huge word weights: alpha_1 = (big, 0) never steps in this module
     stand_in = StandInCartan([(big, 0), (0, 2)])
     cases.append(crafted(stand_in, [(0, 0), (0, -2), (0, -4)],
                          {(2, 0, 1): PROBE, (2, 1, 2): RF_ONE})
-                 + (True, words(stand_in, 2), True))
-    for alg, lam, packed, ws, pairs in cases:
-        assert (alg.basis_codes[lam] is not None) == packed
+                 + (words(stand_in, 2), True))
+    for alg, lam, ws, pairs in cases:
         d = alg.irrep(lam).dim
         quads = list(itertools.product(range(1, d + 1), repeat=4))
         for i, j, r, s in random.Random(f"huge{big}").sample(quads, min(len(quads), 40)):
@@ -309,8 +316,8 @@ def test_grading_reads_entries_through_word_matrix_only_where_steps_match(monkey
 
     monkeypatch.setattr(CoeffAlgebra, "word_matrix", counted)
     a, b = CoeffElement.basis((1, 0), 1, 1), CoeffElement.basis((0, 1), 1, 1)
-    # weight steps 0 and 0: only words of weight 0 are read, and only the
-    # legs whose first word has weight 0
+    # weight steps 0 and 0: no word of another weight is read, and only the
+    # legs whose two words both have weight 0
     for w in [(("e", 1),), (("f", 2), ("k", 1)), (("e", 1), ("e", 2), ("f", 1))]:
         x = AlgebraWord.of_word(*w)
         assert coeff_eval(alg, a, x) == RF_ZERO == word_pairing(alg, a, b, x)
@@ -318,7 +325,7 @@ def test_grading_reads_entries_through_word_matrix_only_where_steps_match(monkey
     x = AlgebraWord.of_word(("e", 1), ("f", 1))
     got = word_pairing(alg, a, b, x)
     # of the four legs of e1 f1 only e1 f1 (x) k1 k1 and K1 K1 (x) e1 f1
-    # have a first word of weight 0; e1 K1 and K1 f1 are never read
+    # have words of weight 0; e1 K1 and K1 f1 are never read
     assert {w for lam, w, _ in calls if lam == (1, 0)} == {(("e", 1), ("f", 1)),
                                                            (("K", 1), ("K", 1))}
     assert got == ungraded_word_pairing(alg, a, b, x)

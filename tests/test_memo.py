@@ -88,11 +88,16 @@ def word_vectors(alg):
 
 
 def word_weights(alg):
-    return [(alg.word_weight[w], alg.word_code[w]) for w in a1_words(2)]
+    return [alg.word_weight[w] for w in a1_words(2)]
 
 
-def basis_codes(alg):
-    return [alg.basis_codes[(n,)] for n in range(4)]
+def weight_steps(alg):
+    return [alg.weight_step[(n,), i, j] for n in range(3)
+            for i in range(1, n + 2) for j in range(1, n + 2)]
+
+
+def leg_groups(alg):
+    return [alg.leg_groups[w] for w in a1_words(2)]
 
 
 def basis_products(alg):
@@ -166,8 +171,8 @@ CASES = {
     "word_vecs": algebra_case(lambda alg: alg._word_vecs, word_vectors),
     "gen_lines": algebra_case(lambda alg: alg._gen_lines, word_vectors),
     "word_weight": algebra_case(lambda alg: alg.word_weight, word_weights),
-    "word_code": algebra_case(lambda alg: alg.word_code, word_weights),
-    "basis_codes": algebra_case(lambda alg: alg.basis_codes, basis_codes),
+    "weight_step": algebra_case(lambda alg: alg.weight_step, weight_steps),
+    "leg_groups": algebra_case(lambda alg: alg.leg_groups, leg_groups),
     "cg": algebra_case(lambda alg: alg._cg, basis_products),
     "col_map": algebra_case(lambda alg: alg.cg((1,), (1,))[2], all_products),
     "dual": algebra_case(lambda alg: alg._dual, antipodes),

@@ -4,10 +4,10 @@ Each test puts a fresh ``CoeffAlgebra`` where the suites find theirs, runs
 the suite once on the intact data, then perturbs one datum in place (an E/F
 matrix entry of a module or of a Levi module, a Gram value, a column of a
 Clebsch-Gordan basis, an entry of a dual intertwiner Q, the coproduct legs
-of each word) and runs the suite again, in a new context where the first
-one has memoized what the datum feeds.  A perturbed entry is a new rational
-function, so the scalar memos see new keys and cannot hide it; the coproduct
-legs memo holds words only.
+of each word, or one leg that breaks the weight grading) and runs the suite
+again, in a new context where the first one has memoized what the datum
+feeds.  A perturbed entry is a new rational function, so the scalar memos
+see new keys and cannot hide it; the coproduct legs memo holds words only.
 The ``dimensions`` suite reads no matrix entry; its case duplicates a basis
 weight.  Two cases concern the Gram certificate of ``check_serre``: a doubled
 mirror pair E[r, c], F[c, r] keeps it, so ``relations`` fails through copied
@@ -211,6 +211,30 @@ def test_dropped_coproduct_leg_fails_hopf(fresh, monkeypatch):
     assert run(verify.check_hopf, "A1", 1)
     # word_pairing reads the legs of each word from this memo
     monkeypatch.setattr(uqrep, "_LEGS", Memo(lambda word: uqrep._leg_pairs(word)[1:]))
+    fresh("A1")
+    report = verify.check_hopf(quick=True, algebra="A1", max_weight=1)
+    assert not report["passed"]
+    assert {f["law"] for f in report["details"]["failures"]} == {"duality"}
+
+
+def off_weight_legs(word):
+    """The leg pairs of a coproduct that breaks the weight grading: Delta(f_i)
+    gains the piece K_i (x) e_i, of weight 0 + alpha_i, not -alpha_i."""
+    legs = [((), ())]
+    for kind, i in word:
+        pieces = uqrep._leg_pairs(((kind, i),))
+        if kind == "f":
+            pieces += (((("K", i),), (("e", i),)),)
+        legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
+    return tuple(legs)
+
+
+def test_off_weight_coproduct_leg_fails_hopf(fresh, monkeypatch):
+    fresh("A1")
+    assert run(verify.check_hopf, "A1", 1)
+    # <t_jj t_rs, f_1> = 0 by weight, but the extra leg pairs t_jj with K_1
+    # and t_rs with e_1: the graded pairing must still read that leg
+    monkeypatch.setattr(uqrep, "_LEGS", Memo(off_weight_legs))
     fresh("A1")
     report = verify.check_hopf(quick=True, algebra="A1", max_weight=1)
     assert not report["passed"]
