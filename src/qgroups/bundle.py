@@ -27,6 +27,7 @@ from .cartan import dominant_orbit_rep, dual_weight, is_dominant, weyl_dim
 from .coeff import (
     CoeffAlgebra,
     CoeffElement,
+    _coeff,
     antipode,
     circ_action,
     product,
@@ -226,15 +227,18 @@ def dot_on_section(x: AlgebraWord, zeta: Section) -> Section:
 
 
 def dot_on_sections(x: AlgebraWord, zetas) -> list:
-    """``dot_on_section`` on each section, with S^-1(x) formed once."""
+    """``dot_on_section`` on each section, with S^-1(x) formed once and each
+    (lam, a) row of it read once."""
     if not zetas:
         return []
-    xs = antipode_inv_word(zetas[0].alg.cd, x)
+    alg = zetas[0].alg
+    xs = antipode_inv_word(alg.cd, x)
+    rows = Memo(lambda key: alg.word_matrix(key[0], xs, key[1] - 1, "row"))
     images = []
     for zeta in zetas:
         out = {}
         for (lam, a, b), vec in zeta.data.items():
-            for k0, m in zeta.alg.word_matrix(lam, xs, a - 1, "row").items():
+            for k0, m in rows[lam, a].items():
                 accumulate(out.setdefault((lam, k0 + 1, b), {}),
                            ((r, m * xx) for r, xx in vec.items()))
         images.append(zeta.copy_with(out))
@@ -245,17 +249,23 @@ def _left_generators(cd):
     return [(kind, i) for kind in "efk" for i in range(1, cd.rank + 1)]
 
 
+def _combination(template: Section, terms) -> Section:
+    """sum c zeta over the (zeta, c) ``terms``, nonzero c, summed into one
+    dict: a section of ``template``'s bundle."""
+    out = {}
+    for zeta, c in terms:
+        for key, vec in zeta.data.items():
+            accumulate(out.setdefault(key, {}), ((r, c * x) for r, x in vec.items()))
+    return template.copy_with(out)
+
+
 def _carries_module(module, zetas, gens) -> bool:
     """x . zeta_i = sum_j M(x)[j, i] zeta_j for each generator x: the sections
     transform under the left action by the module's matrices."""
     for gen in gens:
-        word = AlgebraWord.of_gen(gen)
         cols = module.gen_matrix(gen).columns()
-        for i, lhs in enumerate(dot_on_sections(word, zetas)):
-            rhs = lhs.copy_with({})
-            for j, c in cols.get(i, ()):
-                rhs = rhs + zetas[j].scale(c)
-            if lhs != rhs:
+        for i, lhs in enumerate(dot_on_sections(AlgebraWord.of_gen(gen), zetas)):
+            if lhs != _combination(lhs, ((zetas[j], c) for j, c in cols.get(i, ()))):
                 return False
     return True
 
@@ -319,7 +329,9 @@ def sections_from_hom(alg: CoeffAlgebra, p: ParabolicData, source: IrrepModule,
     phi_cols = phi.columns()
     chi = [{} for _ in range(d)]
     for (b, j), y in qinv.data.items():
-        accumulate(chi[b], ((r, y * x) for r, x in phi_cols.get(j, ())))
+        col = phi_cols.get(j)
+        if col:
+            accumulate(chi[b], ((r, y * x) for r, x in col))
     data = [{} for _ in range(d)]
     for (i, a), x in q.data.items():
         data[i].update(((lam_dual, a + 1, b + 1), {r: x * y for r, y in chi[b].items()})
@@ -344,8 +356,7 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
     and the grade has no section: the test returns the [] the build would.
     """
     cd = alg.cd
-    lam = tuple(lam)
-    lam_dual = dual_weight(cd, lam)
+    lam_dual = alg.dual_weights[tuple(lam)]
     vspaces = vmod.weight_spaces()
     cone = (cd.fundamental_to_root([x + t for x, t in zip(lam_dual, tau)])
             for tau in vspaces)
@@ -421,7 +432,7 @@ def section_times_invariant(zeta: Section, f: CoeffElement, side="left") -> Sect
     """Module action of invariant functions on sections, by coefficient products."""
     out_data = {}
     for key, vec in zeta.data.items():
-        basis = CoeffElement({key: RF_ONE})
+        basis = _coeff({key: RF_ONE})
         left, right = (f, basis) if side == "left" else (basis, f)
         _coeff_product_into(zeta.alg, left, right, vec, out_data)
     return zeta.copy_with(out_data)
@@ -507,7 +518,7 @@ def eta_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
     rows = _antipoded_rows(alg, wmod, 0 if direction == "forward" else 1)
     out_data = {}
     for key, vec in zeta.data.items():
-        basis = CoeffElement({key: RF_ONE})
+        basis = _coeff({key: RF_ONE})
         for i, x in vec.items():
             for j, left in enumerate(rows[i]):
                 _coeff_product_into(alg, left, basis, {j: x}, out_data)
@@ -521,7 +532,7 @@ def kappa_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
     rows = _antipoded_rows(alg, wmod, 2 if direction == "forward" else 1)
     out_data = {}
     for key, vec in zeta.data.items():
-        basis = CoeffElement({key: RF_ONE})
+        basis = _coeff({key: RF_ONE})
         for i, x in vec.items():
             for j, right in enumerate(rows[i]):
                 _coeff_product_into(alg, basis, right, {j: x}, out_data)
@@ -599,14 +610,7 @@ def frobenius_maps(alg: CoeffAlgebra, p: ParabolicData, wmod: IrrepModule,
     # unit to a reductive intertwiner whose induced sections rebuild it
     roundtrip_Ff = True
     for psi in psi_mats:
-        images = []
-        for i in range(wmod.dim):
-            img = Section(alg, p, vmod)
-            for c in range(len(basis)):
-                coeff = psi[(c, i)]
-                if coeff:
-                    img = img + basis[c].scale(coeff)
-            images.append(img)
+        images = _psi_images(Section(alg, p, vmod), basis, psi, wmod.dim)
         phi = ev_unit(images)
         rebuilt = sections_from_hom(alg, p, wmod, vmod, phi)
         if rebuilt != images:
@@ -622,6 +626,14 @@ def frobenius_maps(alg: CoeffAlgebra, p: ParabolicData, wmod: IrrepModule,
         "hom_basis": hom_red,
         "induced_sections": induced,
     }
+
+
+def _psi_images(template, basis, psi: Mat, dim) -> list:
+    """The image sum_c psi[c, i] basis[c] of each basis vector w_i, i < dim,
+    under an intertwiner psi into the span of ``basis``."""
+    cols = psi.columns()
+    return [_combination(template, ((basis[c], x) for c, x in cols.get(i, ())))
+            for i in range(dim)]
 
 
 def _module_hom(alg, p, wmod, vmod, basis, gens):
@@ -659,6 +671,24 @@ def holomorphic_sections(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
         secs = sections_direct(alg, vmod, p, lam, "parabolic")
         if secs:
             out[lam] = secs
+    return out
+
+
+def _route_sections(alg, p, source: IrrepModule, vmod: IrrepModule, phi: Mat) -> list:
+    """The i-th section sum_j S(t_{ji}) (x) phi(w_j) for each basis index i
+    of ``source``: the antipoded coefficients of its matrix pushed through
+    phi.  Only the j with a nonzero column of phi contribute, so only their
+    t_{ji} are antipoded."""
+    template = Section(alg, p, vmod)
+    phi_cols = phi.columns()
+    out = []
+    for i in range(source.dim):
+        pushed = {}
+        for j, col in phi_cols.items():
+            st = antipode(alg, CoeffElement.basis(source.hw, j + 1, i + 1))
+            for key, c in st.terms.items():
+                accumulate(pushed.setdefault(key, {}), ((r, c * x) for r, x in col))
+        out.append(template.copy_with(pushed))
     return out
 
 
@@ -709,17 +739,7 @@ def borel_weil_check(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
             action_ok = _carries_module(source, zetas, _left_generators(cd))
             # composite route: trivialization sections of the canonical module
             # pushed through the intertwiner reproduce the basis
-            phi_cols = phi.columns()
-            for i in range(source.dim):
-                pushed_data = {}
-                for j in range(source.dim):
-                    st = antipode(alg, CoeffElement.basis(source.hw, j + 1, i + 1))
-                    for key, c in st.terms.items():
-                        accumulate(pushed_data.setdefault(key, {}),
-                                   ((r, c * x) for r, x in phi_cols.get(j, ())))
-                pushed = Section(alg, p, vmod, pushed_data)
-                if pushed != zetas[i]:
-                    route_ok = False
+            route_ok = _route_sections(alg, p, source, vmod, phi) == zetas
             span_ok = same_span(per_grade.get(expected_grade, []), zetas)
 
     status = "inconclusive" if not conclusive else (

@@ -103,7 +103,7 @@ class CoeffElement:
 
     def scale(self, c: RationalFunction):
         if not c:
-            return CoeffElement()
+            return _coeff({})
         return _coeff({key: c * x for key, x in self.terms.items()})
 
     def __eq__(self, other):
@@ -172,6 +172,8 @@ class CoeffAlgebra:
         self.word_weight = Memo(self._make_word_weight)
         self.weight_step = Memo(self._make_weight_step)
         self.leg_groups = Memo(self._make_leg_groups)
+        # the highest weight of each dual module, as the bundle grades read it
+        self.dual_weights = Memo(lambda lam: dual_weight(cd, lam))
         self.zero_weight = (0,) * cd.rank
         self._alphas = [cd.alpha_fundamental(k) for k in range(1, cd.rank + 1)]
 
@@ -270,7 +272,7 @@ class CoeffAlgebra:
     def _make_dual(self, lam):
         cd = self.cd
         m = self.irrep(lam)
-        lam_dual = dual_weight(cd, lam)
+        lam_dual = self.dual_weights[lam]
         canon = self.irrep(lam_dual)
 
         # the dual representation x -> t^(lam)(S(x))^T has raising matrices

@@ -80,9 +80,9 @@ class AlgebraWord:
     def unit():
         return _word({(): RF_ONE})
 
-    @classmethod
-    def of_gen(cls, gen, coeff=RF_ONE):
-        return cls({(gen,): coeff})
+    @staticmethod
+    def of_gen(gen, coeff=RF_ONE):
+        return _word({(gen,): coeff} if coeff else {})
 
     @staticmethod
     def of_word(*gens):
@@ -156,8 +156,8 @@ def _map_word(cd, x: AlgebraWord, table, reverse) -> AlgebraWord:
             new_kind, factor = table[kind](cd, i)
             gens.append((new_kind, i))
             coeff = coeff * factor
-        out[tuple(gens)] = coeff  # the map on words is one-to-one
-    return AlgebraWord(out)
+        out[tuple(gens)] = coeff  # one-to-one on words; each factor is nonzero
+    return _word(out)
 
 
 def antipode_word(cd, x: AlgebraWord) -> AlgebraWord:
@@ -355,7 +355,7 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                              for rr, y in f_cols[ib].get(r, {}).items()]
                     if j == ib:
                         terms.append((pb, q_integer(weights[pb][ib - 1], cd.d[ib - 1])))
-                    ecol[j] = accumulate({}, terms)
+                    ecol[j] = accumulate({}, terms) if terms else {}
                 # f_i is adjoint to e_i: (v_s, c_b) = g_{p_b} E_{i_b}[p_b, s] for
                 # each accepted v_s, and r = c_b - sum_s proj_s v_s has
                 # (r, r) = (r, c_b) = g_{p_b} [e_{i_b} r]_{p_b} (``top``)

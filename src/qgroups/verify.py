@@ -41,6 +41,7 @@ from .cartan import cartan_data, lowest_weight, weight_multiplicities, weyl_dim
 from .coeff import (
     CoeffAlgebra,
     CoeffElement,
+    _coeff,
     antipode,
     coeff_eval,
     coproduct,
@@ -188,8 +189,8 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
                 left = {}
                 right = {}
                 for (k1, k2), c in coproduct(alg, t_ij).terms.items():
-                    d1 = coproduct(alg, CoeffElement({k1: RF_ONE})).terms
-                    d2 = coproduct(alg, CoeffElement({k2: RF_ONE})).terms
+                    d1 = coproduct(alg, _coeff({k1: RF_ONE})).terms
+                    d2 = coproduct(alg, _coeff({k2: RF_ONE})).terms
                     accumulate(left, (((k1a, k1b, k2), c * c1) for (k1a, k1b), c1 in d1.items()))
                     accumulate(right, (((k1, k2a, k2b), c * c2) for (k2a, k2b), c2 in d2.items()))
                 checked["coassociativity"] += 1
@@ -198,19 +199,19 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
                                      "weight": list(lam), "i": i, "j": j})
                 # counit laws, both sides
                 checked["counit"] += 1
-                recon_l = CoeffElement()
-                recon_r = CoeffElement()
+                recon_l = _coeff({})
+                recon_r = _coeff({})
                 for ((l1, a, k1), (l2, k2, b)), c in coproduct(alg, t_ij).terms.items():
                     if a == k1:
-                        recon_l = recon_l + CoeffElement({(l2, k2, b): c})
+                        recon_l = recon_l + _coeff({(l2, k2, b): c})
                     if k2 == b:
-                        recon_r = recon_r + CoeffElement({(l1, a, k1): c})
+                        recon_r = recon_r + _coeff({(l1, a, k1): c})
                 if recon_l != t_ij or recon_r != t_ij:
                     failures.append({"law": "counit", "algebra": name,
                                      "weight": list(lam), "i": i, "j": j})
                 # antipode laws: sum_k S(t_ik) t_kj = delta_ij = sum_k t_ik S(t_kj)
-                acc1 = CoeffElement()
-                acc2 = CoeffElement()
+                acc1 = _coeff({})
+                acc2 = _coeff({})
                 for k in range(1, d + 1):
                     acc1 = acc1 + product(
                         alg, antipode(alg, CoeffElement.basis(lam, i, k)),
@@ -218,7 +219,7 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
                     acc2 = acc2 + product(
                         alg, CoeffElement.basis(lam, i, k),
                         antipode(alg, CoeffElement.basis(lam, k, j)))
-                expect = unit if i == j else CoeffElement()
+                expect = unit if i == j else _coeff({})
                 checked["antipode_law"] += 1
                 if acc1 != expect or acc2 != expect:
                     failures.append({"law": "antipode", "algebra": name,

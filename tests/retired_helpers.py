@@ -25,6 +25,15 @@ caller in the package when ``check_serre`` stopped forming that difference.
 ``ungraded_coeff_eval`` and ``ungraded_word_pairing`` are ``coeff_eval`` and
 ``word_pairing`` as they were before the weight grading: every term reads
 its column of x, and every leg pair of every word reads its first entry.
+``row_dot_on_sections``, ``chained_carries_module``, ``all_columns_route``,
+``chained_psi_images`` and ``zero_scan_rref`` are ``bundle.dot_on_sections``,
+``bundle._carries_module``, the route loop of ``bundle.borel_weil_check``,
+the image sums of ``bundle.frobenius_maps`` and ``linalg.rref`` as they were
+before the bundle checks stopped computing terms no verdict reads: each
+section key read its row of S^-1(x) afresh, each module sum and each image
+was built by chained ``Section.scale`` and ``Section.__add__`` copies, the
+route antipoded t_{ji} for every j, also where the column j of phi is zero,
+and elimination subtracted every entry of the pivot row, zeros too.
 Do not optimize them.
 """
 from __future__ import annotations
@@ -32,7 +41,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qgroups import uqrep
-from qgroups.uqrep import _coproduct_legs
+from qgroups.bundle import Section
+from qgroups.coeff import CoeffElement, antipode
+from qgroups.uqrep import AlgebraWord, _coproduct_legs, antipode_inv_word
 from qgroups.cartan import CartanData, inner_scaled, reflect
 from qgroups.linalg import Mat, _mat, accumulate
 from qgroups.scalar import (RF_ONE, RF_ZERO, RationalFunction, _ONE, _rf,
@@ -504,3 +515,100 @@ def ungraded_word_pairing(alg, a, b, x) -> RationalFunction:
             if part:
                 total = total + ca * cb * part
     return total
+
+
+def row_dot_on_sections(x, zetas) -> list:
+    """``bundle.dot_on_sections`` with a ``word_matrix`` row read per key."""
+    if not zetas:
+        return []
+    xs = antipode_inv_word(zetas[0].alg.cd, x)
+    images = []
+    for zeta in zetas:
+        out = {}
+        for (lam, a, b), vec in zeta.data.items():
+            for k0, m in zeta.alg.word_matrix(lam, xs, a - 1, "row").items():
+                accumulate(out.setdefault((lam, k0 + 1, b), {}),
+                           ((r, m * xx) for r, xx in vec.items()))
+        images.append(zeta.copy_with(out))
+    return images
+
+
+def chained_carries_module(module, zetas, gens) -> bool:
+    """``bundle._carries_module`` with each sum a chain of section copies."""
+    for gen in gens:
+        word = AlgebraWord.of_gen(gen)
+        cols = module.gen_matrix(gen).columns()
+        for i, lhs in enumerate(row_dot_on_sections(word, zetas)):
+            rhs = lhs.copy_with({})
+            for j, c in cols.get(i, ()):
+                rhs = rhs + zetas[j].scale(c)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def chained_combination(template, terms):
+    """sum c zeta over the (zeta, c) terms as a chain of section copies."""
+    out = template.copy_with({})
+    for zeta, c in terms:
+        out = out + zeta.scale(c)
+    return out
+
+
+def all_columns_route(alg, p, source, vmod, phi) -> list:
+    """The route sections of ``bundle.borel_weil_check``, with S(t_{ji})
+    formed for every j."""
+    phi_cols = phi.columns()
+    out = []
+    for i in range(source.dim):
+        pushed_data = {}
+        for j in range(source.dim):
+            st = antipode(alg, CoeffElement.basis(source.hw, j + 1, i + 1))
+            for key, c in st.terms.items():
+                accumulate(pushed_data.setdefault(key, {}),
+                           ((r, c * x) for r, x in phi_cols.get(j, ())))
+        out.append(Section(alg, p, vmod, pushed_data))
+    return out
+
+
+def chained_psi_images(alg, p, vmod, basis, psi, dim) -> list:
+    """The images of ``bundle.frobenius_maps``'s second round trip, each a
+    chain of section copies over every basis index."""
+    images = []
+    for i in range(dim):
+        img = Section(alg, p, vmod)
+        for c in range(len(basis)):
+            coeff = psi[(c, i)]
+            if coeff:
+                img = img + basis[c].scale(coeff)
+        images.append(img)
+    return images
+
+
+def zero_scan_rref(rows, ncols=None):
+    """``linalg.rref`` subtracting every entry of the pivot row."""
+    nrows = len(rows)
+    if ncols is None:
+        ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots

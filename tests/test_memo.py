@@ -100,6 +100,10 @@ def leg_groups(alg):
     return [alg.leg_groups[w] for w in a1_words(2)]
 
 
+def grade_duals(alg):
+    return [alg.dual_weights[(n,)] for n in range(4)]
+
+
 def basis_products(alg):
     weights = [(1,), (2,)]
     return [product(alg, CoeffElement.basis(lam, 1, 1), CoeffElement.basis(mu, 2, 1))
@@ -173,6 +177,7 @@ CASES = {
     "word_weight": algebra_case(lambda alg: alg.word_weight, word_weights),
     "weight_step": algebra_case(lambda alg: alg.weight_step, weight_steps),
     "leg_groups": algebra_case(lambda alg: alg.leg_groups, leg_groups),
+    "dual_weights": algebra_case(lambda alg: alg.dual_weights, grade_duals),
     "cg": algebra_case(lambda alg: alg._cg, basis_products),
     "col_map": algebra_case(lambda alg: alg.cg((1,), (1,))[2], all_products),
     "dual": algebra_case(lambda alg: alg._dual, antipodes),

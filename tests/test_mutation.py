@@ -12,16 +12,24 @@ The ``dimensions`` suite reads no matrix entry; its case duplicates a basis
 weight.  Two cases concern the Gram certificate of ``check_serre``: a doubled
 mirror pair E[r, c], F[c, r] keeps it, so ``relations`` fails through copied
 f-side verdicts too, and a zero Gram value sends it down the direct path.
+
+The Borel-Weil and Frobenius reports carry sub-verdicts, and targeted faults
+turn each of them off alone: a doubled antipoded coefficient on a nonzero
+column of phi (``route_ok``), a doubled F entry of the source module that
+neither the intertwiner nor the direct solve reads (``action_ok``), a direct
+solve that repeats a section (``span_ok``), and a doubled off-diagonal value
+of the induced sections or of the rebuilt ones (``induced_intertwines``,
+``Fbar_after_F_is_identity``).
 """
 
 import pytest
 
-from qgroups import coeff, uqrep, verify
+from qgroups import bundle, coeff, uqrep, verify
 from qgroups.bundle import TruncationPolicy, borel_weil_check, frobenius_maps
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra
 from qgroups.linalg import Mat
-from qgroups.parabolic import ParabolicData
+from qgroups.parabolic import ParabolicData, hom_space
 from qgroups.scalar import RF_ZERO, Memo, RationalFunction
 from retired_helpers import direct_check_serre
 
@@ -44,9 +52,13 @@ def run(suite, name, max_weight):
     return suite(quick=True, algebra=name, max_weight=max_weight)["passed"]
 
 
+def double_first_term(terms):
+    key = min(terms)
+    terms[key] = terms[key] * TWO
+
+
 def double_first(mat):
-    rc = min(mat.data)
-    mat.data[rc] = mat.data[rc] * TWO
+    double_first_term(mat.data)
 
 
 def test_duplicated_basis_weight_fails_dimensions(fresh):
@@ -179,6 +191,106 @@ def test_k_diagonal_entry_times_v_fails_frobenius(fresh, name, theta, w, v, heig
     checks = ("dims_equal", "F_after_Fbar_is_identity", "Fbar_after_F_is_identity")
     assert all(report(False)[c] for c in checks)
     assert not all(report(True)[c] for c in checks)
+
+
+BW_VERDICTS = ("support_ok", "dim_ok", "action_ok", "route_ok", "span_ok")
+
+
+def a2_borel_weil(alg):
+    """The A2 Borel-Weil case mu = (-1, 0) over the torus: the sections are
+    those of W(0, 1), in the coefficient grade (1, 0); the verdicts that fail."""
+    rep = borel_weil_check(alg, alg.irreps.levi(alg.cd, (), (-1, 0)),
+                           ParabolicData(alg.cd, ()), TruncationPolicy(height=2))
+    assert rep["expected_grade"] == (0, 1)
+    return rep["status"], [k for k in BW_VERDICTS if not rep[k]]
+
+
+def test_perturbed_antipode_on_a_nonzero_phi_column_fails_the_route(fresh, monkeypatch):
+    alg = fresh("A2")
+    assert a2_borel_weil(alg) == ("pass", [])
+    alg = fresh("A2")
+    source = alg.irrep((0, 1))
+    phi = hom_space(source, alg.irreps.levi(alg.cd, (), (-1, 0)),
+                    ParabolicData(alg.cd, ()), "parabolic").maps[0]
+    cols = phi.columns()
+    assert 0 < len(cols) < source.dim
+    target = (source.hw, min(cols) + 1, 1)   # S(t_{j1}) for a nonzero column j
+    antipoded = []
+
+    def perturbed(alg, a):
+        out = coeff.antipode(alg, a)
+        antipoded.append(a)
+        if target in a.terms:
+            double_first_term(out.terms)
+        return out
+
+    monkeypatch.setattr(bundle, "antipode", perturbed)
+    assert a2_borel_weil(alg) == ("fail", ["route_ok"])
+    # the route antipodes t_{ji} for the nonzero columns j only
+    assert len(antipoded) == source.dim * len(cols)
+
+
+def test_perturbed_source_entry_fails_the_action(fresh):
+    alg = fresh("A2")
+    assert a2_borel_weil(alg) == ("pass", [])
+    alg = fresh("A2")
+    # Q of W(0, 1) is formed from the intact module; its F_1 is read by the
+    # left-action check alone: the parabolic intertwiners over the torus
+    # read k and e, and the direct solve runs on W(1, 0)
+    alg.dual_data((0, 1))
+    double_first(alg.irrep((0, 1)).F[1])
+    assert a2_borel_weil(alg) == ("fail", ["action_ok"])
+
+
+def test_repeated_direct_section_fails_the_span(fresh, monkeypatch):
+    alg = fresh("A2")
+    assert a2_borel_weil(alg) == ("pass", [])
+    direct = bundle.sections_direct
+
+    def repeated(*args):
+        secs = direct(*args)
+        if len(secs) > 1:
+            secs[0] = secs[1]   # the count stays, the span shrinks
+        return secs
+
+    monkeypatch.setattr(bundle, "sections_direct", repeated)
+    assert a2_borel_weil(fresh("A2")) == ("fail", ["span_ok"])
+
+
+FROBENIUS_VERDICTS = ("dims_equal", "induced_intertwines", "F_after_Fbar_is_identity",
+                      "Fbar_after_F_is_identity")
+
+
+@pytest.mark.parametrize("call,verdict", [(1, "induced_intertwines"),
+                                          (2, "Fbar_after_F_is_identity")])
+def test_perturbed_induced_section_fails_one_frobenius_verdict(fresh, monkeypatch,
+                                                                call, verdict):
+    # A1, W = V = (2): one reductive intertwiner; sections_from_hom builds its
+    # induced sections (call 1), then the sections of the round trip's
+    # rebuilt intertwiner (call 2).  A value off the diagonal a = b is one
+    # that the evaluation at the unit does not read.
+    def failed():
+        alg = fresh("A1")
+        p = ParabolicData(alg.cd, ())
+        rep = frobenius_maps(alg, p, alg.irrep((2,)), alg.irreps.levi(alg.cd, (), (2,)),
+                             TruncationPolicy(height=3))
+        assert len(rep["hom_basis"]) == 1
+        return [k for k in FROBENIUS_VERDICTS if not rep[k]]
+
+    assert failed() == []
+    build, calls = bundle.sections_from_hom, []
+
+    def perturbed(*args):
+        secs = build(*args)
+        calls.append(1)
+        if len(calls) == call:
+            vec = next(vec for z in secs for (_, a, b), vec in sorted(z.data.items()) if a != b)
+            double_first_term(vec)
+        return secs
+
+    monkeypatch.setattr(bundle, "sections_from_hom", perturbed)
+    assert failed() == [verdict]
+    assert len(calls) == 2
 
 
 def test_accepting_invariance_test_fails_invariants(fresh, monkeypatch):
