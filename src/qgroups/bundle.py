@@ -336,7 +336,9 @@ def sections_from_hom(alg: CoeffAlgebra, p: ParabolicData, source: IrrepModule,
     for (i, a), x in q.data.items():
         data[i].update(((lam_dual, a + 1, b + 1), {r: x * y for r, y in chi[b].items()})
                        for b in range(d) if chi[b])
-    return [Section(alg, p, vmod, di) for di in data]
+    # every vector is a product of nonzeros under a tuple key: already clean
+    template = Section(alg, p, vmod)
+    return [template.copy_with(di) for di in data]
 
 
 def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
@@ -379,16 +381,16 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
     pairs = [(m.gen_matrix(g),
               act_word(vmod, antipode_word(cd, AlgebraWord.of_gen(g))).transpose())
              for g in gens]
+    # kernel vectors hold no zero and lam_dual is a tuple: the data are clean
+    template = Section(alg, p, vmod)
     out = []
     for vec in intertwiner_kernel(unknowns, pairs):
         profile = {}
         for (b, r), x in vec.items():
             profile.setdefault(b, {})[r] = x
         for a in range(d):
-            data = {}
-            for b, v in profile.items():
-                data[(lam_dual, a + 1, b + 1)] = dict(v)
-            out.append(Section(alg, p, vmod, data))
+            out.append(template.copy_with(
+                {(lam_dual, a + 1, b + 1): dict(v) for b, v in profile.items()}))
     return out
 
 

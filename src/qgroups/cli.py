@@ -4,8 +4,9 @@ Subcommands build modules, run the verification suites, and report on
 section spaces.  All output is deterministic for a fixed configuration and
 cache state: identical runs produce byte-identical reports.  Exit codes:
 0 success, 1 usage (a negative --max-weight included), cache-integrity,
-cache-write or --out write errors or a request too large for memory, 2 failed
-verification or internal invariant failure, 3 inconclusive (truncation too low).
+cache-write or --out write errors or a request too large (above
+MAX_REQUEST_SIZE, or out of memory), 2 failed verification or internal
+invariant failure, 3 inconclusive (truncation too low).
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import __version__
 from .bundle import TruncationPolicy, borel_weil_check, frobenius_maps, invariant_functions
 from .cache import CacheIntegrityError, ResultCache, atomic_write
-from .cartan import cartan_data
+from .cartan import cartan_data, weyl_dim
 from .coeff import CoeffAlgebra, CoeffElement, antipode, haar, product, star
 from .parabolic import ParabolicData
 from .scalar import check_v0, rf_to_text, specialize
@@ -32,6 +34,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_INCONCLUSIVE = 3
+# the largest module dimension (Weyl's formula) and the largest number of
+# --trunc grades, C(h + rank, rank), a command admits; both are checked
+# before anything is built.  An A1 module of dimension 3,201 takes about 1 GB
+# and its memory grows as the square of the dimension.
+MAX_REQUEST_SIZE = 10_000
 
 
 class UsageError(RuntimeError):
@@ -45,6 +52,25 @@ class ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def admit(size, what):
+    if size > MAX_REQUEST_SIZE:
+        raise UsageError(f"{what} is {size}, above the bound {MAX_REQUEST_SIZE}; "
+                         "the request is too large")
+
+
+def admit_module(cd, weight):
+    # a weight that is not dominant is refused where its module is built
+    if all(c >= 0 for c in weight):
+        admit(weyl_dim(cd, weight), f"the dimension of the module {tuple(weight)}")
+
+
+def truncation(cd, height) -> TruncationPolicy:
+    """The --trunc policy, once its grade count is admitted."""
+    trunc = TruncationPolicy(height=height)   # a negative height is a ValueError
+    admit(comb(height + cd.rank, cd.rank), f"the number of grades of --trunc {height}")
+    return trunc
 
 
 def parse_weight(text, rank):
@@ -101,6 +127,7 @@ def cmd_irrep(args, stream):
     weight = parse_weight(args.weight, cd.rank)
     if any(c < 0 for c in weight):
         raise UsageError(f"weight {weight} is not dominant")
+    admit_module(cd, weight)
     v0 = parse_v0(args.v0) if args.v0 else None
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     # entries written by another version or payload schema are misses
@@ -194,7 +221,7 @@ def cmd_sections(args, stream):
     theta = parse_theta(args.theta, cd.rank)
     alg = CoeffAlgebra(cd)
     p = ParabolicData(cd, theta)
-    trunc = TruncationPolicy(height=args.trunc)
+    trunc = truncation(cd, args.trunc)
     if args.v != "trivial":
         raise UsageError("only the trivial inducing module is supported here; "
                          "use borel-weil or frobenius for general fibers")
@@ -222,10 +249,11 @@ def cmd_borel_weil(args, stream):
     for j in theta:
         if mu[j - 1] < 0:
             raise UsageError(f"mu {mu} is not dominant for theta {theta}")
+    trunc = truncation(cd, args.trunc)
     alg = CoeffAlgebra(cd)
     p = ParabolicData(cd, theta)
     vmod = alg.irreps.levi(cd, theta, mu)
-    rep = borel_weil_check(alg, vmod, p, TruncationPolicy(height=args.trunc))
+    rep = borel_weil_check(alg, vmod, p, trunc)
     rep.pop("sections", None)
     rep["algebra"] = cd.name
     rep["theta"] = list(theta)
@@ -255,11 +283,12 @@ def cmd_frobenius(args, stream):
     theta = parse_theta(args.theta, cd.rank)
     w_hw = parse_weight(args.w, cd.rank)
     v_hw = parse_weight(args.v, cd.rank)
+    admit_module(cd, w_hw)
+    trunc = truncation(cd, args.trunc)
     alg = CoeffAlgebra(cd)
     p = ParabolicData(cd, theta)
     wmod = alg.irrep(w_hw)
     vmod = alg.irreps.levi(cd, theta, v_hw)
-    trunc = TruncationPolicy(height=args.trunc)
     if tuple(w_hw) not in trunc.weights(cd):
         # the grade carrying any intertwiner from W sits outside the truncation
         print("inconclusive: raise --trunc to cover the module's weight",
@@ -303,6 +332,7 @@ def parse_coeff_expr(alg, text):
         i, j = (int(x) for x in index_part.split(","))
     except ValueError:
         raise UsageError(f"bad indices in {text!r}")
+    admit_module(alg.cd, weight)
     d = alg.irrep(weight).dim
     if not (1 <= i <= d and 1 <= j <= d):
         raise UsageError(f"indices {i},{j} outside 1..{d}")

@@ -14,6 +14,16 @@ candidate with zero residual is dropped and the procedure lands on the
 irreducible module with a per-weight orthogonal basis and a diagonal Gram
 matrix.
 
+The diagonal g is never expanded while building or checking.  Each accepted
+vector s stores its parent p(s), the candidate's v_p, and its step ratio
+g_s / g_p(s), which is the residual's [e_i r]_p.  A projection needs
+g_p / g_s = (g_p / g_p(s)) / (g_s / g_p(s)), and p, p(s) sit on one level, so
+it reads a same-level ratio that climbs the two parent chains; those are
+memoized per module.  Expanded, g_s is a product of step ratios along the
+construction tree, so it grows with the depth of the module, while a step
+ratio and a same-level ratio stay small.  ``gram`` is expanded on its first
+read and then kept.
+
 The same machinery builds modules of a reductive (Levi) subalgebra by
 restricting the set of lowering indices.
 
@@ -232,12 +242,22 @@ class IrrepModule:
     earlier vectors: a list of (parent_index, lowering_index, coefficient).
     It lets the same basis be rebuilt inside any other module from a chosen
     highest-weight vector, which is how intertwiners are produced downstream.
+
+    The contravariant form is stored as step ratios: ``parents[s]`` is the
+    parent p(s) of s, the first index of the last term of
+    ``constructions[s]`` (the root is its own parent), and ``ratios[s]`` is
+    g_s / g_p(s), with ``ratios[0]`` = g_0.  ``gram``, the diagonal g itself,
+    is expanded on its first read and then kept.  ``level_ratio[a, b]`` is
+    g_a / g_b for two basis vectors of one level, read off the ratios and
+    memoized (the builder's entries are kept): a change to ``ratios`` after
+    construction must clear it.
     """
 
-    __slots__ = ("cd", "hw", "lowering", "dim", "weights", "E", "F", "gram",
-                 "constructions", "_kmats")
+    __slots__ = ("cd", "hw", "lowering", "dim", "weights", "E", "F", "ratios", "parents",
+                 "level_ratio", "constructions", "_gram", "_kmats")
 
-    def __init__(self, cd, hw, lowering, weights, E, F, gram, constructions):
+    def __init__(self, cd, hw, lowering, weights, E, F, ratios, constructions,
+                 level_ratio=None):
         self.cd = cd
         self.hw = tuple(hw)
         self.lowering = tuple(lowering)
@@ -245,8 +265,14 @@ class IrrepModule:
         self.dim = len(self.weights)
         self.E = E
         self.F = F
-        self.gram = gram
+        self.ratios = ratios
+        self.parents = [entry[-1][0] if entry else 0 for entry in constructions]
+        # the builder hands over the memo it filled on these same ratios
+        if level_ratio is None:
+            level_ratio = _level_ratios(ratios, self.parents)
+        self.level_ratio = level_ratio
         self.constructions = constructions
+        self._gram = None
         weights, d = self.weights, cd.d
 
         def k_diag(key):
@@ -257,6 +283,16 @@ class IrrepModule:
 
         # the maker holds the weights, not the module: no reference cycle
         self._kmats = Memo(k_diag)
+
+    @property
+    def gram(self) -> list:
+        """The Gram diagonal g_s = g_p(s) * ratios[s], expanded once and kept."""
+        if self._gram is None:
+            gram = []
+            for p, x in zip(self.parents, self.ratios):
+                gram.append(gram[p] * x if gram else x)
+            self._gram = gram
+        return self._gram
 
     def k_matrix(self, i, inverse=False) -> Mat:
         return self._kmats[i, inverse]
@@ -314,6 +350,33 @@ class IrrepModule:
         return f"IrrepModule({self.cd.name}, hw={self.hw}, dim={self.dim})"
 
 
+def _level_ratios(ratios, parents) -> Memo:
+    """Memo of g_a / g_b for basis vectors a, b of one level.
+
+    g_a / g_b = (ratios[a] / ratios[b]) * (g_p(a) / g_p(b)), and the parents
+    are again on one level, so the walk climbs the two parent chains until
+    they meet or reach a stored pair, then multiplies back down.  No g is
+    ever expanded.
+    """
+    def make(key):
+        a, b = key
+        path = []
+        x = RF_ONE
+        while a != b:
+            hit = memo.get((a, b))
+            if hit is not None:
+                x = hit
+                break
+            path.append((a, b))
+            a, b = parents[a], parents[b]
+        for a, b in reversed(path):
+            x = ratios[a] / ratios[b] * x
+        return x
+
+    memo = Memo(make)
+    return memo
+
+
 def _weight_key(w):
     # deterministic group order inside a level: lexicographically descending
     return tuple(-c for c in w)
@@ -327,7 +390,9 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
             raise ValueError(f"weight {hw} not dominant for lowering set {lowering}")
 
     weights = [tuple(hw)]
-    gram = [RF_ONE]
+    ratios = [RF_ONE]   # g_s / g_p(s); the form itself is never expanded here
+    parents = [0]
+    level_ratio = _level_ratios(ratios, parents)
     constructions = [[]]
     e_cols = {i: {} for i in lowering}   # column index -> {row: RF}
     f_cols = {i: {} for i in lowering}
@@ -358,20 +423,22 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                     ecol[j] = accumulate({}, terms) if terms else {}
                 # f_i is adjoint to e_i: (v_s, c_b) = g_{p_b} E_{i_b}[p_b, s] for
                 # each accepted v_s, and r = c_b - sum_s proj_s v_s has
-                # (r, r) = (r, c_b) = g_{p_b} [e_{i_b} r]_{p_b} (``top``)
-                gp = gram[pb]
+                # (r, r) = (r, c_b) = g_{p_b} [e_{i_b} r]_{p_b}, so its step
+                # ratio is ``top``.  proj_s = E_{i_b}[p_b, s] g_{p_b} / g_s, where
+                # g_s = ratios[s] g_p(s) and p_b, p(s) share a level
                 top = ecol[ib].get(pb, RF_ZERO)
                 proj = {}
                 for s_idx, _ in accepted:
                     x = e_cols[ib].get(s_idx, {}).get(pb)
                     if x:
-                        proj[s_idx] = gp * x / gram[s_idx]
+                        proj[s_idx] = x * level_ratio[pb, parents[s_idx]] / ratios[s_idx]
                         top = top - proj[s_idx] * x
                 # zero self-pairing: c_b is a combination of the accepted vectors
                 if top:
                     s_new = len(weights)
                     weights.append(w)
-                    gram.append(gp * top)
+                    ratios.append(top)
+                    parents.append(pb)   # the last construction term, coefficient one
                     r_coeffs = {b: RF_ONE}
                     for s_idx, coeffs in accepted:
                         x = proj.get(s_idx)
@@ -406,7 +473,7 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
         i: _mat(dim, dim, {(r, c): x for c, col in f_cols[i].items() for r, x in col.items()})
         for i in lowering
     }
-    return IrrepModule(cd, hw, lowering, weights, E, F, gram, constructions)
+    return IrrepModule(cd, hw, lowering, weights, E, F, ratios, constructions, level_ratio)
 
 
 def build_irrep(cd: CartanData, hw) -> IrrepModule:
@@ -438,23 +505,27 @@ def act_word(m: IrrepModule, x: AlgebraWord) -> Mat:
 
 def _gram_mirrors(m) -> bool:
     """Whether G F_i = E_i^T G holds exactly for every i in ``m.lowering``,
-    G the diagonal of ``m.gram``: the contravariant form makes f_i the
-    adjoint of e_i.  False without a ``gram`` of ``m.dim`` nonzero entries.
+    G the diagonal of the contravariant form: the form makes f_i the adjoint
+    of e_i.  False without ``ratios`` of ``m.dim`` nonzero entries.
 
     Each stored F_i[r, c] needs a stored E_i[c, r] with g_r F_i[r, c] =
     g_c E_i[c, r].  That maps F_i's entries one to one into E_i's, and equal
     entry counts make the map onto, so the identity holds at every position.
+    The identity is checked divided by the nonzero g_p(r), as
+    ratios[r] F_i[r, c] = (g_c / g_p(r)) E_i[c, r]: c and p(r) share a level,
+    so no g is expanded.
     """
-    gram = getattr(m, "gram", None)
-    if gram is None or len(gram) != m.dim or not all(gram):
+    ratios = getattr(m, "ratios", None)
+    if ratios is None or len(ratios) != m.dim or not all(ratios):
         return False
+    parents, level_ratio = m.parents, m.level_ratio
     for i in m.lowering:
         e, f = m.e_matrix(i).data, m.f_matrix(i).data
         if len(e) != len(f):
             return False
         for (r, c), y in f.items():
             x = e.get((c, r))
-            if x is None or gram[r] * y != gram[c] * x:
+            if x is None or ratios[r] * y != level_ratio[c, parents[r]] * x:
                 return False
     return True
 
@@ -487,13 +558,14 @@ def check_serre(m: IrrepModule) -> list:
 
     The two sides mirror each other when the Gram certificate holds
     (``_gram_mirrors``: every g_s is nonzero and F_i = G^-1 E_i^T G exactly,
-    checked entry by entry).  Then S_f(i, j) = +-G^-1 S_e(i, j)^T G for the
-    Serre sums, [e_j, f_i] = G^-1 [e_i, f_j]^T G for i != j, and, once the
-    record k_i k_i^-1 = 1 is true, k_i f_j k_i^-1 = v^-p f_j holds exactly
-    when k_i e_j k_i^-1 = v^p e_j does.  So the Serre sums and K conjugations
-    run on the f side, whose entries are mostly ``RF_ONE`` (free to multiply),
-    and each e-side record copies its mirror; [e_j, f_i] copies [e_i, f_j].
-    Without the certificate (no ``gram``, a zero Gram entry, or an E or F
+    checked entry by entry on the step ratios).  Then S_f(i, j) =
+    +-G^-1 S_e(i, j)^T G for the Serre sums, [e_j, f_i] = G^-1 [e_i, f_j]^T G
+    for i != j, and, once the record k_i k_i^-1 = 1 is true,
+    k_i f_j k_i^-1 = v^-p f_j holds exactly when k_i e_j k_i^-1 = v^p e_j
+    does.  So the Serre sums and K conjugations run on the f side, whose
+    entries are mostly ``RF_ONE`` (free to multiply), and each e-side record
+    copies its mirror; [e_j, f_i] copies [e_i, f_j].
+    Without the certificate (no ``ratios``, a zero step ratio, or an E or F
     that breaks the identity) every record is computed directly.
     """
     cd = m.cd
@@ -700,9 +772,13 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
     key, a wrong type or size, a lowering set that is not strictly increasing
     (``build_module`` sorts it, and ``check_serre`` lists records in its
     order), text that is not a rational function, a first weight other than
-    the highest weight, or a stored ``F_i`` entry that does not lower its
-    column's weight by alpha_i (an ``E_i`` entry: raise) raises
-    CacheIntegrityError.
+    the highest weight, a stored ``F_i`` entry that does not lower its
+    column's weight by alpha_i (an ``E_i`` entry: raise), a construction
+    whose parent p (its last term, through f_i) is not an earlier vector one
+    simple root above, a zero E_i[p, s] or F_i[s, p], or a ``gram`` other
+    than the expansion of the step ratios E_i[p, s] / F_i[s, p] from a
+    nonzero g_0 raises CacheIntegrityError.  So the stored ``gram`` is
+    turned into the step ratios g_s / g_p(s) that ``build_module`` stores.
     """
     _require(isinstance(obj, dict), "not an object")
     missing = [k for k in _PAYLOAD_KEYS if k not in obj]
@@ -733,12 +809,33 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
     gram = obj["gram"]
     _require(isinstance(gram, list) and len(gram) == dim, "gram")
     constructions = obj["constructions"]
-    _require(isinstance(constructions, list) and len(constructions) == dim,
-             "constructions")
+    _require(isinstance(constructions, list) and len(constructions) == dim
+             and constructions[:1] == [[]], "constructions")
     for entry in constructions:
         _require(isinstance(entry, list)
                  and all(isinstance(t, list) and len(t) == 3 and _is_ints(t[:2])
                          for t in entry), "constructions")
+    gram = [_rf_field(t, "gram") for t in gram]
+    _require(gram[0], "gram entry is zero")
+    constructions = [[(p, i, _rf_field(t, "constructions")) for p, i, t in entry]
+                     for entry in constructions]
+    # adjointness gives g_s F_i[s, p] = g_p E_i[p, s] on the edge to the
+    # parent, so the step ratio g_s / g_p is E_i[p, s] / F_i[s, p]; the stored
+    # g_s must be g_p times it.  A product: the quotient g_s / g_p itself
+    # would cancel a gcd of two long polynomials
+    ratios = [gram[0]]
+    for s, entry in enumerate(constructions[1:], 1):
+        # the step ratios climb to the parent, which must be an earlier
+        # vector one simple root up
+        _require(entry, "constructions")
+        p, i, _ = entry[-1]
+        _require(0 <= p < s and i in lowering and all(
+            wp == ws + a for wp, ws, a in zip(weights[p], weights[s], cd.alpha_fundamental(i))),
+            "construction parent")
+        x, y = mats["E"][i].data.get((p, s)), mats["F"][i].data.get((s, p))
+        _require(x and y, "construction edge")
+        ratios.append(x / y)
+        _require(gram[p] * ratios[s] == gram[s], "gram does not match E and F")
     return IrrepModule(
         cd,
         tuple(obj["highest_weight"]),
@@ -746,9 +843,6 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
         [tuple(w) for w in weights],
         mats["E"],
         mats["F"],
-        [_rf_field(t, "gram") for t in gram],
-        [
-            [(p, i, _rf_field(t, "constructions")) for p, i, t in entry]
-            for entry in constructions
-        ],
+        ratios,
+        constructions,
     )

@@ -379,7 +379,11 @@ def gram_build_module(cd: CartanData, hw, lowering) -> uqrep.IrrepModule:
         i: Mat(dim, dim, {(r, c): x for c, col in f_cols[i].items() for r, x in col.items()})
         for i in lowering
     }
-    return uqrep.IrrepModule(cd, hw, lowering, weights, E, F, gram, constructions)
+    ratios = [gram[0]] + [g / gram[entry[-1][0]]
+                          for g, entry in zip(gram[1:], constructions[1:])]
+    m = uqrep.IrrepModule(cd, hw, lowering, weights, E, F, ratios, constructions)
+    m._gram = gram   # this builder's own values, not an expansion of the ratios
+    return m
 
 
 def bar(x: RationalFunction) -> RationalFunction:

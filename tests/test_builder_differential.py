@@ -2,7 +2,9 @@
 it replaced (``retired_helpers.gram_build_module``).
 
 Both builders work in exact arithmetic, so weights, Gram entries,
-constructions and every E/F entry must be equal, not merely close.  The
+constructions and every E/F entry must be equal, not merely close.  The new
+builder stores the form as step ratios; its first read of ``gram`` expands
+them and must give the old builder's values.  The
 sweep covers the full relations grid (B2 (2,2) included) and every Levi
 module of A1/A2/A3/B2 whose highest weight lies in [-2, 2]^rank and is
 dominant for its lowering set.
@@ -51,6 +53,7 @@ def test_build_module_equals_the_gram_matrix_builder():
         new, old = uqrep.build_module(cd, hw, lowering), gram_build_module(cd, hw, lowering)
         what = (cd.name, hw, lowering)
         assert new.weights == old.weights, what
+        assert new._gram is None, what
         assert new.gram == old.gram, what
         assert new.constructions == old.constructions, what
         assert new.E.keys() == old.E.keys() == new.F.keys() == old.F.keys(), what

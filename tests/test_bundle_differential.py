@@ -126,7 +126,7 @@ def test_carries_module_verdicts_agree_on_a_broken_module():
     assert chained_carries_module(wmod, zetas, gens)
     broken = IrrepModule(alg.cd, wmod.hw, wmod.lowering, wmod.weights, wmod.E,
                          {1: wmod.F[1].scale(RationalFunction.const(2))},
-                         wmod.gram, wmod.constructions)
+                         wmod.ratios, wmod.constructions)
     assert not bundle._carries_module(broken, zetas, gens)
     assert not chained_carries_module(broken, zetas, gens)
 

@@ -344,6 +344,36 @@ def test_cache_payload_of_another_weight_is_an_integrity_error(tmp_path, capsys)
     assert "highest weight (3,), not (2,)" in assert_one_integrity_error(args, capsys)
 
 
+def parent_off_level(payload):
+    # the first vector two levels down gets the highest-weight vector as parent
+    s = payload["weights"].index([0, 0])
+    payload["constructions"][s][-1][0] = 0
+
+
+def gram_off_its_step_ratio(payload):
+    # g_s must be g_p(s) E_i[p, s] / F_i[s, p]; g_1 = 1 * [1]_1 = 1 here
+    assert payload["gram"][1] == "1*v^0 / 1*v^0"
+    payload["gram"][1] = "2*v^0 / 1*v^0"
+
+
+def edge_entry_dropped(payload):
+    # E_i[0, 1], the raising entry on the edge from vector 1 to its parent
+    (parent, i, _), = payload["constructions"][1]
+    entries = payload["E"][str(i)]["entries"]
+    entries.remove(next(e for e in entries if e[:2] == [parent, 1]))
+
+
+@pytest.mark.parametrize("edit, what", [(parent_off_level, "construction parent"),
+                                        (gram_off_its_step_ratio, "gram does not match E and F"),
+                                        (edge_entry_dropped, "construction edge")])
+def test_cache_payload_off_its_step_ratios_is_an_integrity_error(tmp_path, capsys, edit, what):
+    # the loader reads the step ratios g_s / g_p(s) off the construction tree
+    args = ["irrep", "--algebra", "A2", "--weight", "1,1", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    edit_cached_payload(tmp_path, edit)
+    assert assert_one_integrity_error(args, capsys).endswith(what)
+
+
 @pytest.mark.parametrize("edit", ["huge", "shift"])
 @pytest.mark.parametrize("coordinate", range(16))
 def test_cache_payload_with_an_edited_weight_is_an_integrity_error(tmp_path, capsys,
@@ -573,8 +603,8 @@ def test_verify_unknown_algebra_is_a_usage_error(capsys):
 
 def test_weight_too_large_for_memory_is_a_one_line_error(tmp_path):
     resource = pytest.importorskip("resource")
-    # the address-space cap makes the allocation fail at once, whatever the
-    # host's overcommit policy
+    # the address-space cap would make an allocation fail at once, whatever
+    # the host's overcommit policy; the request is refused before any
     cap = 1 << 30
 
     def limit():
@@ -589,8 +619,63 @@ def test_weight_too_large_for_memory_is_a_one_line_error(tmp_path):
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
-    assert proc.stderr == "error: out of memory; the request is too large\n"
+    assert proc.stderr == ("error: the dimension of the module (999999999999,) is "
+                           "1000000000000, above the bound 10000; the request is too large\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    # an admitted request that still exhausts memory
+    def exhausted(module):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check_serre", exhausted)
+    target = tmp_path / "report.json"
+    code = main(["irrep", "--algebra", "A1", "--weight", "2", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: out of memory; the request is too large\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["irrep", "--algebra", "A1", "--weight", "100000000000000000000"],
+     "the dimension of the module (100000000000000000000,) is 100000000000000000001"),
+    (["borel-weil", "--algebra", "A2", "--mu=-1,0", "--trunc", "1000000000"],
+     "the number of grades of --trunc 1000000000 is 500000001500000001"),
+    # one over the bound: the A1 module of dimension 10001
+    (["irrep", "--algebra", "A1", "--weight", str(cli.MAX_REQUEST_SIZE)],
+     "the dimension of the module (10000,) is 10001"),
+    (["sections", "--algebra", "A2", "--trunc", "140"], "the number of grades of --trunc 140 is 10011"),
+    (["frobenius", "--algebra", "A1", "--w", "1", "--v", "1", "--trunc", "10000"],
+     "the number of grades of --trunc 10000 is 10001"),
+    (["haar", "--algebra", "A2", "--pair", "t(100,100)[1,1]", "t(1,0)[1,1]"],
+     "the dimension of the module (100, 100) is 1030301"),
+])
+def test_request_above_the_bound_is_refused_before_any_build(argv, size, capsys, monkeypatch):
+    assert cli.MAX_REQUEST_SIZE == 10_000
+
+    def refused(*args):
+        raise AssertionError("built a module")
+
+    monkeypatch.setattr(uqrep, "build_module", refused)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {size}, above the bound 10000; the request is too large\n"
+
+
+def test_request_at_the_bound_is_admitted(capsys, monkeypatch):
+    # C(9999 + 1, 1) = 10000 grades and a module of dimension 10000 pass
+    # admission; the build is stubbed out
+    def built(*args):
+        raise ArithmeticError("admitted")
+
+    monkeypatch.setattr(uqrep, "build_module", built)
+    for argv in (["irrep", "--algebra", "A1", "--weight", "9999"],
+                 ["frobenius", "--algebra", "A1", "--w", "9999", "--v", "1", "--trunc", "9999"]):
+        assert main(argv) == EXIT_FAILED
+        assert capsys.readouterr().err == "internal error: admitted\n"
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -280,7 +280,7 @@ def test_huge_homogeneous_modules_pair_as_before(big):
     alg = CoeffAlgebra(cd)
     lam = (7, 7)
     alg.irreps._store[cd, lam, m.lowering] = IrrepModule(
-        cd, moved[0], m.lowering, moved, m.E, m.F, m.gram, m.constructions)
+        cd, moved[0], m.lowering, moved, m.E, m.F, m.ratios, m.constructions)
     cases = [(alg, lam, ef_words, False)]
     # a wide module: two alpha_1 strings big apart
     a1 = cd.alpha_fundamental(1)

@@ -111,7 +111,7 @@ def test_zero_gram_entry_takes_the_direct_path(fresh, monkeypatch):
     mirrored, report = products(uqrep.check_serre, m)
     direct, want = products(direct_check_serre, m)
     assert report == want and mirrored < direct
-    m.gram[1] = RF_ZERO
+    m.ratios[1] = RF_ZERO   # the stored step ratio: g_1 = 0
     assert not uqrep._gram_mirrors(m)
     assert products(uqrep.check_serre, m) == (direct, want)
 

@@ -87,11 +87,16 @@ def double_mirror_pair(m, i=1):
 
 
 def zero_gram_entry(m, s=1):
-    m.gram[s] = RF_ZERO
+    # the form is stored as step ratios g_s / g_p(s): g_s becomes zero; the
+    # same-level ratios the builder memoized are read off the faulted ratios
+    m.ratios[s] = RF_ZERO
+    m.level_ratio.clear()
 
 
 def double_gram_entry(m, s=1):
-    m.gram[s] = m.gram[s] * TWO
+    # g_s and every g below s double
+    m.ratios[s] = m.ratios[s] * TWO
+    m.level_ratio.clear()
 
 
 FAULTS = [

@@ -70,7 +70,7 @@ def test_corrupted_module_fails_commutator(a1):
     m = a1.irrep((1,))
     broken = type(m)(
         m.cd, m.hw, m.lowering, m.weights,
-        {1: Mat.zero(2, 2)}, m.F, m.gram, m.constructions,
+        {1: Mat.zero(2, 2)}, m.F, m.ratios, m.constructions,
     )
     rep = check_serre(broken)
     bad = [r for r in rep if not r["ok"]]
