@@ -47,7 +47,7 @@ from .parabolic import (
     levi_lowest_weight,
     restrict_levi,
 )
-from .scalar import RF_ONE, RF_ZERO, Memo, RationalFunction
+from .scalar import RF_ONE, RF_ZERO, Memo
 from .uqrep import (
     AlgebraWord,
     IrrepModule,
@@ -133,22 +133,6 @@ class Section:
             isinstance(other, Section)
             and self.vmod is other.vmod
             and self.data == other.data
-        )
-
-    def __add__(self, other):
-        out = {k: dict(v) for k, v in self.data.items()}
-        for key, vec in other.data.items():
-            accumulate(out.setdefault(key, {}), vec.items())
-        return self.copy_with(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-RF_ONE)
-
-    def scale(self, c: RationalFunction):
-        if not c:
-            return self.copy_with({})
-        return self.copy_with(
-            {key: {r: c * x for r, x in vec.items()} for key, vec in self.data.items()}
         )
 
     def coeff_support(self):

@@ -216,11 +216,14 @@ class CoeffAlgebra:
 
     def _make_word_weight(self, word):
         """wt(e_k) = alpha_k, wt(f_k) = -alpha_k, wt(k_k) = wt(k_k^-1) = 0,
-        summed over the word, in fundamental coordinates."""
-        wt = self.zero_weight
-        for kind, k in word:
-            if kind == "e" or kind == "f":
-                wt = tuple(map(add if kind == "e" else sub, wt, self._alphas[k - 1]))
+        summed over the word, in fundamental coordinates: the first letter's
+        weight added to the memoized weight of the rest."""
+        if not word:
+            return self.zero_weight
+        wt = self.word_weight[word[1:]]
+        kind, k = word[0]
+        if kind == "e" or kind == "f":
+            return tuple(map(add if kind == "e" else sub, wt, self._alphas[k - 1]))
         return wt
 
     def _make_leg_groups(self, word):
@@ -315,7 +318,12 @@ def coeff_eval(alg: CoeffAlgebra, a: CoeffElement, x) -> RationalFunction:
     and t^(lam)_{ij} reads its entry i.
     """
     wt, step = alg.word_weight, alg.weight_step
-    weights = {wt[w] for w in ((x,) if isinstance(x, tuple) else x.terms)}
+    words = (x,) if isinstance(x, tuple) else x.terms
+    if len(words) == 1:
+        word, = words
+        weights = (wt[word],)
+    else:
+        weights = {wt[w] for w in words}
     cols = {}
     total = RF_ZERO
     for key, c in a.terms.items():

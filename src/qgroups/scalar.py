@@ -52,6 +52,7 @@ specialization read them, so they do not depend on the stored form.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import repeat
 from math import gcd as _igcd, lcm as _ilcm
@@ -378,6 +379,23 @@ def _lp_parts(p):
     return k, m, low, n
 
 
+def _quotient(num, den):
+    """The stored form (cn, cd, s, N, D) of num / den, each given as its
+    ``_lp_parts`` or as None for zero."""
+    if den is None:
+        raise ZeroDivisionError("zero denominator")
+    if num is None:
+        return 0, 1, 0, _ONE, _ONE
+    kn, mn, sn, n = num
+    kd, md, sd, d = den
+    cn, cd = kn * md, mn * kd
+    if cd < 0:
+        cn, cd = -cn, -cd
+    t = _igcd(cn, cd)
+    _, n, d = _GCD_MEMO[n, d]
+    return cn // t, cd // t, sn - sd, n, d
+
+
 def _monic_lp(a):
     """The LaurentPoly a / lc(a) of a dense integer polynomial a."""
     lc = a[-1]
@@ -447,24 +465,8 @@ class RationalFunction:
         """The quotient num / den of two LaurentPolys; den defaults to 1."""
         if den is None:
             den = LP_ONE
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            cn, cd, s, n, d = 0, 1, 0, _ONE, _ONE
-        else:
-            kn, mn, sn, n = _lp_parts(num)
-            kd, md, sd, d = _lp_parts(den)
-            cn, cd, s = kn * md, mn * kd, sn - sd
-            if cd < 0:
-                cn, cd = -cn, -cd
-            t = _igcd(cn, cd)
-            cn, cd = cn // t, cd // t
-            _, n, d = _GCD_MEMO[n, d]
-        self._cn = cn
-        self._cd = cd
-        self._s = s
-        self._n = n
-        self._d = d
+        self._cn, self._cd, self._s, self._n, self._d = _quotient(
+            _lp_parts(num) if num else None, _lp_parts(den) if den else None)
 
     @classmethod
     def const(cls, c):
@@ -698,15 +700,40 @@ def _poly_canonical(p: LaurentPoly) -> str:
     return " + ".join(f"{p.terms[e]}*v^{e}" for e in sorted(p.terms))
 
 
-def _poly_parse(text: str) -> LaurentPoly:
+# patterns, compiled (and cached by ``re``) on the first parse, not on import
+_TERM = r"(-?\d+)(?:/(\d+))?\*v\^(-?\d+)"
+_POLY_TEXT = rf"{_TERM}(?: \+ {_TERM})*"
+
+
+def _text_parts(text: str):
+    """``_lp_parts`` of a polynomial in the text form, or None for zero.
+
+    Each coefficient is read as two ints, with no Fraction.  A term other
+    than n*v^e or n/d*v^e (ASCII digits, an optional minus sign on n and e)
+    raises ValueError, and a zero d ZeroDivisionError.  As a sum, a repeated
+    exponent keeps its last term.
+    """
     text = text.strip()
     if text == "0":
-        return LP_ZERO
+        return None
+    if not re.fullmatch(_POLY_TEXT, text, re.ASCII):
+        raise ValueError(f"malformed polynomial text: {text!r}")
     terms = {}
-    for bit in text.split(" + "):
-        coeff, _, power = bit.partition("*v^")
-        terms[int(power)] = Fraction(coeff)
-    return LaurentPoly(terms)
+    for p, q, e in re.findall(_TERM, text, re.ASCII):
+        q = int(q) if q else 1
+        if not q:
+            raise ZeroDivisionError(f"zero coefficient denominator in {text!r}")
+        terms[int(e)] = int(p), q
+    terms = {e: pq for e, pq in terms.items() if pq[0]}
+    if not terms:
+        return None
+    m = _ilcm(*(q for _, q in terms.values()))
+    low = min(terms)
+    out = [0] * (max(terms) - low + 1)
+    for e, (p, q) in terms.items():
+        out[e - low] = p * (m // q)
+    k, n = _primitive(out)
+    return k, m, low, n
 
 
 def rf_to_text(f: RationalFunction) -> str:
@@ -717,6 +744,4 @@ def rf_from_text(text: str) -> RationalFunction:
     num_text, sep, den_text = text.partition(" / ")
     if not sep:
         raise ValueError(f"malformed rational function text: {text!r}")
-    num = _poly_parse(num_text)
-    den = _poly_parse(den_text)
-    return RationalFunction(num, den)
+    return _rf(*_quotient(_text_parts(num_text), _text_parts(den_text)))

@@ -12,7 +12,9 @@ Because the specialized form is positive definite for real v > 0, v != 1, a
 vector is zero in the module exactly when its self-pairing vanishes, so a
 candidate with zero residual is dropped and the procedure lands on the
 irreducible module with a per-weight orthogonal basis and a diagonal Gram
-matrix.
+matrix.  Its lowest weight w(hw) lies height(hw - w(hw)) levels down; a
+vector below that level means residuals that should vanish did not, and
+raises ArithmeticError.
 
 The diagonal g is never expanded while building or checking.  Each accepted
 vector s stores its parent p(s), the candidate's v_p, and its step ratio
@@ -182,18 +184,23 @@ def _leg_pairs(word) -> tuple:
     """The leg pairs (word_left, word_right) of the coproduct of one word.
 
     Delta(e_i) = e_i (x) k_i + k_i^-1 (x) e_i, Delta(f_i) likewise, the
-    Cartan generators are grouplike.  Every piece has coefficient one.  A leg
-    word recurs in the legs of many words and is kept once.
+    Cartan generators are grouplike.  Every piece has coefficient one.  The
+    pieces of the first letter are joined in front of the memoized legs of
+    the rest of the word, piece by piece, so words that share a suffix share
+    its legs; the order is that of the letter-by-letter expansion, with the
+    first letter's piece the slowest index.  A leg word recurs in the legs of
+    many words and is kept once.
     """
-    legs = [((), ())]
-    for kind, i in word:
-        if kind in ("e", "f"):
-            pieces = ((((kind, i),), (("k", i),)), ((("K", i),), ((kind, i),)))
-        else:
-            pieces = ((((kind, i),), ((kind, i),)),)
-        legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
     words = _LEG_WORDS
-    return tuple((words[w1], words[w2]) for w1, w2 in legs)
+    if not word:
+        return ((words[()], words[()]),)
+    kind, i = gen = word[0]
+    if kind in ("e", "f"):
+        pieces = (((gen,), (("k", i),)), ((("K", i),), (gen,)))
+    else:
+        pieces = (((gen,), (gen,)),)
+    rest = _LEGS[word[1:]]
+    return tuple((words[p1 + w1], words[p2 + w2]) for p1, p2 in pieces for w1, w2 in rest)
 
 
 # leg pairs of the coproduct of each word, and one stored copy of each leg word
@@ -377,6 +384,22 @@ def _level_ratios(ratios, parents) -> Memo:
     return memo
 
 
+def _lowest_depths(key):
+    """The lowest weight w(hw) of a module lies height(hw - w(hw)) = <hw, h>
+    levels below hw, w the longest element for the lowering set and h the
+    sum of its positive coroots; this is h in simple-coroot coordinates."""
+    cd, lowering = key
+    h = [0] * cd.rank
+    for root, _, ad, aa, _ in cd.root_forms:
+        if all(j + 1 in lowering for j, c in enumerate(root) if c):
+            for j, a in enumerate(ad):
+                h[j] += 2 * a // aa   # alpha^vee's coefficient 2 alpha_j d_j / (alpha, alpha)
+    return tuple(h)
+
+
+_LOWEST_DEPTHS = Memo(_lowest_depths)
+
+
 def _weight_key(w):
     # deterministic group order inside a level: lexicographically descending
     return tuple(-c for c in w)
@@ -399,8 +422,13 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
     level = [0]
 
     alphas = {i: cd.alpha_fundamental(i) for i in lowering}
+    bottom = sum(h * c for h, c in zip(_LOWEST_DEPTHS[cd, lowering], hw))
+    depth = 0
 
     while level:
+        if depth > bottom:
+            raise ArithmeticError(f"module {tuple(hw)} of {cd.name} has vectors {depth} levels "
+                                  f"down, below its lowest weight {bottom} levels down")
         groups = {}
         for p in level:
             wp = weights[p]
@@ -462,6 +490,7 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                 if coords:
                     accumulate(f_cols[ib].setdefault(pb, {}), coords.items())
         level = new_level
+        depth += 1
 
     dim = len(weights)
     # every stored column entry is a nonzero sum: the matrices take them as they are

@@ -34,11 +34,23 @@ section key read its row of S^-1(x) afresh, each module sum and each image
 was built by chained ``Section.scale`` and ``Section.__add__`` copies, the
 route antipoded t_{ji} for every j, also where the column j of phi is zero,
 and elimination subtracted every entry of the pivot row, zeros too.
+``letterwise_leg_pairs`` and ``letterwise_word_weight`` are
+``uqrep._leg_pairs`` and ``CoeffAlgebra._make_word_weight`` as they were
+before each word's data was built from its suffix: every word expanded all
+of its legs letter by letter, and walked all of its letters for its weight.
+``fraction_rf_from_text`` is ``scalar.rf_from_text`` as it was before it
+read coefficients as ints: each coefficient was a ``Fraction`` of its text,
+gathered into a ``LaurentPoly``.
+``section_add``, ``section_sub`` and ``section_scale`` (formerly
+``Section.__add__``, ``Section.__sub__`` and ``Section.scale`` of
+``qgroups.bundle``) lost their last caller in the package when the bundle
+checks summed each combination into one dict.
 Do not optimize them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from qgroups import uqrep
 from qgroups.bundle import Section
@@ -46,8 +58,8 @@ from qgroups.coeff import CoeffElement, antipode
 from qgroups.uqrep import AlgebraWord, _coproduct_legs, antipode_inv_word
 from qgroups.cartan import CartanData, inner_scaled, reflect
 from qgroups.linalg import Mat, _mat, accumulate
-from qgroups.scalar import (RF_ONE, RF_ZERO, RationalFunction, _ONE, _rf,
-                            gauss_binomial, q_integer)
+from qgroups.scalar import (LP_ZERO, RF_ONE, RF_ZERO, LaurentPoly, RationalFunction, _ONE,
+                            _rf, gauss_binomial, q_integer)
 from qgroups.tensor import decompose, tensor_module
 
 
@@ -521,6 +533,26 @@ def ungraded_word_pairing(alg, a, b, x) -> RationalFunction:
     return total
 
 
+def section_add(a: Section, b: Section) -> Section:
+    """a + b, on a copy of a's vectors (formerly ``Section.__add__``)."""
+    out = {k: dict(v) for k, v in a.data.items()}
+    for key, vec in b.data.items():
+        accumulate(out.setdefault(key, {}), vec.items())
+    return a.copy_with(out)
+
+
+def section_sub(a: Section, b: Section) -> Section:
+    """a - b, as a + (-1) b (formerly ``Section.__sub__``)."""
+    return section_add(a, section_scale(b, -RF_ONE))
+
+
+def section_scale(s: Section, c: RationalFunction) -> Section:
+    """c s (formerly ``Section.scale``)."""
+    if not c:
+        return s.copy_with({})
+    return s.copy_with({key: {r: c * x for r, x in vec.items()} for key, vec in s.data.items()})
+
+
 def row_dot_on_sections(x, zetas) -> list:
     """``bundle.dot_on_sections`` with a ``word_matrix`` row read per key."""
     if not zetas:
@@ -545,7 +577,7 @@ def chained_carries_module(module, zetas, gens) -> bool:
         for i, lhs in enumerate(row_dot_on_sections(word, zetas)):
             rhs = lhs.copy_with({})
             for j, c in cols.get(i, ()):
-                rhs = rhs + zetas[j].scale(c)
+                rhs = section_add(rhs, section_scale(zetas[j], c))
             if lhs != rhs:
                 return False
     return True
@@ -555,7 +587,7 @@ def chained_combination(template, terms):
     """sum c zeta over the (zeta, c) terms as a chain of section copies."""
     out = template.copy_with({})
     for zeta, c in terms:
-        out = out + zeta.scale(c)
+        out = section_add(out, section_scale(zeta, c))
     return out
 
 
@@ -584,7 +616,7 @@ def chained_psi_images(alg, p, vmod, basis, psi, dim) -> list:
         for c in range(len(basis)):
             coeff = psi[(c, i)]
             if coeff:
-                img = img + basis[c].scale(coeff)
+                img = section_add(img, section_scale(basis[c], coeff))
         images.append(img)
     return images
 
@@ -616,3 +648,46 @@ def zero_scan_rref(rows, ncols=None):
         if r == nrows:
             break
     return pivots
+
+
+def letterwise_leg_pairs(word) -> tuple:
+    """``uqrep._leg_pairs`` expanding every leg letter by letter."""
+    legs = [((), ())]
+    for kind, i in word:
+        if kind in ("e", "f"):
+            pieces = ((((kind, i),), (("k", i),)), ((("K", i),), ((kind, i),)))
+        else:
+            pieces = ((((kind, i),), ((kind, i),)),)
+        legs = [(w1 + p1, w2 + p2) for w1, w2 in legs for p1, p2 in pieces]
+    words = uqrep._LEG_WORDS
+    return tuple((words[w1], words[w2]) for w1, w2 in legs)
+
+
+def letterwise_word_weight(alg, word):
+    """``CoeffAlgebra._make_word_weight`` walking every letter of the word."""
+    wt = alg.zero_weight
+    for kind, k in word:
+        if kind == "e" or kind == "f":
+            wt = tuple(map(add if kind == "e" else sub, wt, alg._alphas[k - 1]))
+    return wt
+
+
+def _fraction_poly_parse(text: str) -> LaurentPoly:
+    text = text.strip()
+    if text == "0":
+        return LP_ZERO
+    terms = {}
+    for bit in text.split(" + "):
+        coeff, _, power = bit.partition("*v^")
+        terms[int(power)] = Fraction(coeff)
+    return LaurentPoly(terms)
+
+
+def fraction_rf_from_text(text: str) -> RationalFunction:
+    """``scalar.rf_from_text`` with a ``Fraction`` per coefficient."""
+    num_text, sep, den_text = text.partition(" / ")
+    if not sep:
+        raise ValueError(f"malformed rational function text: {text!r}")
+    num = _fraction_poly_parse(num_text)
+    den = _fraction_poly_parse(den_text)
+    return RationalFunction(num, den)

@@ -31,6 +31,7 @@ from qgroups.coeff import CoeffElement, antipode, product
 from qgroups.parabolic import ParabolicData, hom_space
 from qgroups.scalar import RF_ONE, RF_ZERO, RationalFunction
 from qgroups.uqrep import AlgebraWord, act_word, gen_e, gen_f, gen_k
+from retired_helpers import section_add, section_scale
 
 
 def v(n):
@@ -153,7 +154,7 @@ def test_dot_action_module_law_and_matrices(a1):
         for i in range(2):
             rhs = Section(a1, p, line)
             for j, c in mat.column(i).items():
-                rhs = rhs + secs[j].scale(c)
+                rhs = section_add(rhs, section_scale(secs[j], c))
             assert dot_on_section(x, secs[i]) == rhs
 
 

@@ -31,7 +31,7 @@ from qgroups.linalg import Mat
 from qgroups.scalar import RF_ONE, RF_ZERO, Memo, RationalFunction
 from qgroups.uqrep import AlgebraWord, IrrepModule, build_irrep, check_serre
 from retired_helpers import ungraded_coeff_eval, ungraded_word_pairing
-from test_mutation import off_weight_legs
+from test_mutation import dropped_first_leg, off_weight_legs
 
 MODULES = [row.case for row in verify._COEFFICIENTS]
 
@@ -127,7 +127,7 @@ def perturbed_entry(monkeypatch):
 
 def dropped_leg(monkeypatch):
     fresh(monkeypatch)
-    monkeypatch.setattr(uqrep, "_LEGS", Memo(lambda word: uqrep._leg_pairs(word)[1:]))
+    monkeypatch.setattr(uqrep, "_LEGS", Memo(dropped_first_leg))
 
 
 def off_weight_leg(monkeypatch):

@@ -157,6 +157,14 @@ def tensor_case(attr, gen_matrix):
     return case
 
 
+def lowest_depths_case(monkeypatch):
+    monkeypatch.setattr(uqrep, "_LOWEST_DEPTHS", Memo(uqrep._LOWEST_DEPTHS.make))
+    cd = cartan_data("A3")
+    lowerings = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]
+    return ((lambda: [module_data(uqrep.build_module(cd, (1, 1, 1), t)) for t in lowerings]),
+            uqrep._LOWEST_DEPTHS)
+
+
 def index_applier_case(monkeypatch):
     m = verify.algebra("A3").irrep((1, 1, 0))
     apply_f = index_applier(m.f_matrix)
@@ -187,6 +195,7 @@ CASES = {
     "tensor_e": tensor_case("_E", lambda t, i: t.e_matrix(i)),
     "tensor_f": tensor_case("_F", lambda t, i: t.f_matrix(i)),
     "index_applier": index_applier_case,
+    "lowest_depths": lowest_depths_case,
 }
 
 

@@ -27,11 +27,11 @@ import pytest
 from qgroups import bundle, coeff, uqrep, verify
 from qgroups.bundle import TruncationPolicy, borel_weil_check, frobenius_maps
 from qgroups.cartan import cartan_data
-from qgroups.coeff import CoeffAlgebra
+from qgroups.coeff import CoeffAlgebra, CoeffTensor
 from qgroups.linalg import Mat
 from qgroups.parabolic import ParabolicData, hom_space
 from qgroups.scalar import RF_ZERO, Memo, RationalFunction
-from retired_helpers import direct_check_serre
+from retired_helpers import direct_check_serre, letterwise_leg_pairs
 
 TWO = RationalFunction.const(2)
 
@@ -318,11 +318,19 @@ def test_perturbed_entry_fails_hopf_with_warm_legs_memo(fresh, monkeypatch):
     assert not run(verify.check_hopf, "A1", 1)
 
 
+def dropped_first_leg(word):
+    """The leg pairs of a word without its first one.  They come from the
+    letter-by-letter construction: ``uqrep._leg_pairs`` reads the legs of the
+    word's suffix from the faulted memo, so with it every word would lose
+    all of its legs, not one."""
+    return letterwise_leg_pairs(word)[1:]
+
+
 def test_dropped_coproduct_leg_fails_hopf(fresh, monkeypatch):
     fresh("A1")
     assert run(verify.check_hopf, "A1", 1)
     # word_pairing reads the legs of each word from this memo
-    monkeypatch.setattr(uqrep, "_LEGS", Memo(lambda word: uqrep._leg_pairs(word)[1:]))
+    monkeypatch.setattr(uqrep, "_LEGS", Memo(dropped_first_leg))
     fresh("A1")
     report = verify.check_hopf(quick=True, algebra="A1", max_weight=1)
     assert not report["passed"]
@@ -351,6 +359,42 @@ def test_off_weight_coproduct_leg_fails_hopf(fresh, monkeypatch):
     report = verify.check_hopf(quick=True, algebra="A1", max_weight=1)
     assert not report["passed"]
     assert {f["law"] for f in report["details"]["failures"]} == {"duality"}
+
+
+def hopf_failed_laws(fresh):
+    fresh("A1")
+    report = verify.check_hopf(quick=True, algebra="A1", max_weight=2)
+    assert not report["passed"]
+    return {f["law"] for f in report["details"]["failures"]}
+
+
+def test_twisted_coproduct_fails_only_coassociativity(fresh, monkeypatch):
+    fresh("A1")
+    assert run(verify.check_hopf, "A1", 2)
+    intact = verify.coproduct
+
+    def twisted(alg, a):
+        # t_ik (x) t_kj doubled where i < k < j: both counits keep their
+        # k = i and k = j terms, so only the two re-expansions differ
+        return CoeffTensor({(k1, k2): c * TWO if k1[1] < k1[2] < k2[2] else c
+                            for (k1, k2), c in intact(alg, a).terms.items()})
+
+    monkeypatch.setattr(verify, "coproduct", twisted)
+    assert hopf_failed_laws(fresh) == {"coassociativity"}
+
+
+def test_doubled_coproduct_fails_only_counit(fresh, monkeypatch):
+    fresh("A1")
+    assert run(verify.check_hopf, "A1", 2)
+    intact = verify.coproduct
+
+    def doubled(alg, a):
+        # 2 Delta is still coassociative (both sides gain a factor 4), but
+        # each counit gives back 2 t_ij
+        return CoeffTensor({k: c * TWO for k, c in intact(alg, a).terms.items()})
+
+    monkeypatch.setattr(verify, "coproduct", doubled)
+    assert hopf_failed_laws(fresh) == {"counit"}
 
 
 def test_perturbed_gram_value_fails_hopf(fresh):
