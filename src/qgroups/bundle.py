@@ -193,10 +193,8 @@ def value_action(zeta: Section, x: AlgebraWord) -> Section:
 
 def defining_property_holds(zeta: Section, flavor="levi") -> bool:
     """Check x o zeta = (id (x) S(x)) zeta on every subalgebra generator."""
-    p = zeta.p
-    gens = p.levi_generators() if flavor == "levi" else p.parabolic_generators()
     cd = zeta.alg.cd
-    for gen in gens:
+    for gen in zeta.p.generators(flavor):
         word = AlgebraWord.of_gen(gen)
         lhs = circ_on_section(zeta, word)
         rhs = value_action(zeta, antipode_word(cd, word))
@@ -277,8 +275,7 @@ def omega_compatible(zeta: Section, flavor="levi") -> bool:
     """(id (x) p o) omega(zeta) = omega((id (x) S(p)) zeta) on generators."""
     alg = zeta.alg
     cd = alg.cd
-    p = zeta.p
-    gens = p.levi_generators() if flavor == "levi" else p.parabolic_generators()
+    gens = zeta.p.generators(flavor)
     om = omega_coaction(zeta)
     for gen in gens:
         word = AlgebraWord.of_gen(gen)
@@ -342,6 +339,7 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
     and the grade has no section: the test returns the [] the build would.
     """
     cd = alg.cd
+    gens = [g for g in p.generators(flavor) if g[0] in "ef"]
     lam_dual = alg.dual_weights[tuple(lam)]
     vspaces = vmod.weight_spaces()
     cone = (cd.fundamental_to_root([x + t for x, t in zip(lam_dual, tau)])
@@ -358,9 +356,6 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
             unknowns.append((b, r))
     if not unknowns:
         return []
-    gens = [("e", j) for j in p.theta] + [("f", j) for j in p.theta]
-    if flavor == "parabolic":
-        gens += [("e", j) for j in p.complement]
     # sum_b M[k,b] w_b[r] - sum_s MS[r,s] w_k[s] = 0 for each (k, r)
     pairs = [(m.gen_matrix(g),
               act_word(vmod, antipode_word(cd, AlgebraWord.of_gen(g))).transpose())
@@ -397,7 +392,7 @@ def invariant_functions(alg: CoeffAlgebra, p: ParabolicData,
 def is_invariant_function(alg: CoeffAlgebra, p: ParabolicData,
                           f: CoeffElement) -> bool:
     """x o f = counit(x) f for the reductive generators."""
-    for gen in p.levi_generators():
+    for gen in p.generators():
         word = AlgebraWord.of_gen(gen)
         expect = f.scale(counit(alg.cd, word))
         if circ_action(alg, word, f) != expect:

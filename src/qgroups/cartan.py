@@ -351,30 +351,35 @@ def character_product(cd: CartanData, lam, mu) -> dict:
     return out
 
 
-def char_decompose_oracle(cd: CartanData, lam, mu) -> dict:
-    """Tensor-product decomposition {nu: multiplicity} by character arithmetic.
+def peel_characters(cd: CartanData, character: dict, theta) -> dict:
+    """Split a formal character {weight: multiplicity} into irreducible
+    characters of the subsystem theta: {highest weight: multiplicity}.
 
-    Multiplies the formal characters and repeatedly subtracts the character
-    of the dominant leading term; fully independent of the deformed theory.
+    A weight of maximal height left is theta-dominant and leads an
+    irreducible character; its multiple is subtracted (Freudenthal for
+    theta) until nothing is left.  Fully independent of the deformed theory.
     """
-    _require_dominant(lam)
-    _require_dominant(mu)
-    remaining = {w: m for w, m in character_product(cd, lam, mu).items() if m}
-    out = {}
+    remaining = {w: m for w, m in character.items() if m}
     rho = (1,) * cd.rank
+    out = {}
     while remaining:
-        # a weight of maximal height is dominant and leads an irreducible character
         lead = max(remaining, key=lambda w: (inner_scaled(cd, w, rho), w))
-        if not is_dominant(lead):
-            raise ArithmeticError(f"leading weight {lead} not dominant")
+        if any(lead[j - 1] < 0 for j in theta):
+            raise ArithmeticError(f"leading weight {lead} not dominant for {tuple(theta)}")
         mult = remaining[lead]
         if mult < 0:
             raise ArithmeticError("negative multiplicity in character subtraction")
         out[lead] = out.get(lead, 0) + mult
-        for w, m in weight_multiplicities(cd, lead).items():
+        for w, m in freudenthal(cd, lead, theta).items():
             left = remaining.get(w, 0) - mult * m
             if left:
                 remaining[w] = left
             else:
                 remaining.pop(w, None)
     return out
+
+
+def char_decompose_oracle(cd: CartanData, lam, mu) -> dict:
+    """Tensor-product decomposition {nu: multiplicity} by character arithmetic:
+    the product of the two characters, peeled into irreducible ones."""
+    return peel_characters(cd, character_product(cd, lam, mu), cd.simple_indices())

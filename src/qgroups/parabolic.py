@@ -15,27 +15,37 @@ from __future__ import annotations
 
 from .cartan import (
     CartanData,
-    freudenthal,
-    inner_scaled,
+    peel_characters,
     reflect_to_antidominant,
     weight_multiplicities,
 )
-# kernel_basis is called through raising_kernel, but perfbench's tracer test
+# kernel_basis is called through intertwiner_kernel; perfbench's tracer test
 # checks that this module's binding of it gets wrapped, so the name stays bound
-from .linalg import (  # noqa: F401
-    Mat,
-    index_applier,
-    intertwiner_kernel,
-    kernel_basis,
-    raising_kernel,
-)
+from .linalg import Mat, intertwiner_kernel, kernel_basis  # noqa: F401
+from .scalar import Memo
+from .tensor import canonical_blocks
 from .uqrep import IrrepCache, IrrepModule
+
+
+def _subalgebra(key):
+    """The complement of Theta in 1..rank and the generator tuples of both
+    flavors."""
+    rank, theta = key
+    complement = tuple(j for j in range(1, rank + 1) if j not in theta)
+    levi = tuple([(kind, i) for i in range(1, rank + 1) for kind in "kK"]
+                 + [("e", j) for j in theta] + [("f", j) for j in theta])
+    return complement, {"levi": levi, "parabolic": levi + tuple(("e", j) for j in complement)}
+
+
+# built once per (rank, Theta): the checks read the generators per section or
+# function, and a ParabolicData is made per case
+_SUBALGEBRAS = Memo(_subalgebra)
 
 
 class ParabolicData:
     """Subset Theta plus the generator bookkeeping derived from it."""
 
-    __slots__ = ("cd", "theta")
+    __slots__ = ("cd", "theta", "complement", "_generators")
 
     def __init__(self, cd: CartanData, theta):
         theta = tuple(sorted(set(theta)))
@@ -44,24 +54,17 @@ class ParabolicData:
                 raise ValueError(f"index {j} outside 1..{cd.rank}")
         self.cd = cd
         self.theta = theta
+        self.complement, self._generators = _SUBALGEBRAS[cd.rank, theta]
 
-    @property
-    def complement(self):
-        return tuple(j for j in range(1, self.cd.rank + 1) if j not in self.theta)
-
-    def levi_generators(self):
-        """Generators of the reductive subalgebra, as (kind, index) pairs."""
-        gens = []
-        for i in range(1, self.cd.rank + 1):
-            gens.append(("k", i))
-            gens.append(("K", i))
-        for j in self.theta:
-            gens.append(("e", j))
-            gens.append(("f", j))
+    def generators(self, flavor="levi"):
+        """Generators of the reductive ("levi") or parabolic ("parabolic")
+        subalgebra as (kind, index) pairs: the torus, then e_j and f_j for j
+        in Theta, and for "parabolic" the raising e_j outside Theta too.  Any
+        other flavor raises ``ValueError``."""
+        gens = self._generators.get(flavor)
+        if gens is None:
+            raise ValueError(f"unknown flavor {flavor!r}")
         return gens
-
-    def parabolic_generators(self):
-        return self.levi_generators() + [("e", j) for j in self.complement]
 
     def __repr__(self):
         return f"ParabolicData({self.cd.name}, theta={self.theta})"
@@ -75,35 +78,9 @@ def levi_lowest_weight(p: ParabolicData, mu):
     return reflect_to_antidominant(p.cd, mu, p.theta)
 
 
-def levi_weight_multiplicities(p: ParabolicData, mu) -> dict:
-    """Freudenthal recursion inside the Theta subsystem, ambient coordinates."""
-    for j in p.theta:
-        if mu[j - 1] < 0:
-            raise ValueError(f"{mu} is not Theta-dominant")
-    return freudenthal(p.cd, mu, p.theta)
-
-
 def branching_oracle(cd: CartanData, p: ParabolicData, lam) -> dict:
     """Classical branching multiplicities {levi_hw: mult} by character arithmetic."""
-    remaining = dict(weight_multiplicities(cd, lam))
-    rho = (1,) * cd.rank
-    out = {}
-    while remaining:
-        lead = max(remaining, key=lambda w: (inner_scaled(cd, w, rho), w))
-        mult = remaining[lead]
-        for j in p.theta:
-            if lead[j - 1] < 0:
-                raise ArithmeticError("leading branch weight not Theta-dominant")
-        if mult <= 0:
-            raise ArithmeticError("negative branching multiplicity")
-        out[lead] = out.get(lead, 0) + mult
-        for w, m in levi_weight_multiplicities(p, lead).items():
-            left = remaining.get(w, 0) - mult * m
-            if left:
-                remaining[w] = left
-            elif w in remaining:
-                del remaining[w]
-    return out
+    return peel_characters(cd, weight_multiplicities(cd, lam), p.theta)
 
 
 class LeviBranching:
@@ -135,29 +112,7 @@ class LeviBranching:
 
 def restrict_levi(m: IrrepModule, p: ParabolicData, cache: IrrepCache) -> LeviBranching:
     """Complete decomposition of a module under the Levi subalgebra."""
-    cd = p.cd
-    rho = (1,) * cd.rank
-    spaces = m.weight_spaces()
-    order = sorted(spaces, key=lambda w: (-inner_scaled(cd, w, rho), tuple(-c for c in w)))
-    summands = []
-    covered = 0
-    f_apply = index_applier(m.f_matrix)
-    for w in order:
-        if any(w[j - 1] < 0 for j in p.theta):
-            continue
-        hwvs = raising_kernel([m.e_matrix(j) for j in p.theta], spaces[w])
-        if not hwvs:
-            continue
-        levi_mod = cache.levi(cd, p.theta, w)
-        for u in hwvs:
-            cols = levi_mod.embed_from_highest(f_apply, u)
-            summands.append((w, levi_mod, cols))
-            covered += levi_mod.dim
-    if covered != m.dim:
-        raise ArithmeticError(
-            f"branching covers {covered} of {m.dim} dimensions"
-        )
-    return LeviBranching(m, p, summands)
+    return LeviBranching(m, p, canonical_blocks(m, p.theta, cache))
 
 
 class HomBasis:
@@ -199,17 +154,15 @@ def hom_space(m: IrrepModule, target: IrrepModule, p: ParabolicData,
     flavor "levi" uses the reductive generators, "parabolic" additionally
     imposes the raising generators outside Theta (acting on the target
     through e_matrix, which is zero for proper Levi modules and the honest
-    action when the target is the restriction of a full module).
+    action when the target is the restriction of a full module); any other
+    flavor raises ``ValueError``.
     """
-    if flavor not in ("levi", "parabolic"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    # unknowns: entries (a, w) with matching full torus character
+    # the torus is imposed by the unknowns: entries (a, w) with matching full
+    # torus character
+    gens = [g for g in p.generators(flavor) if g[0] in "ef"]
     tgt_spaces = target.weight_spaces()
     unknowns = sorted((a, w_idx) for w_idx, w in enumerate(m.weights)
                       for a in tgt_spaces.get(w, ()))
-    gens = [("e", j) for j in p.theta] + [("f", j) for j in p.theta]
-    if flavor == "parabolic":
-        gens += [("e", j) for j in p.complement]
     # phi Mw = Mv phi on each generator
     kern = intertwiner_kernel(
         unknowns, [(target.gen_matrix(g), m.gen_matrix(g)) for g in gens])

@@ -5,7 +5,9 @@ The product module carries the generator action through the coproduct
 extracting highest-weight vectors per weight space and regenerating each
 isotypic copy with the construction recipe of the canonical module, so the
 restricted generator matrices on every block equal the canonical matrices
-on the nose, not merely up to isomorphism.
+on the nose, not merely up to isomorphism.  ``canonical_blocks`` is that
+split for any module and any set of raising indices; ``parabolic.restrict_levi``
+uses it for the Levi branching of a full module.
 
 The change of basis back to the product basis needs no generic matrix
 inversion: the product of the factors' contravariant forms is again
@@ -19,6 +21,9 @@ columns pays for those alone.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .cartan import CartanData, inner_scaled
 # kernel_basis is called through raising_kernel, but perfbench's tracer test
 # checks that this module's binding of it gets wrapped, so the name stays bound
@@ -30,32 +35,27 @@ from .linalg import (  # noqa: F401
     kernel_basis,
     raising_kernel,
 )
-from .scalar import RF_ONE, RF_ZERO, Memo, RationalFunction
-from .uqrep import IrrepModule
+from .scalar import RF_ONE, RF_ZERO, Memo
+from .uqrep import IrrepModule, WeightModule
 
 
-class TensorModule:
+class TensorModule(WeightModule):
     """Product of two modules of the same algebra, in the product basis.
 
     Basis index (s, t) of the factors maps to s * dim(b) + t.
     """
 
-    __slots__ = ("a", "b", "cd", "dim", "weights", "_E", "_F")
+    __slots__ = ("a", "b", "_E", "_F")
 
     def __init__(self, a: IrrepModule, b: IrrepModule):
         if a.cd.name != b.cd.name:
             raise ValueError("tensor factors live over different algebras")
         if a.lowering != b.lowering:
             raise ValueError("tensor factors use different lowering sets")
+        super().__init__(a.cd, [tuple(wa[t] + wb[t] for t in range(a.cd.rank))
+                                for wa in a.weights for wb in b.weights])
         self.a = a
         self.b = b
-        self.cd = a.cd
-        self.dim = a.dim * b.dim
-        self.weights = [
-            tuple(wa[t] + wb[t] for t in range(a.cd.rank))
-            for wa in a.weights
-            for wb in b.weights
-        ]
         self._E = Memo(lambda i: a.e_matrix(i).kron(b.k_matrix(i))
                        + a.k_matrix(i, inverse=True).kron(b.e_matrix(i)))
         self._F = Memo(lambda i: a.f_matrix(i).kron(b.k_matrix(i))
@@ -65,36 +65,11 @@ class TensorModule:
     def lowering(self):
         return self.a.lowering
 
-    def k_matrix(self, i, inverse=False):
-        sign = -1 if inverse else 1
-        return Mat.diag(
-            RationalFunction.v_power(sign * w[i - 1] * self.cd.d[i - 1])
-            for w in self.weights
-        )
-
     def e_matrix(self, i):
         return self._E[i]
 
     def f_matrix(self, i):
         return self._F[i]
-
-    def gen_matrix(self, gen):
-        kind, i = gen
-        if kind == "e":
-            return self.e_matrix(i)
-        if kind == "f":
-            return self.f_matrix(i)
-        if kind == "k":
-            return self.k_matrix(i)
-        if kind == "K":
-            return self.k_matrix(i, inverse=True)
-        raise ValueError(f"unknown generator {gen!r}")
-
-    def weight_spaces(self):
-        out = {}
-        for s, w in enumerate(self.weights):
-            out.setdefault(w, []).append(s)
-        return out
 
     def __repr__(self):
         return f"TensorModule({self.a.hw} (x) {self.b.hw})"
@@ -104,14 +79,45 @@ def tensor_module(a: IrrepModule, b: IrrepModule) -> TensorModule:
     return TensorModule(a, b)
 
 
-def highest_weight_vectors(t: TensorModule, nu) -> list:
-    """Basis of the joint raising-kernel in the weight-nu subspace.
+def highest_weight_vectors(m, nu, raising) -> list:
+    """Basis of the joint kernel of the e_i, i in ``raising``, in the
+    weight-nu subspace of a module.
 
     Vectors come back in reduced-echelon normalization, giving the canonical
     ordering of multiplicity spaces.
     """
-    idx = t.weight_spaces().get(tuple(nu), [])
-    return raising_kernel([t.e_matrix(i) for i in t.lowering], idx)
+    idx = m.weight_spaces().get(tuple(nu), [])
+    return raising_kernel([m.e_matrix(i) for i in raising], idx)
+
+
+def canonical_blocks(m, raising, cache) -> list:
+    """Split a module into canonical blocks of the subalgebra with raising
+    indices ``raising``: every index gives the full irreducibles, a subset
+    Theta the Levi irreducibles.
+
+    Weights are taken from the top down (``_height_key``); at each weight
+    that is dominant for ``raising``, each highest-weight vector rebuilds
+    its block with the recipe of the canonical module ``cache.levi(cd,
+    raising, nu)``.  Returns one (nu, canonical module, columns) per block,
+    the columns the images of the canonical basis as sparse vectors; raises
+    ``ArithmeticError`` unless the blocks fill the module.
+    """
+    cd = m.cd
+    f_apply = index_applier(m.f_matrix)
+    blocks = []
+    covered = 0
+    dominant = {w for w in m.weights if all(w[i - 1] >= 0 for i in raising)}
+    for nu in sorted(dominant, key=lambda w: _height_key(cd, w)):
+        hwvs = highest_weight_vectors(m, nu, raising)
+        if not hwvs:
+            continue
+        canon = cache.levi(cd, raising, nu)
+        for u in hwvs:
+            blocks.append((nu, canon, canon.embed_from_highest(f_apply, u)))
+            covered += canon.dim
+    if covered != m.dim:
+        raise ArithmeticError(f"blocks cover {covered} of {m.dim} dimensions")
+    return blocks
 
 
 class CGDecomposition:
@@ -189,45 +195,24 @@ def decompose(t: TensorModule, irrep_cache) -> CGDecomposition:
     """Decompose a tensor product; see the module docstring for the method.
 
     ``irrep_cache`` supplies canonical modules (an uqrep.IrrepCache or a
-    compatible object for restricted lowering sets).
+    compatible object): ``irrep_cache.levi(cd, t.lowering, nu)``, which for
+    the full lowering set is the full irreducible.
     """
-    cd = t.cd
-    full = len(t.lowering) == cd.rank
-
-    hwvs = {}
-    for w in set(t.weights):
-        if all(w[i - 1] >= 0 for i in t.lowering):
-            vecs = highest_weight_vectors(t, w)
-            if vecs:
-                hwvs[w] = vecs
-
-    f_apply = index_applier(t.f_matrix)
     components = []
     blocks = {}
     basis = Mat(t.dim, t.dim)
     col = 0
     block_index = {}
-    for nu in sorted(hwvs, key=lambda w: _height_key(cd, w)):
-        if full:
-            canon = irrep_cache.irrep(cd, nu)
-        else:
-            canon = irrep_cache.levi(cd, t.lowering, nu)
+    for nu, group in groupby(canonical_blocks(t, t.lowering, irrep_cache), key=itemgetter(0)):
         copies = []
         firsts = []
-        for u in hwvs[nu]:
-            cols = canon.embed_from_highest(f_apply, u)
-            offset = col
+        for _, canon, cols in group:
             for k, colvec in enumerate(cols):
-                basis.set_column(offset + k, colvec)
-                block_index[offset + k] = (nu, len(copies), k)
-            copies.append(offset)
+                basis.set_column(col + k, colvec)
+                block_index[col + k] = (nu, len(copies), k)
+            copies.append(col)
             firsts.append(cols[0])
             col += canon.dim
         components.append((nu, copies, canon))
         blocks[nu] = (_pairing_inverse(t, firsts), canon.gram)
-
-    if col != t.dim:
-        raise ArithmeticError(
-            f"isotypic dimensions sum to {col}, product dimension is {t.dim}"
-        )
     return CGDecomposition(t, components, basis, block_index, blocks)

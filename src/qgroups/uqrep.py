@@ -239,7 +239,56 @@ def coideal_span(cd: CartanData, theta=()) -> list:
 # --- modules ------------------------------------------------------------------
 
 
-class IrrepModule:
+class WeightModule:
+    """The generator interface shared by the modules of the package.
+
+    A subclass sets ``cd`` and ``weights`` (the weight of each basis vector)
+    through this ``__init__`` and supplies ``e_matrix`` and ``f_matrix``; the
+    Cartan generators act diagonally through the weights, and their
+    matrices are kept in a ``Memo``.
+    """
+
+    __slots__ = ("cd", "weights", "dim", "_kmats")
+
+    def __init__(self, cd, weights):
+        self.cd = cd
+        self.weights = weights
+        self.dim = len(weights)
+        d = cd.d
+
+        def k_diag(key):
+            # k_i (or its inverse) is diagonal: v^(+-d_i wt_i) on each basis vector
+            i, inverse = key
+            sign = -1 if inverse else 1
+            return Mat.diag(RationalFunction.v_power(sign * w[i - 1] * d[i - 1]) for w in weights)
+
+        # the maker holds the weights, not the module: no reference cycle
+        self._kmats = Memo(k_diag)
+
+    def k_matrix(self, i, inverse=False) -> Mat:
+        return self._kmats[i, inverse]
+
+    def gen_matrix(self, gen) -> Mat:
+        kind, i = gen
+        if kind == "e":
+            return self.e_matrix(i)
+        if kind == "f":
+            return self.f_matrix(i)
+        if kind == "k":
+            return self.k_matrix(i)
+        if kind == "K":
+            return self.k_matrix(i, inverse=True)
+        raise ValueError(f"unknown generator {gen!r}")
+
+    def weight_spaces(self):
+        """Map weight -> list of basis indices, in basis order."""
+        out = {}
+        for s, w in enumerate(self.weights):
+            out.setdefault(w, []).append(s)
+        return out
+
+
+class IrrepModule(WeightModule):
     """Irreducible highest-weight module given by explicit sparse matrices.
 
     ``lowering`` is the tuple of simple-root indices whose e/f generators act
@@ -260,16 +309,14 @@ class IrrepModule:
     construction must clear it.
     """
 
-    __slots__ = ("cd", "hw", "lowering", "dim", "weights", "E", "F", "ratios", "parents",
-                 "level_ratio", "constructions", "_gram", "_kmats")
+    __slots__ = ("hw", "lowering", "E", "F", "ratios", "parents", "level_ratio",
+                 "constructions", "_gram")
 
     def __init__(self, cd, hw, lowering, weights, E, F, ratios, constructions,
                  level_ratio=None):
-        self.cd = cd
+        super().__init__(cd, [tuple(w) for w in weights])
         self.hw = tuple(hw)
         self.lowering = tuple(lowering)
-        self.weights = [tuple(w) for w in weights]
-        self.dim = len(self.weights)
         self.E = E
         self.F = F
         self.ratios = ratios
@@ -280,16 +327,6 @@ class IrrepModule:
         self.level_ratio = level_ratio
         self.constructions = constructions
         self._gram = None
-        weights, d = self.weights, cd.d
-
-        def k_diag(key):
-            # k_i (or its inverse) is diagonal: v^(+-d_i wt_i) on each basis vector
-            i, inverse = key
-            sign = -1 if inverse else 1
-            return Mat.diag(RationalFunction.v_power(sign * w[i - 1] * d[i - 1]) for w in weights)
-
-        # the maker holds the weights, not the module: no reference cycle
-        self._kmats = Memo(k_diag)
 
     @property
     def gram(self) -> list:
@@ -300,9 +337,6 @@ class IrrepModule:
                 gram.append(gram[p] * x if gram else x)
             self._gram = gram
         return self._gram
-
-    def k_matrix(self, i, inverse=False) -> Mat:
-        return self._kmats[i, inverse]
 
     def e_matrix(self, i) -> Mat:
         m = self.E.get(i)
@@ -319,25 +353,6 @@ class IrrepModule:
                 f"f_{i} does not act on this module (lowering set {self.lowering})"
             )
         return m
-
-    def gen_matrix(self, gen) -> Mat:
-        kind, i = gen
-        if kind == "e":
-            return self.e_matrix(i)
-        if kind == "f":
-            return self.f_matrix(i)
-        if kind == "k":
-            return self.k_matrix(i)
-        if kind == "K":
-            return self.k_matrix(i, inverse=True)
-        raise ValueError(f"unknown generator {gen!r}")
-
-    def weight_spaces(self):
-        """Map weight -> list of basis indices, in basis order."""
-        out = {}
-        for s, w in enumerate(self.weights):
-            out.setdefault(w, []).append(s)
-        return out
 
     def embed_from_highest(self, f_apply, hwv: dict) -> list:
         """Images of the canonical basis inside another module.

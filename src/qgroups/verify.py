@@ -98,6 +98,12 @@ _COEFFICIENTS = (
                                                    ("B2", (1, 0)), ("B2", (0, 1)))])
 
 
+def _result(name, failures, **details):
+    """A suite's report entry: it passes when no failure was recorded, and
+    its details are ``details`` plus the failures."""
+    return {"name": name, "passed": not failures, "details": {**details, "failures": failures}}
+
+
 def relations_grid(quick=False, algebra=None, max_weight=None):
     return _select(_RELATIONS, quick, algebra, max_weight)
 
@@ -133,11 +139,7 @@ def check_relations(quick=False, algebra=None, max_weight=None):
         for entry in report:
             if not entry["ok"]:
                 failures.append({"algebra": name, "weight": list(hw), **entry})
-    return {
-        "name": "relations",
-        "passed": not failures,
-        "details": {"checked": counts, "failures": failures},
-    }
+    return _result("relations", failures, checked=counts)
 
 
 def check_dimensions(quick=False, algebra=None, max_weight=None):
@@ -157,11 +159,7 @@ def check_dimensions(quick=False, algebra=None, max_weight=None):
             got[w] = got.get(w, 0) + 1
         if got != weight_multiplicities(cd, hw):
             failures.append({"algebra": name, "weight": list(hw), "kind": "multiplicity"})
-    return {
-        "name": "dimensions",
-        "passed": not failures,
-        "details": {"modules": checked, "failures": failures},
-    }
+    return _result("dimensions", failures, modules=checked)
 
 
 # (algebra, lambda, mu, sampled index tuples or None for all of them)
@@ -254,8 +252,7 @@ def check_hopf(quick=False, algebra=None, max_weight=None):
                                      "weights": [list(lam), list(mu)],
                                      "indices": [i, j, r, s]})
                     break
-    return {"name": "hopf", "passed": not failures,
-            "details": {"checked": checked, "failures": failures}}
+    return _result("hopf", failures, checked=checked)
 
 
 # every ordered pair of weights of one algebra
@@ -350,11 +347,8 @@ def check_schur(quick=False, algebra=None, max_weight=None):
                         failures.append({"variant": "s_squared_pairing",
                                          "algebra": name, "weight": list(lam),
                                          "indices": [i, j]})
-    details = {"integrals": checked, "s_squared": s2_checked,
-               "failures": failures}
-    if table is not None:
-        details["table"] = table
-    return {"name": "schur", "passed": not failures, "details": details}
+    extra = {} if table is None else {"table": table}
+    return _result("schur", failures, integrals=checked, s_squared=s2_checked, **extra)
 
 
 def _random_element(alg, supports, rng):
@@ -404,8 +398,7 @@ def check_haar_positivity(quick=False, algebra=None, max_weight=None):
         zero = haar_positivity(alg, CoeffElement(), _HAAR_V0)
         if zero.value != 0:
             failures.append({"algebra": name, "kind": "zero-element"})
-    return {"name": "haar_positivity", "passed": not failures,
-            "details": {"samples": checked, "v0": _HAAR_V0, "failures": failures}}
+    return _result("haar_positivity", failures, samples=checked, v0=_HAAR_V0)
 
 
 # (algebra, theta, lambda); the targets of each (algebra, theta) group are
@@ -448,8 +441,7 @@ def check_hom_criterion(quick=False, algebra=None, max_weight=None):
                     failures.append({"algebra": name, "theta": list(theta),
                                      "weight": list(lam), "target": list(mu),
                                      "got": got, "expect": expect})
-    return {"name": "hom_criterion", "passed": not failures,
-            "details": {"checked": checked, "failures": failures}}
+    return _result("hom_criterion", failures, checked=checked)
 
 
 # every theta of each type, by size
@@ -508,8 +500,7 @@ def check_invariants(quick=False, algebra=None, max_weight=None):
         bad = CoeffElement.basis(fund, 1, alg.irrep(fund).dim)
         if is_invariant_function(alg, p, bad):
             failures.append({"kind": "negative_control", "algebra": name})
-    return {"name": "invariants", "passed": not failures, "details": details | {
-        "failures": failures}}
+    return _result("invariants", failures, **details)
 
 
 # one row per eta/kappa round trip of each (algebra, theta, mu), in the
@@ -588,8 +579,7 @@ def check_projectivity(quick=False, algebra=None, max_weight=None):
                     if eta_map(img, w, "inverse") != z:
                         failures.append({"kind": "eta_inverse",
                                          "case": [name, list(theta), list(mu)]})
-    return {"name": "projectivity", "passed": not failures,
-            "details": details | {"failures": failures}}
+    return _result("projectivity", failures, **details)
 
 
 # (algebra, theta, W, V, truncation height)
@@ -620,8 +610,7 @@ def check_frobenius(quick=False, algebra=None, max_weight=None):
             if not rep[key]:
                 failures.append({"case": [name, list(theta), list(w_hw), list(v_hw)],
                                  "failed": key})
-    return {"name": "frobenius", "passed": not failures,
-            "details": {"cases": rows, "failures": failures}}
+    return _result("frobenius", failures, cases=rows)
 
 
 # (algebra, theta, mu, expected section dimension, truncation height)
@@ -663,8 +652,7 @@ def check_borel_weil(quick=False, algebra=None, max_weight=None):
         if rep["status"] != "pass":
             failures.append({"case": [name, list(theta), list(w_hw)],
                              "kind": "trivial_bundle"})
-    return {"name": "borel_weil", "passed": not failures,
-            "details": {"cases": rows, "failures": failures}}
+    return _result("borel_weil", failures, cases=rows)
 
 
 ALL_CHECKS = {

@@ -45,6 +45,16 @@ gathered into a ``LaurentPoly``.
 ``Section.__add__``, ``Section.__sub__`` and ``Section.scale`` of
 ``qgroups.bundle``) lost their last caller in the package when the bundle
 checks summed each combination into one dict.
+``loop_decompose`` and ``loop_restrict_levi`` are ``tensor.decompose`` and
+``parabolic.restrict_levi`` as they were before both splits went through
+``tensor.canonical_blocks``: each ordered the weights, extracted the
+highest-weight vectors, rebuilt the blocks and checked their dimensions in
+a loop of its own.  ``peeling_char_decompose_oracle`` and
+``peeling_branching_oracle`` are ``cartan.char_decompose_oracle`` and
+``parabolic.branching_oracle`` as they were before both peeled through
+``cartan.peel_characters``, the second through the former
+``parabolic.levi_weight_multiplicities``.  ``rebuilt_k_matrix`` is the former
+``TensorModule.k_matrix``, which built a new diagonal on every call.
 Do not optimize them.
 """
 from __future__ import annotations
@@ -56,11 +66,14 @@ from qgroups import uqrep
 from qgroups.bundle import Section
 from qgroups.coeff import CoeffElement, antipode
 from qgroups.uqrep import AlgebraWord, _coproduct_legs, antipode_inv_word
-from qgroups.cartan import CartanData, inner_scaled, reflect
-from qgroups.linalg import Mat, _mat, accumulate
+from qgroups.cartan import (CartanData, _require_dominant, character_product, freudenthal,
+                            inner_scaled, is_dominant, reflect, weight_multiplicities)
+from qgroups.linalg import Mat, _mat, accumulate, index_applier, raising_kernel
+from qgroups.parabolic import LeviBranching
 from qgroups.scalar import (LP_ZERO, RF_ONE, RF_ZERO, LaurentPoly, RationalFunction, _ONE,
                             _rf, gauss_binomial, q_integer)
-from qgroups.tensor import decompose, tensor_module
+from qgroups.tensor import (CGDecomposition, _height_key, _pairing_inverse, decompose,
+                            tensor_module)
 
 
 def mat_neg(m: Mat) -> Mat:
@@ -691,3 +704,139 @@ def fraction_rf_from_text(text: str) -> RationalFunction:
     num = _fraction_poly_parse(num_text)
     den = _fraction_poly_parse(den_text)
     return RationalFunction(num, den)
+
+
+def loop_decompose(t, irrep_cache):
+    """``tensor.decompose`` with its own weight order, extraction and check."""
+    cd = t.cd
+    full = len(t.lowering) == cd.rank
+
+    hwvs = {}
+    for w in set(t.weights):
+        if all(w[i - 1] >= 0 for i in t.lowering):
+            idx = t.weight_spaces().get(tuple(w), [])
+            vecs = raising_kernel([t.e_matrix(i) for i in t.lowering], idx)
+            if vecs:
+                hwvs[w] = vecs
+
+    f_apply = index_applier(t.f_matrix)
+    components = []
+    blocks = {}
+    basis = Mat(t.dim, t.dim)
+    col = 0
+    block_index = {}
+    for nu in sorted(hwvs, key=lambda w: _height_key(cd, w)):
+        if full:
+            canon = irrep_cache.irrep(cd, nu)
+        else:
+            canon = irrep_cache.levi(cd, t.lowering, nu)
+        copies = []
+        firsts = []
+        for u in hwvs[nu]:
+            cols = canon.embed_from_highest(f_apply, u)
+            offset = col
+            for k, colvec in enumerate(cols):
+                basis.set_column(offset + k, colvec)
+                block_index[offset + k] = (nu, len(copies), k)
+            copies.append(offset)
+            firsts.append(cols[0])
+            col += canon.dim
+        components.append((nu, copies, canon))
+        blocks[nu] = (_pairing_inverse(t, firsts), canon.gram)
+
+    if col != t.dim:
+        raise ArithmeticError(
+            f"isotypic dimensions sum to {col}, product dimension is {t.dim}"
+        )
+    return CGDecomposition(t, components, basis, block_index, blocks)
+
+
+def loop_restrict_levi(m, p, cache):
+    """``parabolic.restrict_levi`` with its own weight order, extraction and check."""
+    cd = p.cd
+    rho = (1,) * cd.rank
+    spaces = m.weight_spaces()
+    order = sorted(spaces, key=lambda w: (-inner_scaled(cd, w, rho), tuple(-c for c in w)))
+    summands = []
+    covered = 0
+    f_apply = index_applier(m.f_matrix)
+    for w in order:
+        if any(w[j - 1] < 0 for j in p.theta):
+            continue
+        hwvs = raising_kernel([m.e_matrix(j) for j in p.theta], spaces[w])
+        if not hwvs:
+            continue
+        levi_mod = cache.levi(cd, p.theta, w)
+        for u in hwvs:
+            cols = levi_mod.embed_from_highest(f_apply, u)
+            summands.append((w, levi_mod, cols))
+            covered += levi_mod.dim
+    if covered != m.dim:
+        raise ArithmeticError(
+            f"branching covers {covered} of {m.dim} dimensions"
+        )
+    return LeviBranching(m, p, summands)
+
+
+def peeling_char_decompose_oracle(cd, lam, mu) -> dict:
+    """``cartan.char_decompose_oracle`` with its own peel loop."""
+    _require_dominant(lam)
+    _require_dominant(mu)
+    remaining = {w: m for w, m in character_product(cd, lam, mu).items() if m}
+    out = {}
+    rho = (1,) * cd.rank
+    while remaining:
+        lead = max(remaining, key=lambda w: (inner_scaled(cd, w, rho), w))
+        if not is_dominant(lead):
+            raise ArithmeticError(f"leading weight {lead} not dominant")
+        mult = remaining[lead]
+        if mult < 0:
+            raise ArithmeticError("negative multiplicity in character subtraction")
+        out[lead] = out.get(lead, 0) + mult
+        for w, m in weight_multiplicities(cd, lead).items():
+            left = remaining.get(w, 0) - mult * m
+            if left:
+                remaining[w] = left
+            else:
+                remaining.pop(w, None)
+    return out
+
+
+def levi_weight_multiplicities(p, mu) -> dict:
+    """The former ``parabolic.levi_weight_multiplicities``."""
+    for j in p.theta:
+        if mu[j - 1] < 0:
+            raise ValueError(f"{mu} is not Theta-dominant")
+    return freudenthal(p.cd, mu, p.theta)
+
+
+def peeling_branching_oracle(cd, p, lam) -> dict:
+    """``parabolic.branching_oracle`` with its own peel loop."""
+    remaining = dict(weight_multiplicities(cd, lam))
+    rho = (1,) * cd.rank
+    out = {}
+    while remaining:
+        lead = max(remaining, key=lambda w: (inner_scaled(cd, w, rho), w))
+        mult = remaining[lead]
+        for j in p.theta:
+            if lead[j - 1] < 0:
+                raise ArithmeticError("leading branch weight not Theta-dominant")
+        if mult <= 0:
+            raise ArithmeticError("negative branching multiplicity")
+        out[lead] = out.get(lead, 0) + mult
+        for w, m in levi_weight_multiplicities(p, lead).items():
+            left = remaining.get(w, 0) - mult * m
+            if left:
+                remaining[w] = left
+            elif w in remaining:
+                del remaining[w]
+    return out
+
+
+def rebuilt_k_matrix(t, i, inverse=False) -> Mat:
+    """The former ``TensorModule.k_matrix``: a new diagonal on every call."""
+    sign = -1 if inverse else 1
+    return Mat.diag(
+        RationalFunction.v_power(sign * w[i - 1] * t.cd.d[i - 1])
+        for w in t.weights
+    )

@@ -374,3 +374,22 @@ def test_borel_weil_a3(a3):
     assert rep["status"] == "pass"
     assert rep["expected_grade"] == (1, 0, 0)
     assert rep["total_dim"] == 4
+
+
+def test_unknown_flavor_is_refused_by_each_flavored_function(a1):
+    # a misspelt flavor used to solve the Levi system in sections_direct and
+    # to count as parabolic in the two section checks
+    p = borel(a1)
+    line = a1.irreps.levi(a1.cd, (), (-1,))
+    w1 = a1.irrep((1,))
+    z = sections_direct(a1, line, p, (1,), "levi")[0]
+    calls = {
+        "hom_space": lambda flavor: hom_space(w1, line, p, flavor),
+        "sections_direct": lambda flavor: sections_direct(a1, line, p, (1,), flavor),
+        "defining_property_holds": lambda flavor: defining_property_holds(z, flavor),
+        "omega_compatible": lambda flavor: omega_compatible(z, flavor),
+    }
+    for name, call in calls.items():
+        assert all(call(flavor) for flavor in ("levi", "parabolic")), name
+        with pytest.raises(ValueError, match=r"^unknown flavor 'parabolc'$"):
+            call("parabolc")

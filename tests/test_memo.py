@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from qgroups import scalar, uqrep, verify
+from qgroups import parabolic, scalar, uqrep, verify
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra, CoeffElement, antipode, product
 from qgroups.linalg import index_applier
@@ -165,6 +165,15 @@ def lowest_depths_case(monkeypatch):
             uqrep._LOWEST_DEPTHS)
 
 
+def subalgebras_case(monkeypatch):
+    monkeypatch.setattr(parabolic, "_SUBALGEBRAS", Memo(parabolic._SUBALGEBRAS.make))
+    cd = cartan_data("A3")
+    return ((lambda: [(p.complement, p.generators("levi"), p.generators("parabolic"))
+                      for p in (parabolic.ParabolicData(cd, theta)
+                                for theta in ((), (1,), (2, 3)))]),
+            parabolic._SUBALGEBRAS)
+
+
 def index_applier_case(monkeypatch):
     m = verify.algebra("A3").irrep((1, 1, 0))
     apply_f = index_applier(m.f_matrix)
@@ -194,6 +203,8 @@ CASES = {
     "kmats": kmats_case,
     "tensor_e": tensor_case("_E", lambda t, i: t.e_matrix(i)),
     "tensor_f": tensor_case("_F", lambda t, i: t.f_matrix(i)),
+    "tensor_k": tensor_case("_kmats", lambda t, i: t.k_matrix(i)),
+    "subalgebras": subalgebras_case,
     "index_applier": index_applier_case,
     "lowest_depths": lowest_depths_case,
 }

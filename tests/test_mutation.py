@@ -20,11 +20,17 @@ neither the intertwiner nor the direct solve reads (``action_ok``), a direct
 solve that repeats a section (``span_ok``), and a doubled off-diagonal value
 of the induced sections or of the rebuilt ones (``induced_intertwines``,
 ``Fbar_after_F_is_identity``).
+
+Four more sites fire alone under one fault each: a module that lost its
+lowest basis vector (``dimensions``: dimension), an extra map in the central
+intertwiner count (``invariants``: central_count), an induced section
+dropped from each intertwiner (``invariants``: gamma_dim) and a repeated
+Levi summand (``projectivity``: complement_dim).
 """
 
 import pytest
 
-from qgroups import bundle, coeff, uqrep, verify
+from qgroups import bundle, coeff, parabolic, uqrep, verify
 from qgroups.bundle import TruncationPolicy, borel_weil_check, frobenius_maps
 from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra, CoeffTensor
@@ -134,6 +140,57 @@ def test_perturbed_module_entry_fails_suite(fresh, check, name, lam, kind):
     alg = fresh(name)
     double_first(getattr(alg.irrep(lam), kind)[1])
     assert not run(suite, name, None)
+
+
+def lost_lowest_vector(monkeypatch, alg):
+    m = alg.irrep((2,))
+    m.weights.pop()
+    m.dim -= 1
+
+
+def extra_central_map(monkeypatch, alg):
+    # central_hom_count is the one caller of parabolic's binding
+    intact = parabolic.hom_space
+
+    def padded(*args):
+        homs = intact(*args)
+        homs.maps.extend(homs.maps[:1])
+        return homs
+
+    monkeypatch.setattr(parabolic, "hom_space", padded)
+
+
+def dropped_induced_section(monkeypatch, alg):
+    intact = bundle.sections_from_hom
+    monkeypatch.setattr(bundle, "sections_from_hom", lambda *args: intact(*args)[:-1])
+
+
+def repeated_levi_summand(monkeypatch, alg):
+    intact = bundle.restrict_levi
+
+    def repeated(*args):
+        branching = intact(*args)
+        branching.summands.append(branching.summands[0])
+        return branching
+
+    monkeypatch.setattr(bundle, "restrict_levi", repeated)
+
+
+# (suite, algebra, fault, the one failure kind it must cause)
+@pytest.mark.parametrize("check,name,fault,kind", [
+    ("dimensions", "A1", lost_lowest_vector, "dimension"),
+    ("invariants", "A2", extra_central_map, "central_count"),
+    ("invariants", "A2", dropped_induced_section, "gamma_dim"),
+    ("projectivity", "A1", repeated_levi_summand, "complement_dim"),
+])
+def test_fault_fires_one_failure_site_alone(fresh, monkeypatch, check, name, fault, kind):
+    suite = verify.ALL_CHECKS[check]
+    fresh(name)
+    assert run(suite, name, None)
+    fault(monkeypatch, fresh(name))
+    report = suite(quick=True, algebra=name, max_weight=None)
+    assert report["details"]["failures"]
+    assert {f["kind"] for f in report["details"]["failures"]} == {kind}
 
 
 @pytest.mark.parametrize("kind", ["E", "F"])

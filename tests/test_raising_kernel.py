@@ -96,7 +96,7 @@ def test_tensor_highest_weight_vectors_match_reference(name, lam, mu):
     alg = algebra(name.upper())
     t = tensor_module(alg.irrep(lam), alg.irrep(mu))
     for nu in sorted(set(t.weights)):
-        assert highest_weight_vectors(t, nu) == reference_tensor_hwv(t, nu), nu
+        assert highest_weight_vectors(t, nu, t.lowering) == reference_tensor_hwv(t, nu), nu
 
 
 @pytest.mark.parametrize("name,hw", relations_grid(quick=True))

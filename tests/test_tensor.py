@@ -51,15 +51,15 @@ def test_cartan_action_adds_weights(a1):
 def test_highest_weight_vectors_a1(a1):
     m = a1.irrep((1,))
     t = tensor_module(m, m)
-    top = highest_weight_vectors(t, (2,))
+    top = highest_weight_vectors(t, (2,), t.lowering)
     assert len(top) == 1 and top[0] == {0: RF_ONE}
-    zero = highest_weight_vectors(t, (0,))
+    zero = highest_weight_vectors(t, (0,), t.lowering)
     assert len(zero) == 1
     # kernel of the raising action on the zero-weight span: the echelon
     # representative is w- (x) w+ - v^2 w+ (x) w-
     vec = zero[0]
     assert vec == {2: RF_ONE, 1: -v(2)}
-    assert highest_weight_vectors(t, (5,)) == []
+    assert highest_weight_vectors(t, (5,), t.lowering) == []
 
 
 # (algebra, lam, mu); A2 (1, 1) (x) (1, 1) holds the adjoint twice
@@ -119,8 +119,8 @@ def test_hwv_count_matches_oracle_multiplicity(a2):
     t = tensor_module(a2.irrep((1, 1)), a2.irrep((1, 1)))
     oracle = char_decompose_oracle(a2.cd, (1, 1), (1, 1))
     assert oracle[(1, 1)] == 2
-    assert len(highest_weight_vectors(t, (1, 1))) == 2
-    assert len(highest_weight_vectors(t, (3, 0))) == 1
+    assert len(highest_weight_vectors(t, (1, 1), t.lowering)) == 2
+    assert len(highest_weight_vectors(t, (3, 0), t.lowering)) == 1
 
 
 def test_blocks_equal_canonical_matrices(a1, a2):
