@@ -38,7 +38,8 @@ the gcd and the products of two non-constant polynomials through bounded
 memos (``_GCD_MEMO``, ``_PROD_MEMO``), and the quantum integers and Gauss
 binomials come from memos too.  ``Memo`` is the one memo policy of the
 package: a memo takes new entries until it holds ``MEMO_MAX`` of them and is
-then left as it is.  The raw ``_dense_gcd`` and ``_pmul`` stay unmemoized.
+then left as it is.  The raw ``_dense_gcd`` and ``_pmul`` stay unmemoized;
+a miss on the gcd or product memo is served from the swapped pair if stored.
 A built value never changes (only its lazy views and hash are filled in), so
 every v^0 with coefficient one is the one instance ``RF_ONE``, and a product
 with ``RF_ONE`` as a factor is the other factor itself; v^e with coefficient
@@ -171,10 +172,24 @@ class Memo(dict):
         return value
 
 
-# memoized _dense_gcd and _pmul; each maker looks its function up as a module
-# global on a miss, so that a function rebound to that name sees only misses
-_GCD_MEMO = Memo(lambda k: _dense_gcd(*k))
-_PROD_MEMO = Memo(lambda k: _pmul(*k))
+# memoized _dense_gcd and _pmul; a miss first reads the swapped pair (the gcd
+# is unique, so a stored (g, b / g, a / g) answers (a, b); a product commutes),
+# then looks its function up as a module global, so that a function rebound to
+# that name sees only the real misses
+
+
+def _make_gcd(key):
+    hit = _GCD_MEMO.get(key[::-1])
+    return _dense_gcd(*key) if hit is None else (hit[0], hit[2], hit[1])
+
+
+def _make_prod(key):
+    hit = _PROD_MEMO.get(key[::-1])
+    return _pmul(*key) if hit is None else hit
+
+
+_GCD_MEMO = Memo(_make_gcd)
+_PROD_MEMO = Memo(_make_prod)
 
 # heuristic gcd evaluation points tried before the PRS fallback
 _HEU_TRIES = 6

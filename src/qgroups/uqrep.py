@@ -492,8 +492,10 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                     )
                     # raising columns: e_j r = e_j c_b - sum_s proj_s E_j[:, s]
                     for j in lowering:
-                        acc = accumulate(ecol[j], ((rr, -x * y) for s_idx, x in proj.items()
-                                                   for rr, y in e_cols[j].get(s_idx, {}).items()))
+                        acc = ecol[j]
+                        if proj:
+                            accumulate(acc, ((rr, -x * y) for s_idx, x in proj.items()
+                                             for rr, y in e_cols[j].get(s_idx, {}).items()))
                         if acc:
                             e_cols[j][s_new] = acc
                     coords = {s_new: RF_ONE, **proj}
@@ -501,9 +503,10 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                     new_level.append(s_new)
                 else:
                     coords = proj
-                # lowering matrix column for the candidate's parent
+                # lowering matrix column for the candidate's parent: each (p_b, i_b)
+                # is a candidate once, and every coordinate is nonzero
                 if coords:
-                    accumulate(f_cols[ib].setdefault(pb, {}), coords.items())
+                    f_cols[ib][pb] = coords
         level = new_level
         depth += 1
 
@@ -632,8 +635,10 @@ def check_serre(m: IrrepModule) -> list:
         both = ki is not None and kiv is not None
 
         def conjugates(x, p):   # k_i x k_i^-1 = v^p x on each stored x[r, c]
+            # for y = x[r, c] != 0 in Q(v), k_i[r] y k_i^-1[c] = v^p y exactly
+            # when k_i[r] k_i^-1[c] = v^p; a stored zero holds either way
             vp = RationalFunction.v_power(p)
-            return both and all(ki[r] * y * kiv[c] == vp * y for (r, c), y in x.data.items())
+            return both and all(ki[r] * kiv[c] == vp for (r, c), y in x.data.items() if y)
 
         inverse = record(f"k{i} k{i}^-1 = 1",
                          both and all((x * y).is_one() for x, y in zip(ki, kiv)))

@@ -21,11 +21,13 @@ solve that repeats a section (``span_ok``), and a doubled off-diagonal value
 of the induced sections or of the rebuilt ones (``induced_intertwines``,
 ``Fbar_after_F_is_identity``).
 
-Four more sites fire alone under one fault each: a module that lost its
+Six more sites fire alone under one fault each: a module that lost its
 lowest basis vector (``dimensions``: dimension), an extra map in the central
 intertwiner count (``invariants``: central_count), an induced section
-dropped from each intertwiner (``invariants``: gamma_dim) and a repeated
-Levi summand (``projectivity``: complement_dim).
+dropped from each intertwiner (``invariants``: gamma_dim), an invariance
+test that rejects everything (``invariants``: invariance), a repeated Levi
+summand (``projectivity``: complement_dim) and a right trivialization whose
+image leaves the unit coefficient (``borel_weil``: trivial_bundle).
 """
 
 import pytest
@@ -176,12 +178,32 @@ def repeated_levi_summand(monkeypatch, alg):
     monkeypatch.setattr(bundle, "restrict_levi", repeated)
 
 
+def nothing_invariant(monkeypatch, alg):
+    # the negative control expects a rejection, and product_closure_check
+    # reads bundle's own binding
+    monkeypatch.setattr(verify, "is_invariant_function", lambda *args: False)
+
+
+def eta_image_off_unit(monkeypatch, alg):
+    # trivial_bundle_check is the one caller of bundle's binding; every key
+    # (lambda, a, b) of the image moves to (lambda, a, b + 1)
+    intact = bundle.eta_map
+
+    def moved(zeta, wmod, direction="forward"):
+        image = intact(zeta, wmod, direction)
+        return image.copy_with({(lam, a, b + 1): vec for (lam, a, b), vec in image.data.items()})
+
+    monkeypatch.setattr(bundle, "eta_map", moved)
+
+
 # (suite, algebra, fault, the one failure kind it must cause)
 @pytest.mark.parametrize("check,name,fault,kind", [
     ("dimensions", "A1", lost_lowest_vector, "dimension"),
     ("invariants", "A2", extra_central_map, "central_count"),
     ("invariants", "A2", dropped_induced_section, "gamma_dim"),
+    ("invariants", "A2", nothing_invariant, "invariance"),
     ("projectivity", "A1", repeated_levi_summand, "complement_dim"),
+    ("borel_weil", "A1", eta_image_off_unit, "trivial_bundle"),
 ])
 def test_fault_fires_one_failure_site_alone(fresh, monkeypatch, check, name, fault, kind):
     suite = verify.ALL_CHECKS[check]

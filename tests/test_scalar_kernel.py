@@ -211,6 +211,34 @@ def test_memoized_operations_match_fraction_kernel_cold_and_hot(pairs):
             same(b / a, rb / ra)
 
 
+@st.composite
+def dense_pairs(draw):
+    """Two primitive dense polynomials with positive leading coefficients, as
+    the memos take them, over a shared factor list."""
+    shared = draw(products)
+    return tuple(scalar._lp_parts(LaurentPoly(ref_poly(draw(nonzero), shared + draw(products))
+                                              .terms))[3] for _ in range(2))
+
+
+@given(dense_pairs())
+@settings(max_examples=200, deadline=None)
+def test_memos_answer_the_swapped_pair_without_computing(pair):
+    a, b = pair
+    dense_gcd, pmul = scalar._dense_gcd, scalar._pmul
+    want = [dense_gcd(a, b), pmul(a, b), dense_gcd(b, a), pmul(b, a)]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_dense_gcd", lambda x, y: calls.append("gcd") or dense_gcd(x, y))
+        mp.setattr(scalar, "_pmul", lambda x, y: calls.append("prod") or pmul(x, y))
+        clear_memos()
+        got = [scalar._GCD_MEMO[a, b], scalar._PROD_MEMO[a, b]]
+        made = list(calls)
+        # the swapped lookups read the stored pairs: nothing is computed
+        got += [scalar._GCD_MEMO[b, a], scalar._PROD_MEMO[b, a]]
+    assert got == want
+    assert made[0] == "gcd" and made[-1] == "prod" and calls == made
+
+
 def quotient_sums():
     total = scalar.RF_ZERO
     for n in range(1, 9):

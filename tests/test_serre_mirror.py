@@ -171,3 +171,50 @@ def test_uncertified_module_sums_serre_on_both_sides(monkeypatch, fault):
     assert not uqrep._gram_mirrors(m)
     seen = serre_operands(monkeypatch, m)
     assert seen.count("e") == seen.count("f") == 4 and len(seen) == 8
+
+
+# K conjugations are decided as k_i[r] k_i^-1[c] = v^p on each nonzero stored
+# x[r, c]; the direct check keeps the y-multiplied form k_i[r] y k_i^-1[c] = v^p y
+
+
+def k1_entry_times_v(m):
+    k = m.k_matrix(1)
+    k.data[0, 0] = k.data[0, 0] * RationalFunction.v_power(1)
+
+
+def f2_row(m):
+    """The basis index of f_2 v_0, at the weight hw - alpha_2."""
+    alpha = m.cd.alpha_fundamental(2)
+    return m.weights.index(tuple(w - a for w, a in zip(m.weights[0], alpha)))
+
+
+def f1_entry_off_weight(m):
+    # F_1[f_1 v_0, v_0] moves to the row of f_2 v_0
+    f = m.F[1].data
+    (r, c), = [rc for rc in f if rc[1] == 0]
+    f[f2_row(m), c] = f.pop((r, c))
+
+
+def stored_zero_f1_entry(m):
+    m.F[1].data[f2_row(m), 0] = RF_ZERO
+
+
+@pytest.mark.parametrize("fault,name,hw,false_k", [
+    (k1_entry_times_v, "A2", (1, 1),
+     {"k1 k1^-1 = 1", "k1 e1 k1^-1 = v^(2) e1", "k1 e2 k1^-1 = v^(-1) e2"}),
+    (k1_entry_times_v, "B2", (1, 1),
+     {"k1 k1^-1 = 1", "k1 e1 k1^-1 = v^(4) e1", "k1 e2 k1^-1 = v^(-2) e2"}),
+    (f1_entry_off_weight, "A2", (1, 1),
+     {"k1 f1 k1^-1 = v^(-2) f1", "k2 f1 k2^-1 = v^(--1) f1"}),
+    (f1_entry_off_weight, "B2", (1, 1),
+     {"k1 f1 k1^-1 = v^(-4) f1", "k2 f1 k2^-1 = v^(--2) f1"}),
+    # a stored zero conjugates to zero: no K record may fail on it
+    (stored_zero_f1_entry, "A2", (1, 1), set()),
+    (stored_zero_f1_entry, "B2", (1, 1), set()),
+])
+def test_k_fault_fails_the_records_the_direct_check_fails(fault, name, hw, false_k):
+    m = build_irrep(cartan_data(name), hw)
+    fault(m)
+    assert_same(m)
+    failed = {r["relation"] for r in check_serre(m) if not r["ok"]}
+    assert {r for r in failed if r.startswith("k")} == false_k
