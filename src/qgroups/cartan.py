@@ -22,10 +22,12 @@ from math import gcd
 class CartanData:
     """Rank, Cartan matrix, symmetrizers, positive roots, 2*rho, highest root.
 
-    Also the integer form: ``denom`` D, ``gram`` G and, per positive root
-    alpha, ``root_forms`` (alpha, its fundamental coordinates, the
-    coefficients alpha_j d_j of (., alpha), (alpha, alpha), its height).
-    ``cartan_data`` shares one instance per type; do not mutate it.
+    Also the integer form: ``denom`` D, ``gram`` G and ``root_forms``, which
+    maps each subsystem theta, a sorted tuple of simple indices, to the forms
+    of its positive roots alpha (those supported on theta): alpha's
+    fundamental coordinates, the coefficients alpha_j d_j of (., alpha),
+    (alpha, alpha) and alpha's height.  ``cartan_data`` shares one instance
+    per type; do not mutate it.
     """
 
     __slots__ = (
@@ -66,8 +68,14 @@ class CartanData:
         for root in self.positive_roots:
             af = self.root_to_fundamental(root)
             ad = tuple(c * dj for c, dj in zip(root, self.d))
-            forms.append((root, af, ad, sum(a * x for a, x in zip(ad, af)), sum(root)))
-        self.root_forms = tuple(forms)
+            forms.append((root, (af, ad, sum(a * x for a, x in zip(ad, af)), sum(root))))
+        subsets = [tuple(j for j in range(1, rank + 1) if mask >> (j - 1) & 1)
+                   for mask in range(1 << rank)]
+        self.root_forms = {
+            theta: tuple(form for root, form in forms
+                         if all(c == 0 or j + 1 in theta for j, c in enumerate(root)))
+            for theta in subsets
+        }
 
     @property
     def name(self):
@@ -190,13 +198,22 @@ def reflect(cd: CartanData, lam, i):
     return tuple(lam[k] - c * alpha[k] for k in range(cd.rank))
 
 
-def is_dominant(lam) -> bool:
-    return all(c >= 0 for c in lam)
+def is_dominant(lam, theta=None) -> bool:
+    """Whether lam_j >= 0 for every j in theta (1-based; default: every index)."""
+    if theta is None:
+        return all(c >= 0 for c in lam)
+    return all(lam[j - 1] >= 0 for j in theta)
 
 
-def _require_dominant(lam):
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+def _require_dominant(lam, theta=None):
+    if not is_dominant(lam, theta):
+        where = "" if theta is None else f" for theta {tuple(theta)}"
+        raise ValueError(f"weight {tuple(lam)} is not dominant{where}")
+
+
+def _subsystem(cd: CartanData, theta):
+    """The root forms of the subsystem theta (default: all of g)."""
+    return cd.root_forms[cd.simple_indices() if theta is None else tuple(sorted(theta))]
 
 
 def reflect_to_antidominant(cd: CartanData, mu, theta):
@@ -211,10 +228,12 @@ def reflect_to_antidominant(cd: CartanData, mu, theta):
             return cur
 
 
-def lowest_weight(cd: CartanData, lam):
-    """Image of a dominant weight under the longest Weyl element."""
-    _require_dominant(lam)
-    return reflect_to_antidominant(cd, lam, cd.simple_indices())
+def lowest_weight(cd: CartanData, lam, theta=None):
+    """Lowest weight of the irreducible module of highest weight lam for the
+    subsystem theta (default: all of g): the image of lam under the longest
+    element of W_theta."""
+    _require_dominant(lam, theta)
+    return reflect_to_antidominant(cd, lam, cd.simple_indices() if theta is None else theta)
 
 
 def dual_weight(cd: CartanData, lam):
@@ -240,12 +259,15 @@ def dominant_orbit_rep(cd: CartanData, mu):
             return cur, tuple(word)
 
 
-def weyl_dim(cd: CartanData, lam) -> int:
-    """Classical Weyl dimension of the highest-weight module."""
-    _require_dominant(lam)
+def weyl_dim(cd: CartanData, lam, theta=None) -> int:
+    """Classical Weyl dimension of the irreducible module of highest weight
+    lam for the subsystem theta (default: all of g): the product over its
+    positive roots alpha of (lam + rho_theta, alpha) / (rho_theta, alpha).
+    A weight that is not theta-dominant raises ``ValueError``."""
+    _require_dominant(lam, theta)
     num = den = 1
-    for _, _, ad, _, _ in cd.root_forms:
-        rho_alpha = sum(ad)
+    for _, ad, _, _ in _subsystem(cd, theta):
+        rho_alpha = sum(ad)   # (rho_theta, alpha_j^vee) = 1 for every j in theta
         num *= rho_alpha + sum(a * x for a, x in zip(ad, lam))
         den *= rho_alpha
     dim, rem = divmod(num, den)
@@ -278,8 +300,7 @@ def freudenthal(cd: CartanData, lam, theta) -> dict:
     other weight lies below its dominant conjugate, so it is known by then.
     """
     lam = tuple(lam)
-    roots = [(af, ad, aa, ht) for root, af, ad, aa, ht in cd.root_forms
-             if all(c == 0 or j + 1 in theta for j, c in enumerate(root))]
+    roots = _subsystem(cd, theta)
     low = reflect_to_antidominant(cd, lam, theta)
     coords = cd.fundamental_to_root([a - b for a, b in zip(lam, low)])
     if coords is None:
@@ -312,7 +333,7 @@ def freudenthal(cd: CartanData, lam, theta) -> dict:
     for depth in range(1, height + 1):
         candidates = {tuple([x - y for x, y in zip(w, a)]) for w in level for a in alphas}
         for mu in candidates:
-            if mu in mults or any(mu[j - 1] < 0 for j in theta):
+            if mu in mults or not is_dominant(mu, theta):
                 continue   # known from its dominant conjugate, or not a weight
             total = 0
             for af, ad, aa, ht in roots:
@@ -364,7 +385,7 @@ def peel_characters(cd: CartanData, character: dict, theta) -> dict:
     out = {}
     while remaining:
         lead = max(remaining, key=lambda w: (inner_scaled(cd, w, rho), w))
-        if any(lead[j - 1] < 0 for j in theta):
+        if not is_dominant(lead, theta):
             raise ArithmeticError(f"leading weight {lead} not dominant for {tuple(theta)}")
         mult = remaining[lead]
         if mult < 0:

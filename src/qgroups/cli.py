@@ -34,10 +34,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_INCONCLUSIVE = 3
-# the largest module dimension (Weyl's formula) and the largest number of
-# --trunc grades, C(h + rank, rank), a command admits; both are checked
-# before anything is built.  An A1 module of dimension 3,201 takes about 1 GB
-# and its memory grows as the square of the dimension.
+# the largest dimension (Weyl's formula) of a full or Levi module and the
+# largest number of --trunc grades, C(h + rank, rank), a command admits; both
+# are checked before anything is built.  An A1 module of dimension 3,201
+# takes about 1 GB and its memory grows as the square of the dimension.
 MAX_REQUEST_SIZE = 10_000
 
 
@@ -60,10 +60,12 @@ def admit(size, what):
                          "the request is too large")
 
 
-def admit_module(cd, weight):
-    # a weight that is not dominant is refused where its module is built
-    if all(c >= 0 for c in weight):
-        admit(weyl_dim(cd, weight), f"the dimension of the module {tuple(weight)}")
+def admit_module(cd, weight, theta=None):
+    """Admit the module of highest weight ``weight`` for the subsystem theta
+    (default: all of g) by its Weyl dimension; a weight that is not
+    theta-dominant is a ``ValueError``."""
+    where = "" if theta is None else f" for theta {tuple(theta)}"
+    admit(weyl_dim(cd, weight, theta), f"the dimension of the module {tuple(weight)}{where}")
 
 
 def truncation(cd, height) -> TruncationPolicy:
@@ -125,8 +127,6 @@ def emit(obj, fmt, lines_human, stream):
 def cmd_irrep(args, stream):
     cd = cartan_data(args.algebra)
     weight = parse_weight(args.weight, cd.rank)
-    if any(c < 0 for c in weight):
-        raise UsageError(f"weight {weight} is not dominant")
     admit_module(cd, weight)
     v0 = parse_v0(args.v0) if args.v0 else None
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
@@ -246,9 +246,7 @@ def cmd_borel_weil(args, stream):
     cd = cartan_data(args.algebra)
     theta = parse_theta(args.theta, cd.rank)
     mu = parse_weight(args.mu, cd.rank)
-    for j in theta:
-        if mu[j - 1] < 0:
-            raise UsageError(f"mu {mu} is not dominant for theta {theta}")
+    admit_module(cd, mu, theta)
     trunc = truncation(cd, args.trunc)
     alg = CoeffAlgebra(cd)
     p = ParabolicData(cd, theta)
@@ -284,6 +282,7 @@ def cmd_frobenius(args, stream):
     w_hw = parse_weight(args.w, cd.rank)
     v_hw = parse_weight(args.v, cd.rank)
     admit_module(cd, w_hw)
+    admit_module(cd, v_hw, theta)
     trunc = truncation(cd, args.trunc)
     alg = CoeffAlgebra(cd)
     p = ParabolicData(cd, theta)

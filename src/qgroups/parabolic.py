@@ -13,12 +13,7 @@ the full modules, restricted to lowering indices in Theta.
 
 from __future__ import annotations
 
-from .cartan import (
-    CartanData,
-    peel_characters,
-    reflect_to_antidominant,
-    weight_multiplicities,
-)
+from .cartan import CartanData, lowest_weight, peel_characters, weight_multiplicities
 # kernel_basis is called through intertwiner_kernel; perfbench's tracer test
 # checks that this module's binding of it gets wrapped, so the name stays bound
 from .linalg import Mat, intertwiner_kernel, kernel_basis  # noqa: F401
@@ -72,10 +67,7 @@ class ParabolicData:
 
 def levi_lowest_weight(p: ParabolicData, mu):
     """Lowest weight of the Levi irreducible with highest weight mu."""
-    for j in p.theta:
-        if mu[j - 1] < 0:
-            raise ValueError(f"{mu} is not Theta-dominant for {p.theta}")
-    return reflect_to_antidominant(p.cd, mu, p.theta)
+    return lowest_weight(p.cd, mu, p.theta)
 
 
 def branching_oracle(cd: CartanData, p: ParabolicData, lam) -> dict:

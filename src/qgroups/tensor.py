@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import groupby
 from operator import itemgetter
 
-from .cartan import CartanData, inner_scaled
+from .cartan import CartanData, inner_scaled, is_dominant
 # kernel_basis is called through raising_kernel, but perfbench's tracer test
 # checks that this module's binding of it gets wrapped, so the name stays bound
 from .linalg import (  # noqa: F401
@@ -106,7 +106,7 @@ def canonical_blocks(m, raising, cache) -> list:
     f_apply = index_applier(m.f_matrix)
     blocks = []
     covered = 0
-    dominant = {w for w in m.weights if all(w[i - 1] >= 0 for i in raising)}
+    dominant = {w for w in m.weights if is_dominant(w, raising)}
     for nu in sorted(dominant, key=lambda w: _height_key(cd, w)):
         hwvs = highest_weight_vectors(m, nu, raising)
         if not hwvs:

@@ -12,9 +12,9 @@ Because the specialized form is positive definite for real v > 0, v != 1, a
 vector is zero in the module exactly when its self-pairing vanishes, so a
 candidate with zero residual is dropped and the procedure lands on the
 irreducible module with a per-weight orthogonal basis and a diagonal Gram
-matrix.  Its lowest weight w(hw) lies height(hw - w(hw)) levels down; a
-vector below that level means residuals that should vanish did not, and
-raises ArithmeticError.
+matrix.  Its size is Weyl's dimension for the lowering set; a vector beyond
+that count means residuals that should vanish did not, and raises
+ArithmeticError.
 
 The diagonal g is never expanded while building or checking.  Each accepted
 vector s stores its parent p(s), the candidate's v_p, and its step ratio
@@ -38,7 +38,7 @@ S(e_i) = -q_i e_i, S(f_i) = -q_i^-1 f_i, S(k_i) = k_i^-1 with q_i = v^(2 d_i).
 from __future__ import annotations
 
 from .cache import CacheIntegrityError
-from .cartan import CartanData
+from .cartan import CartanData, weyl_dim
 from .linalg import Mat, _mat, accumulate
 from .scalar import (
     RF_ONE,
@@ -399,22 +399,6 @@ def _level_ratios(ratios, parents) -> Memo:
     return memo
 
 
-def _lowest_depths(key):
-    """The lowest weight w(hw) of a module lies height(hw - w(hw)) = <hw, h>
-    levels below hw, w the longest element for the lowering set and h the
-    sum of its positive coroots; this is h in simple-coroot coordinates."""
-    cd, lowering = key
-    h = [0] * cd.rank
-    for root, _, ad, aa, _ in cd.root_forms:
-        if all(j + 1 in lowering for j, c in enumerate(root) if c):
-            for j, a in enumerate(ad):
-                h[j] += 2 * a // aa   # alpha^vee's coefficient 2 alpha_j d_j / (alpha, alpha)
-    return tuple(h)
-
-
-_LOWEST_DEPTHS = Memo(_lowest_depths)
-
-
 def _weight_key(w):
     # deterministic group order inside a level: lexicographically descending
     return tuple(-c for c in w)
@@ -423,9 +407,7 @@ def _weight_key(w):
 def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
     """Shared builder; see the module docstring for the algorithm."""
     lowering = tuple(sorted(lowering))
-    for i in lowering:
-        if hw[i - 1] < 0:
-            raise ValueError(f"weight {hw} not dominant for lowering set {lowering}")
+    size = weyl_dim(cd, hw, lowering)   # a weight that is not dominant raises here
 
     weights = [tuple(hw)]
     ratios = [RF_ONE]   # g_s / g_p(s); the form itself is never expanded here
@@ -437,13 +419,8 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
     level = [0]
 
     alphas = {i: cd.alpha_fundamental(i) for i in lowering}
-    bottom = sum(h * c for h, c in zip(_LOWEST_DEPTHS[cd, lowering], hw))
-    depth = 0
 
     while level:
-        if depth > bottom:
-            raise ArithmeticError(f"module {tuple(hw)} of {cd.name} has vectors {depth} levels "
-                                  f"down, below its lowest weight {bottom} levels down")
         groups = {}
         for p in level:
             wp = weights[p]
@@ -479,6 +456,9 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                 # zero self-pairing: c_b is a combination of the accepted vectors
                 if top:
                     s_new = len(weights)
+                    if s_new == size:
+                        raise ArithmeticError(f"module {tuple(hw)} of {cd.name} gets a basis "
+                                              f"vector beyond its Weyl dimension {size}")
                     weights.append(w)
                     ratios.append(top)
                     parents.append(pb)   # the last construction term, coefficient one
@@ -508,7 +488,6 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
                 if coords:
                     f_cols[ib][pb] = coords
         level = new_level
-        depth += 1
 
     dim = len(weights)
     # every stored column entry is a nonzero sum: the matrices take them as they are
@@ -525,8 +504,6 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
 
 def build_irrep(cd: CartanData, hw) -> IrrepModule:
     """Irreducible module of the full algebra with dominant highest weight."""
-    if any(c < 0 for c in hw):
-        raise ValueError(f"highest weight {tuple(hw)} is not dominant")
     return build_module(cd, hw, range(1, cd.rank + 1))
 
 

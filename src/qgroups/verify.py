@@ -37,7 +37,7 @@ from .bundle import (
     sections_from_hom,
     trivial_bundle_check,
 )
-from .cartan import cartan_data, lowest_weight, weight_multiplicities, weyl_dim
+from .cartan import cartan_data, is_dominant, lowest_weight, weight_multiplicities, weyl_dim
 from .coeff import (
     CoeffAlgebra,
     CoeffElement,
@@ -334,11 +334,12 @@ def check_schur(quick=False, algebra=None, max_weight=None):
         conj_inv = AlgebraWord({tuple(("K" if kind == "k" else "k", i)
                                       for kind, i in word): c
                                 for word, c in conj.terms.items()})
+        letters = [gen for gen in _word_alphabet(cd) if gen[0] in "ef"]   # every e_i and f_i
         for i in range(1, d + 1):
             for j in range(1, d + 1):
                 a = CoeffElement.basis(lam, i, j)
                 s2a = antipode(alg, antipode(alg, a))
-                for gen in _word_alphabet(cd)[: 2 * cd.rank]:
+                for gen in letters:
                     x = AlgebraWord.of_gen(gen)
                     lhs = coeff_eval(alg, s2a, x)
                     rhs = coeff_eval(alg, a, conj * x * conj_inv)
@@ -430,7 +431,7 @@ def check_hom_criterion(quick=False, algebra=None, max_weight=None):
             w = alg.irrep(lam)
             lam_bar = lowest_weight(cd, lam)
             for mu in targets:
-                if any(mu[j - 1] < 0 for j in theta):
+                if not is_dominant(mu, theta):
                     continue
                 v = alg.irreps.levi(cd, theta, mu)
                 mu_tilde = levi_lowest_weight(p, mu)

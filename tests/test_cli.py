@@ -665,6 +665,36 @@ def test_request_above_the_bound_is_refused_before_any_build(argv, size, capsys,
     assert captured.err == f"error: {size}, above the bound 10000; the request is too large\n"
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["borel-weil", "--algebra", "A2", "--theta", "1,2", "--mu", "60,60", "--trunc", "1"],
+     "the dimension of the module (60, 60) for theta (1, 2) is 226981"),
+    (["frobenius", "--algebra", "A2", "--theta", "1,2", "--w", "1,0", "--v", "60,60",
+      "--trunc", "1"],
+     "the dimension of the module (60, 60) for theta (1, 2) is 226981"),
+    (["borel-weil", "--algebra", "A1", "--theta", "1", "--mu", "20000", "--trunc", "1"],
+     "the dimension of the module (20000,) for theta (1,) is 20001"),
+])
+def test_levi_fibre_above_the_bound_is_refused_at_once(argv, size):
+    # the Levi fibre goes through the same size check as a full module; each
+    # of these would otherwise build for minutes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qgroups.cli"] + argv,
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {size}, above the bound 10000; the request is too large\n"
+
+
+def test_levi_fibre_must_be_dominant_for_theta(capsys):
+    for argv in (["borel-weil", "--algebra", "A2", "--theta", "1", "--mu=-1,0"],
+                 ["frobenius", "--algebra", "A2", "--theta", "1", "--w", "1,0", "--v=-1,0"]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weight (-1, 0) is not dominant for theta (1,)\n"
+
+
 def test_request_at_the_bound_is_admitted(capsys, monkeypatch):
     # C(9999 + 1, 1) = 10000 grades and a module of dimension 10000 pass
     # admission; the build is stubbed out

@@ -329,3 +329,25 @@ def test_grading_reads_entries_through_word_matrix_only_where_steps_match(monkey
     assert {w for lam, w, _ in calls if lam == (1, 0)} == {(("e", 1), ("f", 1)),
                                                            (("K", 1), ("K", 1))}
     assert got == ungraded_word_pairing(alg, a, b, x)
+
+
+@pytest.mark.parametrize("name,quick", [("A2", True), ("A3", False), ("B2", False)])
+def test_s_squared_pairing_evaluates_every_e_and_f(name, quick, monkeypatch):
+    # the pairing form of S^2 reads each sampled coefficient on e_i and f_i
+    # for every i, 2 rank letters, and on nothing else
+    letters = []
+    intact = verify.coeff_eval
+
+    def recording(alg, a, x):
+        word, = x.terms
+        if len(word) == 1:
+            letters.append(word[0])
+        return intact(alg, a, x)
+
+    monkeypatch.setattr(verify, "coeff_eval", recording)
+    report = verify.check_schur(quick=quick, algebra=name, max_weight=1)
+    assert report["passed"]
+    rank = cartan_data(name).rank
+    want = [(kind, i) for i in range(1, rank + 1) for kind in "ef"]
+    reps, rest = divmod(len(letters), len(want))
+    assert reps and not rest and sorted(letters) == sorted(want * reps)

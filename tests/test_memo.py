@@ -157,14 +157,6 @@ def tensor_case(attr, gen_matrix):
     return case
 
 
-def lowest_depths_case(monkeypatch):
-    monkeypatch.setattr(uqrep, "_LOWEST_DEPTHS", Memo(uqrep._LOWEST_DEPTHS.make))
-    cd = cartan_data("A3")
-    lowerings = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]
-    return ((lambda: [module_data(uqrep.build_module(cd, (1, 1, 1), t)) for t in lowerings]),
-            uqrep._LOWEST_DEPTHS)
-
-
 def subalgebras_case(monkeypatch):
     monkeypatch.setattr(parabolic, "_SUBALGEBRAS", Memo(parabolic._SUBALGEBRAS.make))
     cd = cartan_data("A3")
@@ -206,7 +198,6 @@ CASES = {
     "tensor_k": tensor_case("_kmats", lambda t, i: t.k_matrix(i)),
     "subalgebras": subalgebras_case,
     "index_applier": index_applier_case,
-    "lowest_depths": lowest_depths_case,
 }
 
 

@@ -21,14 +21,15 @@ solve that repeats a section (``span_ok``), and a doubled off-diagonal value
 of the induced sections or of the rebuilt ones (``induced_intertwines``,
 ``Fbar_after_F_is_identity``).
 
-Six more sites fire alone under one fault each: a module that lost its
-lowest basis vector (``dimensions``: dimension), an extra map in the central
-intertwiner count (``invariants``: central_count), an induced section
-dropped from each intertwiner (``invariants``: gamma_dim), an invariance
-test that rejects everything (``invariants``: invariance), a repeated Levi
-summand (``projectivity``: complement_dim) and a right trivialization whose
-image leaves the unit coefficient (``borel_weil``: trivial_bundle).
+``SITE_FAULTS`` names, for each of the 28 ``failures.append`` sites of
+verify.py, a fault of data or code under which that site, and no other,
+runs in its suite: a line tracer records the sites that run, and an AST
+test keeps the table in step with the sites.
 """
+
+import ast
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -38,7 +39,7 @@ from qgroups.cartan import cartan_data
 from qgroups.coeff import CoeffAlgebra, CoeffTensor
 from qgroups.linalg import Mat
 from qgroups.parabolic import ParabolicData, hom_space
-from qgroups.scalar import RF_ZERO, Memo, RationalFunction
+from qgroups.scalar import RF_ZERO, Memo, NumericValue, RationalFunction
 from retired_helpers import direct_check_serre, letterwise_leg_pairs
 
 TWO = RationalFunction.const(2)
@@ -194,25 +195,6 @@ def eta_image_off_unit(monkeypatch, alg):
         return image.copy_with({(lam, a, b + 1): vec for (lam, a, b), vec in image.data.items()})
 
     monkeypatch.setattr(bundle, "eta_map", moved)
-
-
-# (suite, algebra, fault, the one failure kind it must cause)
-@pytest.mark.parametrize("check,name,fault,kind", [
-    ("dimensions", "A1", lost_lowest_vector, "dimension"),
-    ("invariants", "A2", extra_central_map, "central_count"),
-    ("invariants", "A2", dropped_induced_section, "gamma_dim"),
-    ("invariants", "A2", nothing_invariant, "invariance"),
-    ("projectivity", "A1", repeated_levi_summand, "complement_dim"),
-    ("borel_weil", "A1", eta_image_off_unit, "trivial_bundle"),
-])
-def test_fault_fires_one_failure_site_alone(fresh, monkeypatch, check, name, fault, kind):
-    suite = verify.ALL_CHECKS[check]
-    fresh(name)
-    assert run(suite, name, None)
-    fault(monkeypatch, fresh(name))
-    report = suite(quick=True, algebra=name, max_weight=None)
-    assert report["details"]["failures"]
-    assert {f["kind"] for f in report["details"]["failures"]} == {kind}
 
 
 @pytest.mark.parametrize("kind", ["E", "F"])
@@ -375,16 +357,19 @@ def test_perturbed_induced_section_fails_one_frobenius_verdict(fresh, monkeypatc
 def test_accepting_invariance_test_fails_invariants(fresh, monkeypatch):
     fresh("A2")
     assert run(verify.check_invariants, "A2", None)
-    fresh("A2")
-    monkeypatch.setattr(verify, "is_invariant_function", lambda alg, p, f: True)
+    everything_invariant(monkeypatch, fresh("A2"))
     assert not run(verify.check_invariants, "A2", None)
 
 
-def test_sign_flipped_gram_value_fails_haar_positivity(fresh):
+def sign_flipped_gram_value(monkeypatch, alg):
+    gram = alg.irrep((1,)).gram
+    gram[1] = -gram[1]
+
+
+def test_sign_flipped_gram_value_fails_haar_positivity(fresh, monkeypatch):
     fresh("A1")
     assert run(verify.check_haar_positivity, "A1", None)
-    gram = fresh("A1").irrep((1,)).gram
-    gram[1] = -gram[1]
+    sign_flipped_gram_value(monkeypatch, fresh("A1"))
     assert not run(verify.check_haar_positivity, "A1", None)
 
 
@@ -405,12 +390,15 @@ def dropped_first_leg(word):
     return letterwise_leg_pairs(word)[1:]
 
 
+def dropped_coproduct_leg(monkeypatch, alg):
+    # word_pairing reads the legs of each word from this memo
+    monkeypatch.setattr(uqrep, "_LEGS", Memo(dropped_first_leg))
+
+
 def test_dropped_coproduct_leg_fails_hopf(fresh, monkeypatch):
     fresh("A1")
     assert run(verify.check_hopf, "A1", 1)
-    # word_pairing reads the legs of each word from this memo
-    monkeypatch.setattr(uqrep, "_LEGS", Memo(dropped_first_leg))
-    fresh("A1")
+    dropped_coproduct_leg(monkeypatch, fresh("A1"))
     report = verify.check_hopf(quick=True, algebra="A1", max_weight=1)
     assert not report["passed"]
     assert {f["law"] for f in report["details"]["failures"]} == {"duality"}
@@ -447,9 +435,7 @@ def hopf_failed_laws(fresh):
     return {f["law"] for f in report["details"]["failures"]}
 
 
-def test_twisted_coproduct_fails_only_coassociativity(fresh, monkeypatch):
-    fresh("A1")
-    assert run(verify.check_hopf, "A1", 2)
+def twisted_coproduct(monkeypatch, alg):
     intact = verify.coproduct
 
     def twisted(alg, a):
@@ -459,12 +445,9 @@ def test_twisted_coproduct_fails_only_coassociativity(fresh, monkeypatch):
                             for (k1, k2), c in intact(alg, a).terms.items()})
 
     monkeypatch.setattr(verify, "coproduct", twisted)
-    assert hopf_failed_laws(fresh) == {"coassociativity"}
 
 
-def test_doubled_coproduct_fails_only_counit(fresh, monkeypatch):
-    fresh("A1")
-    assert run(verify.check_hopf, "A1", 2)
+def doubled_coproduct(monkeypatch, alg):
     intact = verify.coproduct
 
     def doubled(alg, a):
@@ -473,6 +456,19 @@ def test_doubled_coproduct_fails_only_counit(fresh, monkeypatch):
         return CoeffTensor({k: c * TWO for k, c in intact(alg, a).terms.items()})
 
     monkeypatch.setattr(verify, "coproduct", doubled)
+
+
+def test_twisted_coproduct_fails_only_coassociativity(fresh, monkeypatch):
+    fresh("A1")
+    assert run(verify.check_hopf, "A1", 2)
+    twisted_coproduct(monkeypatch, None)
+    assert hopf_failed_laws(fresh) == {"coassociativity"}
+
+
+def test_doubled_coproduct_fails_only_counit(fresh, monkeypatch):
+    fresh("A1")
+    assert run(verify.check_hopf, "A1", 2)
+    doubled_coproduct(monkeypatch, None)
     assert hopf_failed_laws(fresh) == {"counit"}
 
 
@@ -511,3 +507,220 @@ def test_perturbed_dual_intertwiner_fails_hopf(fresh):
     _, q, _ = alg.dual_data((1,))
     double_first(q)
     assert not run(verify.check_hopf, "A1", 1)
+
+
+def doubled_entry(kind, lam):
+    """The first entry of the E_1 or F_1 matrix of the module lam doubled."""
+    def fault(monkeypatch, alg):
+        double_first(getattr(alg.irrep(lam), kind)[1])
+    fault.__name__ = f"doubled_{kind}_entry_of_{''.join(map(str, lam))}"
+    return fault
+
+
+def duplicated_basis_weight(monkeypatch, alg):
+    # the dimension stays, the multiplicities move
+    weights = alg.irrep((2,)).weights
+    weights[1] = weights[0]
+
+
+def doubled_levi_entry(monkeypatch, alg):
+    double_first(alg.irreps.levi(alg.cd, (1,), (1, -1)).E[1])
+
+
+def doubled_antipode(monkeypatch, alg):
+    # the antipode laws are the suite's one reader of verify's binding
+    intact = verify.antipode
+    monkeypatch.setattr(verify, "antipode", lambda alg, a: intact(alg, a).scale(TWO))
+
+
+def doubled_closed_form(variant):
+    """schur_pair doubled for one index pattern only."""
+    def fault(monkeypatch, alg):
+        intact = verify.schur_pair
+        monkeypatch.setattr(verify, "schur_pair", lambda *args: intact(*args) * TWO
+                            if args[-1] == variant else intact(*args))
+    fault.__name__ = f"doubled_{variant}_closed_form"
+    return fault
+
+
+class TopDoubled:
+    """A Cartan monomial whose matrix (or inverse matrix) is doubled at the
+    highest-weight vector, basis index 0."""
+
+    def __init__(self, mono, inverse):
+        self.mono, self.inverse = mono, inverse
+
+    def matrix(self, m, inverse=False):
+        mat = self.mono.matrix(m, inverse)
+        if inverse == self.inverse:
+            mat.data[0, 0] = mat.data[0, 0] * TWO
+        return mat
+
+
+def k2rho_doubled_at_the_top(inverse):
+    """verify's k2rho feeds the matrix form of S^2 alone.  Row 0 of
+    k e_i k^-1 reads k at the top, and only e_i has entries there (the e
+    site); column 0 of k f_i k^-1 reads k^-1 at the top, and only f_i has
+    entries there (the f site)."""
+    def fault(monkeypatch, alg):
+        intact = verify.k2rho
+        monkeypatch.setattr(verify, "k2rho", lambda cd: TopDoubled(intact(cd), inverse))
+    fault.__name__ = f"k2rho{'_inverse' if inverse else ''}_doubled_at_the_top"
+    return fault
+
+
+def unit_k2rho_word(monkeypatch, alg):
+    # verify's k2rho_word feeds the pairing form of S^2 alone
+    monkeypatch.setattr(verify, "k2rho_word", lambda cd: uqrep.AlgebraWord.unit())
+
+
+def everything_zero(monkeypatch, alg):
+    # every sample then counts as zero while its integral is positive; the
+    # zero element's own check does not ask
+    monkeypatch.setattr(coeff.CoeffElement, "is_zero", lambda self: True)
+
+
+def integral_plus_one(monkeypatch, alg):
+    # positive values stay positive; the zero element's integral becomes 1
+    intact = verify.haar_positivity
+    monkeypatch.setattr(verify, "haar_positivity", lambda alg, a, v0: NumericValue(
+        intact(alg, a, v0).value + 1))
+
+
+def nothing_closed(monkeypatch, alg):
+    # product_closure_check is the one reader of bundle's binding here
+    monkeypatch.setattr(bundle, "is_invariant_function", lambda *args: False)
+
+
+def everything_invariant(monkeypatch, alg):
+    monkeypatch.setattr(verify, "is_invariant_function", lambda *args: True)
+
+
+def doubled_kappa(monkeypatch, alg):
+    # kappa appears in the round trips only
+    intact = verify.kappa_map
+
+    def doubled(zeta, wmod, direction="forward"):
+        image = intact(zeta, wmod, direction)
+        if direction == "forward":
+            image = image.copy_with({key: {r: x * TWO for r, x in vec.items()}
+                                     for key, vec in image.data.items()})
+        return image
+
+    monkeypatch.setattr(verify, "kappa_map", doubled)
+
+
+def inverse_eta_doubled_on_high_grades(monkeypatch, alg):
+    # the round trips draw sections from the trivial grade and the module's
+    # own, so eta's images reach at most twice the module's grade; the eta
+    # checks of the induced sections also start two grades above it
+    intact = verify.eta_map
+
+    def doubled(zeta, wmod, direction="forward"):
+        image = intact(zeta, wmod, direction)
+        if direction == "inverse" and any(sum(lam) > 2 * sum(wmod.hw) for lam, _, _ in zeta.data):
+            image = image.copy_with({key: {r: x * TWO for r, x in vec.items()}
+                                     for key, vec in image.data.items()})
+        return image
+
+    monkeypatch.setattr(verify, "eta_map", doubled)
+
+
+def failure_sites():
+    """Every ``failures.append`` call in verify.py, as {line: (suite, site)}.
+
+    A site is named by the constant strings of the dict it appends, an
+    f-string giving its leading constant (so the e and f records of
+    s_squared are two sites), or by its suite when the dict has none.
+    """
+    with open(verify.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    sites = {}
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_")):
+            continue
+        suite = fn.name[len("check_"):]
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "append"
+                    and getattr(node.func.value, "id", None) == "failures"):
+                continue
+            words = []
+            for value in node.args[0].values:
+                if isinstance(value, ast.JoinedStr):
+                    value = value.values[0]
+                if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    words.append(value.value)
+            sites[node.lineno] = (suite, " ".join(words) or suite)
+    return sites
+
+
+@contextmanager
+def fired_sites():
+    """The failure sites of verify.py that run inside the block."""
+    sites, fired, path = failure_sites(), set(), verify.__file__
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno in sites:
+            fired.add(sites[frame.f_lineno])
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code.co_filename == path else None)
+    try:
+        yield fired
+    finally:
+        sys.settrace(previous)
+
+
+# (suite, algebra, fault, the one failure site it must fire): one row per site
+SITE_FAULTS = [
+    ("relations", "A2", doubled_entry("E", (1, 1)), "relations"),
+    ("dimensions", "A1", lost_lowest_vector, "dimension"),
+    ("dimensions", "A1", duplicated_basis_weight, "multiplicity"),
+    ("hopf", "A1", twisted_coproduct, "coassociativity"),
+    ("hopf", "A1", doubled_coproduct, "counit"),
+    ("hopf", "A1", doubled_antipode, "antipode"),
+    ("hopf", "A1", dropped_coproduct_leg, "duality"),
+    ("schur", "A1", doubled_closed_form("t_dual"), "t_dual"),
+    ("schur", "A1", doubled_closed_form("dual_t"), "dual_t"),
+    ("schur", "A1", k2rho_doubled_at_the_top(False), "s_squared e"),
+    ("schur", "A1", k2rho_doubled_at_the_top(True), "s_squared f"),
+    ("schur", "A1", unit_k2rho_word, "s_squared_pairing"),
+    ("haar_positivity", "A1", everything_zero, "zero"),
+    ("haar_positivity", "A1", sign_flipped_gram_value, "nonpositive"),
+    ("haar_positivity", "A1", integral_plus_one, "zero-element"),
+    ("hom_criterion", "A2", doubled_levi_entry, "hom_criterion"),
+    ("invariants", "A2", extra_central_map, "central_count"),
+    ("invariants", "A2", dropped_induced_section, "gamma_dim"),
+    ("invariants", "A2", nothing_invariant, "invariance"),
+    ("invariants", "A2", nothing_closed, "product_closure"),
+    ("invariants", "A2", everything_invariant, "negative_control"),
+    ("projectivity", "A1", repeated_levi_summand, "complement_dim"),
+    ("projectivity", "A1", doubled_kappa, "roundtrip"),
+    ("projectivity", "A1", nothing_invariant, "eta_membership"),
+    ("projectivity", "A1", inverse_eta_doubled_on_high_grades, "eta_inverse"),
+    ("frobenius", "A1", doubled_entry("E", (2,)), "frobenius"),
+    ("borel_weil", "A1", doubled_entry("F", (2,)), "borel_weil"),
+    ("borel_weil", "A1", eta_image_off_unit, "trivial_bundle"),
+]
+
+
+@pytest.mark.parametrize("check,name,fault,kind", SITE_FAULTS)
+def test_fault_fires_one_failure_site_alone(fresh, monkeypatch, check, name, fault, kind):
+    suite = verify.ALL_CHECKS[check]
+    fresh(name)
+    with fired_sites() as fired:
+        assert run(suite, name, None)
+    assert fired == set()
+    fault(monkeypatch, fresh(name))
+    with fired_sites() as fired:
+        report = suite(quick=True, algebra=name, max_weight=None)
+    assert report["details"]["failures"]
+    assert fired == {(check, kind)}
+
+
+def test_every_failure_site_is_named_by_a_fault():
+    sites = list(failure_sites().values())
+    assert len(sites) == len(set(sites)) == 28
+    assert sorted(sites) == sorted((check, kind) for check, _, _, kind in SITE_FAULTS)
