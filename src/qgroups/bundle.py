@@ -489,35 +489,34 @@ def _antipoded_rows(alg, wmod: IrrepModule, times: int) -> Memo:
     return Memo(row)
 
 
+def _trivialize(zeta: Section, wmod: IrrepModule, times: int, on_left: bool) -> Section:
+    """f (x) w_i -> sum_j c_j f (x) w_j, with c_j = S^times(t_{ji}) multiplied
+    on the left of f (``on_left``) or on its right."""
+    alg = zeta.alg
+    rows = _antipoded_rows(alg, wmod, times)
+    out_data = {}
+    for key, vec in zeta.data.items():
+        basis = _coeff({key: RF_ONE})
+        for i, x in vec.items():
+            for j, c in enumerate(rows[i]):
+                left, right = (c, basis) if on_left else (basis, c)
+                _coeff_product_into(alg, left, right, {j: x}, out_data)
+    return zeta.copy_with(out_data, wmod)
+
+
 def eta_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
     """Right trivialization of the bundle induced by a full module.
 
     forward: f (x) w_i -> sum_j t_{ji} f (x) w_j; inverse uses the antipoded
     coefficients.  The two directions compose to the identity.
     """
-    alg = zeta.alg
-    rows = _antipoded_rows(alg, wmod, 0 if direction == "forward" else 1)
-    out_data = {}
-    for key, vec in zeta.data.items():
-        basis = _coeff({key: RF_ONE})
-        for i, x in vec.items():
-            for j, left in enumerate(rows[i]):
-                _coeff_product_into(alg, left, basis, {j: x}, out_data)
-    return zeta.copy_with(out_data, wmod)
+    return _trivialize(zeta, wmod, 0 if direction == "forward" else 1, on_left=True)
 
 
 def kappa_map(zeta: Section, wmod: IrrepModule, direction="forward") -> Section:
     """Left trivialization: multiplication on the right by twice- or once-
     antipoded coefficients."""
-    alg = zeta.alg
-    rows = _antipoded_rows(alg, wmod, 2 if direction == "forward" else 1)
-    out_data = {}
-    for key, vec in zeta.data.items():
-        basis = _coeff({key: RF_ONE})
-        for i, x in vec.items():
-            for j, right in enumerate(rows[i]):
-                _coeff_product_into(alg, basis, right, {j: x}, out_data)
-    return zeta.copy_with(out_data, wmod)
+    return _trivialize(zeta, wmod, 2 if direction == "forward" else 1, on_left=False)
 
 
 # --- complements and Frobenius reciprocity --------------------------------------

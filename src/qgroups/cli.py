@@ -323,9 +323,9 @@ def parse_coeff_expr(alg, text):
             op = prefix
             text = text[len(prefix) + 1:].strip()
             break
-    if not (text.startswith("t(") and "[" in text and text.endswith("]")):
+    weight_part, sep, index_part = text[2:-1].partition(")[")
+    if not (text.startswith("t(") and sep and text.endswith("]")):
         raise UsageError(f"cannot parse coefficient expression {text!r}")
-    weight_part, index_part = text[2:-1].split(")[", 1)
     weight = parse_weight(weight_part, alg.cd.rank)
     try:
         i, j = (int(x) for x in index_part.split(","))

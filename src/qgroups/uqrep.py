@@ -626,7 +626,7 @@ def check_serre(m: IrrepModule) -> list:
             ok = conjugates(m.f_matrix(j), -p)
             record(f"k{i} e{j} k{i}^-1 = v^({p}) e{j}",
                    ok if mirrored and inverse else conjugates(m.e_matrix(j), p))
-            record(f"k{i} f{j} k{i}^-1 = v^(-{p}) f{j}", ok)
+            record(f"k{i} f{j} k{i}^-1 = v^({-p}) f{j}", ok)
 
     commutes = {}
     for i in idx:
@@ -730,7 +730,7 @@ def _mat_to_json(m: Mat):
 
 # names the layout of irrep_to_json payloads and of their cache entries;
 # change it with either
-IRREP_SCHEMA = "qgroups-irrep/2"
+IRREP_SCHEMA = "qgroups-irrep/3"
 
 
 def irrep_to_json(m: IrrepModule) -> dict:
@@ -741,7 +741,6 @@ def irrep_to_json(m: IrrepModule) -> dict:
         "weights": [list(w) for w in m.weights],
         "E": {str(i): _mat_to_json(mat) for i, mat in sorted(m.E.items())},
         "F": {str(i): _mat_to_json(mat) for i, mat in sorted(m.F.items())},
-        "gram": [rf_to_text(g) for g in m.gram],
         "constructions": [
             [[p, i, rf_to_text(c)] for p, i, c in entry] for entry in m.constructions
         ],
@@ -749,7 +748,7 @@ def irrep_to_json(m: IrrepModule) -> dict:
 
 
 _PAYLOAD_KEYS = ("algebra", "highest_weight", "lowering", "weights", "E", "F",
-                 "gram", "constructions")
+                 "constructions")
 
 
 def _require(ok, what):
@@ -801,10 +800,10 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
     the highest weight, a stored ``F_i`` entry that does not lower its
     column's weight by alpha_i (an ``E_i`` entry: raise), a construction
     whose parent p (its last term, through f_i) is not an earlier vector one
-    simple root above, a zero E_i[p, s] or F_i[s, p], or a ``gram`` other
-    than the expansion of the step ratios E_i[p, s] / F_i[s, p] from a
-    nonzero g_0 raises CacheIntegrityError.  So the stored ``gram`` is
-    turned into the step ratios g_s / g_p(s) that ``build_module`` stores.
+    simple root above, or a zero E_i[p, s] or F_i[s, p] raises
+    CacheIntegrityError.  The payload holds no form: the step ratios
+    g_s / g_p(s) that ``build_module`` stores are read off E and F, from
+    g_0 = 1.
     """
     _require(isinstance(obj, dict), "not an object")
     missing = [k for k in _PAYLOAD_KEYS if k not in obj]
@@ -832,8 +831,6 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
             _require(all(wr == wc + sign * a for r, c in mat.data
                          for wr, wc, a in zip(weights[r], weights[c], alpha)),
                      f"{name}[{i}] weights")
-    gram = obj["gram"]
-    _require(isinstance(gram, list) and len(gram) == dim, "gram")
     constructions = obj["constructions"]
     _require(isinstance(constructions, list) and len(constructions) == dim
              and constructions[:1] == [[]], "constructions")
@@ -841,15 +838,11 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
         _require(isinstance(entry, list)
                  and all(isinstance(t, list) and len(t) == 3 and _is_ints(t[:2])
                          for t in entry), "constructions")
-    gram = [_rf_field(t, "gram") for t in gram]
-    _require(gram[0], "gram entry is zero")
     constructions = [[(p, i, _rf_field(t, "constructions")) for p, i, t in entry]
                      for entry in constructions]
     # adjointness gives g_s F_i[s, p] = g_p E_i[p, s] on the edge to the
-    # parent, so the step ratio g_s / g_p is E_i[p, s] / F_i[s, p]; the stored
-    # g_s must be g_p times it.  A product: the quotient g_s / g_p itself
-    # would cancel a gcd of two long polynomials
-    ratios = [gram[0]]
+    # parent, so the step ratio g_s / g_p is E_i[p, s] / F_i[s, p]
+    ratios = [RF_ONE]
     for s, entry in enumerate(constructions[1:], 1):
         # the step ratios climb to the parent, which must be an earlier
         # vector one simple root up
@@ -861,7 +854,6 @@ def irrep_from_json(cd: CartanData, obj) -> IrrepModule:
         x, y = mats["E"][i].data.get((p, s)), mats["F"][i].data.get((s, p))
         _require(x and y, "construction edge")
         ratios.append(x / y)
-        _require(gram[p] * ratios[s] == gram[s], "gram does not match E and F")
     return IrrepModule(
         cd,
         tuple(obj["highest_weight"]),

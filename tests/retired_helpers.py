@@ -260,10 +260,10 @@ def direct_check_serre(m) -> list:
             record(f"k{i} k{j} = k{j} k{i}", ki is not None and kd[j][0] is not None)
         for j in idx:
             pairing = cd.d[i - 1] * cd.cartan[i - 1][j - 1]
-            for kind, sign, p in (("e", "", pairing), ("f", "-", -pairing)):
+            for kind, p in (("e", pairing), ("f", -pairing)):
                 vp = RationalFunction.v_power(p)
                 x = m.gen_matrix((kind, j)).data
-                record(f"k{i} {kind}{j} k{i}^-1 = v^({sign}{pairing}) {kind}{j}",
+                record(f"k{i} {kind}{j} k{i}^-1 = v^({p}) {kind}{j}",
                        both and all(ki[r] * y * kiv[c] == vp * y for (r, c), y in x.items()))
 
     for i in idx:
@@ -475,7 +475,7 @@ def difference_check_serre(m) -> list:
             ok = conjugates(m.f_matrix(j), -p)
             record(f"k{i} e{j} k{i}^-1 = v^({p}) e{j}",
                    ok if mirrored and inverse else conjugates(m.e_matrix(j), p))
-            record(f"k{i} f{j} k{i}^-1 = v^(-{p}) f{j}", ok)
+            record(f"k{i} f{j} k{i}^-1 = v^({-p}) f{j}", ok)
 
     commutes = {}
     for i in idx:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -158,6 +159,15 @@ def test_haar_rejects_bad_expression(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("expr", ["t(1[1,1]", "star t(1[1,1]", "t(1) [1,1]", "t(1)[1,1"])
+def test_haar_names_a_malformed_expression(expr, capsys):
+    # the weight and the indices must meet as ")["
+    code = main(["haar", "--algebra", "A1", "--pair", expr, "t(1)[1,1]"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"error: cannot parse coefficient expression {expr.removeprefix('star ')!r}\n"
+
+
 def test_zero_denominator_v0_is_a_usage_error(capsys):
     code = main(["irrep", "--algebra", "A1", "--weight", "1", "--v0", "1/0"])
     assert code == EXIT_USAGE
@@ -290,7 +300,7 @@ def edit_cached_payload(cache_dir, edit):
 def test_cache_payload_missing_key_is_an_integrity_error(tmp_path, capsys):
     args = ["irrep", "--algebra", "A1", "--weight", "2", "--cache-dir", str(tmp_path)]
     assert main(args) == EXIT_OK
-    edit_cached_payload(tmp_path, lambda payload: payload.pop("gram"))
+    edit_cached_payload(tmp_path, lambda payload: payload.pop("constructions"))
     capsys.readouterr()
     assert main(args) == EXIT_USAGE
     assert "cache integrity error" in capsys.readouterr().err
@@ -350,12 +360,6 @@ def parent_off_level(payload):
     payload["constructions"][s][-1][0] = 0
 
 
-def gram_off_its_step_ratio(payload):
-    # g_s must be g_p(s) E_i[p, s] / F_i[s, p]; g_1 = 1 * [1]_1 = 1 here
-    assert payload["gram"][1] == "1*v^0 / 1*v^0"
-    payload["gram"][1] = "2*v^0 / 1*v^0"
-
-
 def edge_entry_dropped(payload):
     # E_i[0, 1], the raising entry on the edge from vector 1 to its parent
     (parent, i, _), = payload["constructions"][1]
@@ -364,7 +368,6 @@ def edge_entry_dropped(payload):
 
 
 @pytest.mark.parametrize("edit, what", [(parent_off_level, "construction parent"),
-                                        (gram_off_its_step_ratio, "gram does not match E and F"),
                                         (edge_entry_dropped, "construction edge")])
 def test_cache_payload_off_its_step_ratios_is_an_integrity_error(tmp_path, capsys, edit, what):
     # the loader reads the step ratios g_s / g_p(s) off the construction tree
@@ -568,11 +571,36 @@ def test_cache_entry_of_another_version_is_rebuilt(tmp_path, capsys, monkeypatch
         capsys.readouterr()
     (old_entry,) = tmp_path.glob("*.json")
     # reusing this entry would be a cache integrity error
-    edit_cached_payload(tmp_path, lambda payload: payload.pop("gram"))
+    edit_cached_payload(tmp_path, lambda payload: payload.pop("constructions"))
     assert run_cli(cached, capsys) == expected
     assert len(list(tmp_path.glob("*.json"))) == 2
     assert run_cli(cached, capsys) == expected
     assert old_entry.exists()
+
+
+def test_large_module_is_cached_cold_and_warm_in_a_small_entry(tmp_path):
+    # the entry holds E, F and the constructions, each of a size linear in
+    # the dimension; with the expanded Gram diagonal it was about 204 MB here,
+    # and writing or reading it took longer than the deadline
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    deadline = time.monotonic() + 20
+
+    def report(*extra):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qgroups.cli", "irrep", "--algebra", "A1",
+             "--weight", "120", "--format", "json", *extra],
+            capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=max(deadline - time.monotonic(), 0.1))
+        return proc.stdout
+
+    uncached = report()
+    assert report("--cache-dir", str(tmp_path)) == uncached
+    (entry,) = tmp_path.glob("*.json")
+    written = entry.stat().st_mtime_ns
+    assert report("--cache-dir", str(tmp_path)) == uncached
+    assert list(tmp_path.glob("*.json")) == [entry]
+    assert entry.stat().st_mtime_ns == written
+    assert entry.stat().st_size < 256 * 1024
 
 
 def test_negative_max_weight_is_a_usage_error(capsys):

@@ -205,9 +205,9 @@ def stored_zero_f1_entry(m):
     (k1_entry_times_v, "B2", (1, 1),
      {"k1 k1^-1 = 1", "k1 e1 k1^-1 = v^(4) e1", "k1 e2 k1^-1 = v^(-2) e2"}),
     (f1_entry_off_weight, "A2", (1, 1),
-     {"k1 f1 k1^-1 = v^(-2) f1", "k2 f1 k2^-1 = v^(--1) f1"}),
+     {"k1 f1 k1^-1 = v^(-2) f1", "k2 f1 k2^-1 = v^(1) f1"}),
     (f1_entry_off_weight, "B2", (1, 1),
-     {"k1 f1 k1^-1 = v^(-4) f1", "k2 f1 k2^-1 = v^(--2) f1"}),
+     {"k1 f1 k1^-1 = v^(-4) f1", "k2 f1 k2^-1 = v^(2) f1"}),
     # a stored zero conjugates to zero: no K record may fail on it
     (stored_zero_f1_entry, "A2", (1, 1), set()),
     (stored_zero_f1_entry, "B2", (1, 1), set()),

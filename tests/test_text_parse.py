@@ -138,7 +138,7 @@ def test_every_entry_of_a_warm_payload_reads_as_before(tmp_path, capsys):
                 yield from strings(x)
 
     entries = [s for s in strings(payload) if " / " in s]
-    assert len(entries) == 60 + 60 + 61 + 60   # E_1, F_1, gram, constructions
+    assert len(entries) == 60 + 60 + 60   # E_1, F_1, constructions
     for text in entries:
         new = rf_from_text(text)
         assert new == fraction_rf_from_text(text)

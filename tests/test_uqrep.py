@@ -338,7 +338,7 @@ def matmul_k_block(m):
             pairing = cd.d[i - 1] * cd.cartan[i - 1][j - 1]
             record(f"k{i} e{j} k{i}^-1 = v^({pairing}) e{j}",
                    (ki @ ej @ kiv) == ej.scale(v(pairing)))
-            record(f"k{i} f{j} k{i}^-1 = v^(-{pairing}) f{j}",
+            record(f"k{i} f{j} k{i}^-1 = v^({-pairing}) f{j}",
                    (ki @ fj @ kiv) == fj.scale(v(-pairing)))
     return report
 
