@@ -48,6 +48,7 @@ from .parabolic import (
     restrict_levi,
 )
 from .scalar import RF_ONE, RF_ZERO, Memo
+from .tensor import DualModule
 from .uqrep import (
     AlgebraWord,
     IrrepModule,
@@ -329,7 +330,10 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
     The system block-diagonalizes over the first coefficient index with
     identical blocks, so it is solved once for the column profile and
     replicated: the returned basis has (block solution count) x d_lam
-    sections.  Must span the same space as the intertwiner route.
+    sections.  The column profiles w_b are the intertwiners
+    phi: V* -> W(lam*), phi[b, r] = w_b[r], with V* the dual representation
+    (``tensor.DualModule``), so ``hom_space`` solves for them.  Must span the
+    same space as the intertwiner route.
 
     A weight-cone test comes before W(lam*) is built.  An unknown (b, r)
     needs wt_b = -tau_r for a weight tau_r of V, and every weight of W(lam*)
@@ -339,35 +343,21 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
     and the grade has no section: the test returns the [] the build would.
     """
     cd = alg.cd
-    gens = [g for g in p.generators(flavor) if g[0] in "ef"]
+    p.generators(flavor)   # an unknown flavor raises before the cone test
     lam_dual = alg.dual_weights[tuple(lam)]
-    vspaces = vmod.weight_spaces()
     cone = (cd.fundamental_to_root([x + t for x, t in zip(lam_dual, tau)])
-            for tau in vspaces)
+            for tau in vmod.weight_spaces())
     if not any(beta is not None and min(beta) >= 0 for beta in cone):
         return []
     m = alg.irrep(lam_dual)
-    d = m.dim
-    # unknown column profile: w_b in V with torus matching tau_r = -wt_b
-    unknowns = []
-    for b in range(d):
-        neg = tuple(-c for c in m.weights[b])
-        for r in vspaces.get(neg, ()):
-            unknowns.append((b, r))
-    if not unknowns:
-        return []
-    # sum_b M[k,b] w_b[r] - sum_s MS[r,s] w_k[s] = 0 for each (k, r)
-    pairs = [(m.gen_matrix(g),
-              act_word(vmod, antipode_word(cd, AlgebraWord.of_gen(g))).transpose())
-             for g in gens]
     # kernel vectors hold no zero and lam_dual is a tuple: the data are clean
     template = Section(alg, p, vmod)
     out = []
-    for vec in intertwiner_kernel(unknowns, pairs):
+    for phi in hom_space(DualModule(vmod), m, p, flavor):
         profile = {}
-        for (b, r), x in vec.items():
+        for (b, r), x in phi.data.items():
             profile.setdefault(b, {})[r] = x
-        for a in range(d):
+        for a in range(m.dim):
             out.append(template.copy_with(
                 {(lam_dual, a + 1, b + 1): dict(v) for b, v in profile.items()}))
     return out

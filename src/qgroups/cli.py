@@ -378,7 +378,6 @@ def build_parser(config=None):
 
     def common(p):
         p.add_argument("--format", choices=("human", "json", "csv"), default="human")
-        p.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
         p.add_argument("--out", help="write the report to a file instead of stdout")
         if config:
             p.set_defaults(**config)
@@ -393,6 +392,7 @@ def build_parser(config=None):
     p.add_argument("--algebra", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--v0", help="also evaluate the quantum dimension at v0")
+    p.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
     common(p)
     p.set_defaults(func=cmd_irrep)
 

@@ -63,7 +63,7 @@ from .scalar import (
     rf_to_text,
     specialize,
 )
-from .tensor import decompose, tensor_module
+from .tensor import DualModule, decompose, highest_weight_vectors, tensor_module
 from .uqrep import (
     AlgebraWord,
     IrrepCache,
@@ -273,28 +273,19 @@ class CoeffAlgebra:
         return self._dual[tuple(lam)]
 
     def _make_dual(self, lam):
-        cd = self.cd
         m = self.irrep(lam)
         lam_dual = self.dual_weights[lam]
         canon = self.irrep(lam_dual)
-
-        # the dual representation x -> t^(lam)(S(x))^T has raising matrices
-        # -q_i e_i^T and lowering matrices -q_i^-1 f_i^T; the weight of dual
-        # index s is minus the module weight.  So its highest-weight space is
-        # spanned by the (in an irreducible module, one) basis indices of
-        # lowest weight -lam_dual whose row is zero in every e_i.
-        raised = {r for i in range(1, cd.rank + 1) for r, _ in m.e_matrix(i).data}
-        kern = [s for s in range(m.dim)
-                if s not in raised and tuple(-c for c in m.weights[s]) == lam_dual]
-        if len(kern) != 1:
+        # the dual representation x -> t^(lam)(S(x))^T of an irreducible
+        # module has one line of highest weight lam_dual; lowering its vector
+        # with the dual's own f_i gives the canonical basis inside it
+        dual = DualModule(m)
+        hwvs = highest_weight_vectors(dual, lam_dual, m.lowering)
+        if len(hwvs) != 1:
             raise ArithmeticError(
-                f"dual highest-weight space of {lam} has dimension {len(kern)}"
+                f"dual highest-weight space of {lam} has dimension {len(hwvs)}"
             )
-
-        def dual_f(i):
-            return m.f_matrix(i).transpose().scale(-RationalFunction.v_power(-2 * cd.d[i - 1]))
-
-        cols = canon.embed_from_highest(index_applier(dual_f), {kern[0]: RF_ONE})
+        cols = canon.embed_from_highest(index_applier(dual.f_matrix), hwvs[0])
         q = Mat(m.dim, canon.dim)
         for c, col in enumerate(cols):
             q.set_column(c, col)

@@ -155,6 +155,8 @@ def hom_space(m: IrrepModule, target: IrrepModule, p: ParabolicData,
     tgt_spaces = target.weight_spaces()
     unknowns = sorted((a, w_idx) for w_idx, w in enumerate(m.weights)
                       for a in tgt_spaces.get(w, ()))
+    if not unknowns:   # then no generator matrix is formed
+        return HomBasis(m, target, flavor, [])
     # phi Mw = Mv phi on each generator
     kern = intertwiner_kernel(
         unknowns, [(target.gen_matrix(g), m.gen_matrix(g)) for g in gens])

@@ -22,7 +22,7 @@ columns pays for those alone.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, neg
 
 from .cartan import CartanData, inner_scaled, is_dominant
 # kernel_basis is called through raising_kernel, but perfbench's tracer test
@@ -36,7 +36,7 @@ from .linalg import (  # noqa: F401
     raising_kernel,
 )
 from .scalar import RF_ONE, RF_ZERO, Memo
-from .uqrep import IrrepModule, WeightModule
+from .uqrep import AlgebraWord, IrrepModule, WeightModule, act_word, antipode_word
 
 
 class TensorModule(WeightModule):
@@ -77,6 +77,26 @@ class TensorModule(WeightModule):
 
 def tensor_module(a: IrrepModule, b: IrrepModule) -> TensorModule:
     return TensorModule(a, b)
+
+
+class DualModule(WeightModule):
+    """The dual representation x -> t(S(x))^T of a module: weights negated,
+    e_i and f_i the transposed matrices of S(e_i) and S(f_i), each formed on
+    first use and kept."""
+
+    __slots__ = ("lowering", "_gens")
+
+    def __init__(self, m):
+        super().__init__(m.cd, [tuple(map(neg, w)) for w in m.weights])
+        self.lowering = m.lowering
+        self._gens = Memo(
+            lambda g: act_word(m, antipode_word(m.cd, AlgebraWord.of_gen(g))).transpose())
+
+    def e_matrix(self, i):
+        return self._gens["e", i]
+
+    def f_matrix(self, i):
+        return self._gens["f", i]
 
 
 def highest_weight_vectors(m, nu, raising) -> list:

@@ -131,10 +131,6 @@ def _q_i(cd: CartanData, i) -> RationalFunction:
     return RationalFunction.v_power(2 * cd.d[i - 1])
 
 
-def _q_i_inv(cd: CartanData, i) -> RationalFunction:
-    return RationalFunction.v_power(-2 * cd.d[i - 1])
-
-
 def counit(cd: CartanData, x: AlgebraWord) -> RationalFunction:
     total = RF_ZERO
     for word, c in x.terms.items():
@@ -143,41 +139,38 @@ def counit(cd: CartanData, x: AlgebraWord) -> RationalFunction:
     return total
 
 
+# the one antipode table: S sends each generator to a multiple of one generator
 _ANTIPODE = {
     "e": lambda cd, i: ("e", -_q_i(cd, i)),
-    "f": lambda cd, i: ("f", -_q_i_inv(cd, i)),
-    "k": lambda cd, i: ("K", RF_ONE),
-    "K": lambda cd, i: ("k", RF_ONE),
-}
-
-_ANTIPODE_INV = {
-    "e": lambda cd, i: ("e", -_q_i_inv(cd, i)),
-    "f": lambda cd, i: ("f", -_q_i(cd, i)),
+    "f": lambda cd, i: ("f", -_q_i(cd, i).inv()),
     "k": lambda cd, i: ("K", RF_ONE),
     "K": lambda cd, i: ("k", RF_ONE),
 }
 
 
-def _map_word(cd, x: AlgebraWord, table, reverse) -> AlgebraWord:
+def _map_word(cd, x: AlgebraWord, inverse) -> AlgebraWord:
+    """S(x), or S^-1(x) for inverse=True; both reverse each word.  S sends
+    e_i and f_i to multiples of themselves and swaps k_i and k_i^-1 with
+    factor one, so S^-1 sends each generator where S does, with the inverse
+    factor."""
     out = {}
     for word, c in x.terms.items():
         gens = []
         coeff = c
-        src = reversed(word) if reverse else word
-        for kind, i in src:
-            new_kind, factor = table[kind](cd, i)
+        for kind, i in reversed(word):
+            new_kind, factor = _ANTIPODE[kind](cd, i)
             gens.append((new_kind, i))
-            coeff = coeff * factor
+            coeff = coeff * (factor.inv() if inverse else factor)
         out[tuple(gens)] = coeff  # one-to-one on words; each factor is nonzero
     return _word(out)
 
 
 def antipode_word(cd, x: AlgebraWord) -> AlgebraWord:
-    return _map_word(cd, x, _ANTIPODE, reverse=True)
+    return _map_word(cd, x, inverse=False)
 
 
 def antipode_inv_word(cd, x: AlgebraWord) -> AlgebraWord:
-    return _map_word(cd, x, _ANTIPODE_INV, reverse=True)
+    return _map_word(cd, x, inverse=True)
 
 
 def _leg_pairs(word) -> tuple:

@@ -62,7 +62,7 @@ from .parabolic import (
     restrict_levi,
 )
 from .scalar import LaurentPoly, Memo, RF_ONE, RationalFunction, rf_to_text
-from .uqrep import AlgebraWord, check_serre, k2rho
+from .uqrep import AlgebraWord, antipode_word, check_serre, k2rho
 
 
 class Row(NamedTuple):
@@ -331,9 +331,7 @@ def check_schur(quick=False, algebra=None, max_weight=None):
         cd = alg.cd
         d = alg.irrep(lam).dim
         conj = k2rho_word(cd)
-        conj_inv = AlgebraWord({tuple(("K" if kind == "k" else "k", i)
-                                      for kind, i in word): c
-                                for word, c in conj.terms.items()})
+        conj_inv = antipode_word(cd, conj)   # S(k_i) = k_i^-1
         letters = [gen for gen in _word_alphabet(cd) if gen[0] in "ef"]   # every e_i and f_i
         for i in range(1, d + 1):
             for j in range(1, d + 1):
@@ -390,10 +388,8 @@ def check_haar_positivity(quick=False, algebra=None, max_weight=None):
             a = _random_element(alg, supports[name], rng)
             val = haar_positivity(alg, a, _HAAR_V0)
             checked += 1
-            if a.is_zero():
-                if val.value != 0:
-                    failures.append({"algebra": name, "kind": "zero"})
-            elif not val.value > 0:
+            # no sample is zero (see _random_element); zero is checked below
+            if not val.value > 0:
                 failures.append({"algebra": name, "kind": "nonpositive",
                                  "value": str(val.value)})
         zero = haar_positivity(alg, CoeffElement(), _HAAR_V0)

@@ -55,6 +55,8 @@ a loop of its own.  ``peeling_char_decompose_oracle`` and
 ``cartan.peel_characters``, the second through the former
 ``parabolic.levi_weight_multiplicities``.  ``rebuilt_k_matrix`` is the former
 ``TensorModule.k_matrix``, which built a new diagonal on every call.
+``cartan_involution_word`` maps its words with its own loop and its own
+q_i^-1, since ``uqrep._map_word`` now knows only the antipode table.
 Do not optimize them.
 """
 from __future__ import annotations
@@ -203,17 +205,32 @@ def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunct
     raise ValueError(f"unknown operation {op!r}")
 
 
+def _q_i(cd, i, sign=1):
+    """q_i^sign = v^(2 d_i sign)."""
+    return RationalFunction.v_power(2 * cd.d[i - 1] * sign)
+
+
 # theta = (compact star) after the antipode: an algebra homomorphism
 _CARTAN_INVOLUTION = {
-    "e": lambda cd, i: ("f", -uqrep._q_i(cd, i)),
-    "f": lambda cd, i: ("e", -uqrep._q_i_inv(cd, i)),
+    "e": lambda cd, i: ("f", -_q_i(cd, i)),
+    "f": lambda cd, i: ("e", -_q_i(cd, i, -1)),
     "k": lambda cd, i: ("K", RF_ONE),
     "K": lambda cd, i: ("k", RF_ONE),
 }
 
 
 def cartan_involution_word(cd, x):
-    return uqrep._map_word(cd, x, _CARTAN_INVOLUTION, reverse=False)
+    """theta(x), letter by letter in the word's own order (a homomorphism
+    keeps the order of the letters)."""
+    out = {}
+    for word, c in x.terms.items():
+        gens = []
+        for kind, i in word:
+            new_kind, factor = _CARTAN_INVOLUTION[kind](cd, i)
+            gens.append((new_kind, i))
+            c = c * factor
+        out[tuple(gens)] = c
+    return AlgebraWord(out)
 
 
 def leading_coeff(p):

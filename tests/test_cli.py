@@ -534,6 +534,23 @@ def test_argparse_usage_error_exits_1(capsys):
     capsys.readouterr()
 
 
+def test_cache_dir_is_refused_where_there_is_no_cache(tmp_path, capsys):
+    # only irrep reads a cache; the other commands used to accept the flag
+    # and ignore it
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["haar", "--algebra", "A1", "--pair", "t(1)[1,1]", "t(1)[1,1]",
+              "--cache-dir", str(cache_dir)])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qgroups ")
+    assert captured.err.count("error:") == 1
+    assert captured.err.endswith(
+        f"qgroups: error: unrecognized arguments: --cache-dir {cache_dir}\n")
+    assert not cache_dir.exists()
+
+
 def test_importing_cli_does_not_load_verify():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = "import sys, qgroups.cli; print('qgroups.verify' in sys.modules)"

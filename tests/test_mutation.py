@@ -21,7 +21,7 @@ solve that repeats a section (``span_ok``), and a doubled off-diagonal value
 of the induced sections or of the rebuilt ones (``induced_intertwines``,
 ``Fbar_after_F_is_identity``).
 
-``SITE_FAULTS`` names, for each of the 28 ``failures.append`` sites of
+``SITE_FAULTS`` names, for each of the 27 ``failures.append`` sites of
 verify.py, a fault of data or code under which that site, and no other,
 runs in its suite: a line tracer records the sites that run, and an AST
 test keeps the table in step with the sites.
@@ -574,12 +574,6 @@ def unit_k2rho_word(monkeypatch, alg):
     monkeypatch.setattr(verify, "k2rho_word", lambda cd: uqrep.AlgebraWord.unit())
 
 
-def everything_zero(monkeypatch, alg):
-    # every sample then counts as zero while its integral is positive; the
-    # zero element's own check does not ask
-    monkeypatch.setattr(coeff.CoeffElement, "is_zero", lambda self: True)
-
-
 def integral_plus_one(monkeypatch, alg):
     # positive values stay positive; the zero element's integral becomes 1
     intact = verify.haar_positivity
@@ -687,7 +681,6 @@ SITE_FAULTS = [
     ("schur", "A1", k2rho_doubled_at_the_top(False), "s_squared e"),
     ("schur", "A1", k2rho_doubled_at_the_top(True), "s_squared f"),
     ("schur", "A1", unit_k2rho_word, "s_squared_pairing"),
-    ("haar_positivity", "A1", everything_zero, "zero"),
     ("haar_positivity", "A1", sign_flipped_gram_value, "nonpositive"),
     ("haar_positivity", "A1", integral_plus_one, "zero-element"),
     ("hom_criterion", "A2", doubled_levi_entry, "hom_criterion"),
@@ -722,5 +715,5 @@ def test_fault_fires_one_failure_site_alone(fresh, monkeypatch, check, name, fau
 
 def test_every_failure_site_is_named_by_a_fault():
     sites = list(failure_sites().values())
-    assert len(sites) == len(set(sites)) == 28
+    assert len(sites) == len(set(sites)) == 27
     assert sorted(sites) == sorted((check, kind) for check, _, _, kind in SITE_FAULTS)

@@ -5,8 +5,9 @@ former ``parabolic._levi_hw_vectors`` and the former highest-weight block of
 ``coeff.CoeffAlgebra.dual_data``.  Each stacked, raising matrix by raising
 matrix, the rows that meet a weight space's columns, in sorted row order,
 and solved them with ``kernel_basis``.  ``linalg.raising_kernel`` now does
-this for the first two callers; ``dual_data`` reads its one lowest-weight
-index directly, since that index is the whole dual highest-weight space.
+this for all three callers: ``dual_data`` takes its vector from
+``tensor.highest_weight_vectors`` on ``tensor.DualModule``, whose raising
+matrices are the transposed S(e_i) read off the one antipode table.
 The vectors must be the same, in the same order, on every weight of the
 decomposition cases, every Theta-branching of the quick relations grid and
 the dual module of every relations-grid weight.

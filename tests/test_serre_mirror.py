@@ -31,14 +31,17 @@ def test_grid_module_matches_direct(name, hw):
     assert_same(m)
 
 
-@pytest.mark.parametrize("name,hw,lowering", [
+LEVI_MODULES = [
     ("A2", (1, 0), (1,)),
     ("A2", (2, 1), (2,)),
     ("B2", (1, 1), (1,)),
     ("B2", (0, 2), (2,)),
     ("A3", (1, 0, 1), (1, 3)),
     ("A3", (0, 1, 1), (2, 3)),
-])
+]
+
+
+@pytest.mark.parametrize("name,hw,lowering", LEVI_MODULES)
 def test_levi_module_matches_direct(name, hw, lowering):
     m = build_module(cartan_data(name), hw, lowering)
     assert uqrep._gram_mirrors(m)
