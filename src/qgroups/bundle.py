@@ -341,15 +341,19 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
     subtracts simple roots.  So when no weight tau of V has lam* + tau with
     nonnegative integral simple-root coordinates, the unknown set is empty
     and the grade has no section: the test returns the [] the build would.
+    Otherwise the deepest unknown sits ht(beta) levels below the top, its
+    f-rows reach one level further, and the window of W(lam*) down to that
+    level carries every row of the full system.
     """
     cd = alg.cd
     p.generators(flavor)   # an unknown flavor raises before the cone test
     lam_dual = alg.dual_weights[tuple(lam)]
     cone = (cd.fundamental_to_root([x + t for x, t in zip(lam_dual, tau)])
             for tau in vmod.weight_spaces())
-    if not any(beta is not None and min(beta) >= 0 for beta in cone):
+    heights = [sum(beta) for beta in cone if beta is not None and min(beta) >= 0]
+    if not heights:
         return []
-    m = alg.irrep(lam_dual)
+    m = alg.irreps.window(cd, lam_dual, max(heights) + 1)
     # kernel vectors hold no zero and lam_dual is a tuple: the data are clean
     template = Section(alg, p, vmod)
     out = []
@@ -357,7 +361,7 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
         profile = {}
         for (b, r), x in phi.data.items():
             profile.setdefault(b, {})[r] = x
-        for a in range(m.dim):
+        for a in range(weyl_dim(cd, lam_dual)):
             out.append(template.copy_with(
                 {(lam_dual, a + 1, b + 1): dict(v) for b, v in profile.items()}))
     return out

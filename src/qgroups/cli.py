@@ -97,6 +97,16 @@ def parse_v0(text):
         raise UsageError(f"{e}, got {text!r}") from None
 
 
+def at_v0(value, v0) -> str:
+    """The exact value of a rational function at v0, as text."""
+    num = specialize(value, v0).value
+    try:
+        return str(num)
+    except ValueError:   # the interpreter's cap on the digits of an int
+        raise UsageError("the value at v0 is too long to print; "
+                         "choose a v0 with fewer digits") from None
+
+
 def parse_theta(text, rank):
     text = (text or "").strip()
     if not text:
@@ -170,7 +180,7 @@ def cmd_irrep(args, stream):
                 [cd.name, args.weight, module.dim, ok]],
     }
     if v0 is not None:
-        obj["quantum_dimension_at_v0"] = str(specialize(qdim, v0).value)
+        obj["quantum_dimension_at_v0"] = at_v0(qdim, v0)
     lines = [
         f"algebra: {cd.name}",
         f"highest weight: {weight}",
@@ -358,9 +368,8 @@ def cmd_haar(args, stream):
     }
     lines = [f"integral of ({args.pair[0]}) * ({args.pair[1]}) = {value}"]
     if v0 is not None:
-        num = specialize(value, v0)
-        obj["value_at_v0"] = str(num.value)
-        lines.append(f"  at v = {args.v0}: {num.value}")
+        obj["value_at_v0"] = at_v0(value, v0)
+        lines.append(f"  at v = {args.v0}: {obj['value_at_v0']}")
     emit(obj, args.format, lines, stream)
     return EXIT_OK
 

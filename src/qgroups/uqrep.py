@@ -27,7 +27,11 @@ ratio and a same-level ratio stay small.  ``gram`` is expanded on its first
 read and then kept.
 
 The same machinery builds modules of a reductive (Levi) subalgebra by
-restricting the set of lowering indices.
+restricting the set of lowering indices, and a window of a module by
+stopping after a given number of levels below the top.  Levels are built
+top-down, so a window's basis indices, E/F entries, step ratios and
+constructions are those of the full module's first levels; only f_i acts by
+zero on its last level, whose lowering columns need the level below.
 
 Conventions (the single convention ledger for everything downstream):
 the Cartan generator k_i acts on a weight-mu vector by v^(mu, alpha_i),
@@ -397,8 +401,9 @@ def _weight_key(w):
     return tuple(-c for c in w)
 
 
-def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
-    """Shared builder; see the module docstring for the algorithm."""
+def build_module(cd: CartanData, hw, lowering, depth=None) -> IrrepModule:
+    """Shared builder; see the module docstring for the algorithm.  With
+    ``depth``, it stops after that many levels below the top (a window)."""
     lowering = tuple(sorted(lowering))
     size = weyl_dim(cd, hw, lowering)   # a weight that is not dominant raises here
 
@@ -413,7 +418,9 @@ def build_module(cd: CartanData, hw, lowering) -> IrrepModule:
 
     alphas = {i: cd.alpha_fundamental(i) for i in lowering}
 
-    while level:
+    height = 0
+    while level and (depth is None or height < depth):
+        height += 1
         groups = {}
         for p in level:
             wp = weights[p]
@@ -702,13 +709,22 @@ def quantum_dimension(m: IrrepModule) -> RationalFunction:
 
 
 class IrrepCache:
-    """Shared store of built modules, keyed by algebra, weight and lowering set."""
+    """Shared store of built modules, keyed by algebra, weight and lowering
+    set; a window adds its depth to the key, so ``irrep`` and ``levi`` never
+    hand one out."""
 
     def __init__(self):
         self._store = Memo(lambda key: build_module(*key))
 
     def irrep(self, cd: CartanData, hw) -> IrrepModule:
         return self._store[cd, tuple(hw), tuple(range(1, cd.rank + 1))]
+
+    def window(self, cd: CartanData, hw, depth) -> IrrepModule:
+        """The full module down to ``depth`` levels below its top, or the
+        full module itself once it is stored: it holds every window."""
+        key = (cd, tuple(hw), tuple(range(1, cd.rank + 1)))
+        full = self._store.get(key)
+        return self._store[key + (depth,)] if full is None else full
 
     def levi(self, cd: CartanData, theta, hw) -> IrrepModule:
         return self._store[cd, tuple(hw), tuple(sorted(theta))]

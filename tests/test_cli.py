@@ -174,6 +174,23 @@ def test_zero_denominator_v0_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "error: cannot parse v0 '1/0'\n"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter prints integers of any length")
+@pytest.mark.parametrize("argv", [
+    ["irrep", "--algebra", "A1", "--weight", "1", "--v0", "1e5000"],
+    ["irrep", "--algebra", "A2", "--weight", "3,3", "--v0", "1e400"],
+    ["haar", "--algebra", "A1", "--pair", "t(1)[1,1]", "star t(1)[1,1]", "--v0", "1e5000"],
+])
+def test_a_value_at_v0_too_long_to_print_is_a_usage_error(argv, capsys):
+    # v0 itself parses; the value at v0 has more digits than the interpreter
+    # turns into text, and the message says so in the package's words
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == ("error: the value at v0 is too long to print; "
+                            "choose a v0 with fewer digits\n")
+
+
 @pytest.mark.parametrize("v0", ["abc", "0", "1"])
 def test_bad_v0_is_rejected_before_any_work(v0, tmp_path, capsys, monkeypatch):
     def no_work(*args):
