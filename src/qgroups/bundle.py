@@ -369,18 +369,13 @@ def sections_direct(alg: CoeffAlgebra, vmod: IrrepModule, p: ParabolicData,
 
 def invariant_functions(alg: CoeffAlgebra, p: ParabolicData,
                         trunc: TruncationPolicy) -> dict:
-    """Per inducing grade, a basis of the invariant coefficient functions."""
+    """Per inducing grade, a basis of the invariant coefficient functions: the
+    sections of the bundle induced by the trivial Levi module, where the
+    defining property reads x o f = counit(x) f."""
     cd = alg.cd
     trivial = alg.irreps.levi(cd, p.theta, (0,) * cd.rank)
-    out = {}
-    for lam in trunc.weights(cd):
-        source = alg.irrep(lam)
-        homs = hom_space(source, trivial, p, "levi")
-        secs = []
-        for phi in homs:
-            secs.extend(sections_from_hom(alg, p, source, trivial, phi))
-        out[lam] = [s.to_coeff() for s in secs]
-    return out
+    return {lam: [z.to_coeff() for z in sections_direct(alg, trivial, p, lam)]
+            for lam in trunc.weights(cd)}
 
 
 def is_invariant_function(alg: CoeffAlgebra, p: ParabolicData,

@@ -683,11 +683,11 @@ _TABLES = {
 
 def report_header(names=None, quick=False, algebra=None, max_weight=None):
     """The report of ``run_checks`` before any suite runs: its filter fields
-    and one ``{"name"}`` entry per named suite (default: all).  An unknown
-    suite or an unsupported algebra raises ``ValueError``."""
+    and one ``{"name"}`` entry per named suite (default: all), in first-seen
+    order.  An unknown suite or an unsupported algebra raises ``ValueError``."""
     if algebra is not None:
         cartan_data(algebra)
-    names = names or sorted(ALL_CHECKS)
+    names = list(dict.fromkeys(names or sorted(ALL_CHECKS)))
     for name in names:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name!r} (known: {sorted(ALL_CHECKS)})")

@@ -57,6 +57,10 @@ a loop of its own.  ``peeling_char_decompose_oracle`` and
 ``TensorModule.k_matrix``, which built a new diagonal on every call.
 ``cartan_involution_word`` maps its words with its own loop and its own
 q_i^-1, since ``uqrep._map_word`` now knows only the antipode table.
+``intertwiner_invariant_functions`` is ``bundle.invariant_functions`` as it
+was before it read the sections of the trivial Levi bundle off
+``sections_direct``: it built W(lam) for every grade, solved
+Hom(W(lam), trivial) and pushed each map through ``sections_from_hom``.
 Do not optimize them.
 """
 from __future__ import annotations
@@ -65,13 +69,13 @@ from fractions import Fraction
 from operator import add, sub
 
 from qgroups import uqrep
-from qgroups.bundle import Section
+from qgroups.bundle import Section, sections_from_hom
 from qgroups.coeff import CoeffElement, antipode
 from qgroups.uqrep import AlgebraWord, _coproduct_legs, antipode_inv_word
 from qgroups.cartan import (CartanData, _require_dominant, character_product, freudenthal,
                             inner_scaled, is_dominant, reflect, weight_multiplicities)
 from qgroups.linalg import Mat, _mat, accumulate, index_applier, raising_kernel
-from qgroups.parabolic import LeviBranching
+from qgroups.parabolic import LeviBranching, hom_space
 from qgroups.scalar import (LP_ZERO, RF_ONE, RF_ZERO, LaurentPoly, RationalFunction, _ONE,
                             _rf, gauss_binomial, q_integer)
 from qgroups.tensor import (CGDecomposition, _height_key, _pairing_inverse, decompose,
@@ -857,3 +861,19 @@ def rebuilt_k_matrix(t, i, inverse=False) -> Mat:
         RationalFunction.v_power(sign * w[i - 1] * t.cd.d[i - 1])
         for w in t.weights
     )
+
+
+def intertwiner_invariant_functions(alg, p, trunc) -> dict:
+    """The former ``bundle.invariant_functions``: per inducing grade, the
+    sections of every intertwiner W(lam) -> trivial, as coefficients."""
+    cd = alg.cd
+    trivial = alg.irreps.levi(cd, p.theta, (0,) * cd.rank)
+    out = {}
+    for lam in trunc.weights(cd):
+        source = alg.irrep(lam)
+        homs = hom_space(source, trivial, p, "levi")
+        secs = []
+        for phi in homs:
+            secs.extend(sections_from_hom(alg, p, source, trivial, phi))
+        out[lam] = [s.to_coeff() for s in secs]
+    return out

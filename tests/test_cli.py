@@ -106,6 +106,25 @@ def test_verify_quick_json_deterministic(capsys):
     assert [c["name"] for c in report["checks"]] == ["dimensions", "haar_positivity"]
 
 
+def test_verify_repeated_check_runs_once(capsys, monkeypatch):
+    from qgroups import verify
+
+    runs = []
+    suite = verify.ALL_CHECKS["dimensions"]
+
+    def counted(**kwargs):
+        runs.append(1)
+        return suite(**kwargs)
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "dimensions", counted)
+    code, out = run_cli(["verify", "--check", "haar_positivity", "--check", "dimensions",
+                         "--check", "haar_positivity", "--check", "dimensions", "--quick",
+                         "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["haar_positivity", "dimensions"]
+    assert len(runs) == 1
+
+
 def test_verify_unknown_check(capsys):
     code = main(["verify", "--check", "nonsense"])
     capsys.readouterr()

@@ -163,9 +163,9 @@ def extra_central_map(monkeypatch, alg):
     monkeypatch.setattr(parabolic, "hom_space", padded)
 
 
-def dropped_induced_section(monkeypatch, alg):
-    intact = bundle.sections_from_hom
-    monkeypatch.setattr(bundle, "sections_from_hom", lambda *args: intact(*args)[:-1])
+def dropped_direct_section(monkeypatch, alg):
+    intact = bundle.sections_direct
+    monkeypatch.setattr(bundle, "sections_direct", lambda *args: intact(*args)[:-1])
 
 
 def repeated_levi_summand(monkeypatch, alg):
@@ -685,7 +685,7 @@ SITE_FAULTS = [
     ("haar_positivity", "A1", integral_plus_one, "zero-element"),
     ("hom_criterion", "A2", doubled_levi_entry, "hom_criterion"),
     ("invariants", "A2", extra_central_map, "central_count"),
-    ("invariants", "A2", dropped_induced_section, "gamma_dim"),
+    ("invariants", "A2", dropped_direct_section, "gamma_dim"),
     ("invariants", "A2", nothing_invariant, "invariance"),
     ("invariants", "A2", nothing_closed, "product_closure"),
     ("invariants", "A2", everything_invariant, "negative_control"),

@@ -26,7 +26,9 @@ from qgroups.coeff import CoeffAlgebra
 from qgroups.parabolic import ParabolicData, hom_space
 from qgroups.tensor import DualModule
 from qgroups.uqrep import IrrepCache, build_module
-from qgroups.verify import _BOREL_WEIL, _FROBENIUS, _PROJECTIVITY, _TRIVIAL, algebra
+from qgroups.verify import (_BOREL_WEIL, _FROBENIUS, _INVARIANTS, _PROJECTIVITY, _TRIVIAL,
+                            algebra)
+from test_invariant_differential import HEIGHTS
 
 
 def _levels(m):
@@ -40,13 +42,18 @@ def _grid_cases():
     borel_weil, frobenius and projectivity grids induce from.  V is the Levi
     module of that weight, the full one, or the full module that the Levi
     one complements into (a projectivity case's envelope, whose sections it
-    round-trips on grades up to the envelope's weight plus 2 alpha_1)."""
+    round-trips on grades up to the envelope's weight plus 2 alpha_1).  The
+    invariants grid's cases come last: the trivial Levi module of each of its
+    Theta, whose sections are the invariant functions, on grades up to a
+    height that contains the highest root."""
     cases = {(name, theta, mu, "levi", h) for name, theta, mu, _, h in [r.case for r in _BOREL_WEIL]}
     cases |= {(name, theta, hw, "full", h) for name, theta, hw, h in [r.case for r in _TRIVIAL]}
     cases |= {(name, theta, v, "levi", h) for name, theta, _, v, h in [r.case for r in _FROBENIUS]}
     for name, theta, mu in {r.case[:3] for r in _PROJECTIVITY}:
         cases |= {(name, theta, mu, "levi", 3), (name, theta, mu, "envelope", 3)}
-    return sorted(cases)
+    trivial = {(name, theta, (0,) * algebra(name).cd.rank, "levi", HEIGHTS[name])
+               for name, theta in [r.case for r in _INVARIANTS]}
+    return sorted(cases) + sorted(trivial - cases)
 
 
 def _grades(name, theta, hw, source, height):
@@ -146,13 +153,13 @@ def _shallow_windows(monkeypatch, shift):
     monkeypatch.setattr(IrrepCache, "window", window)
 
 
-@pytest.mark.parametrize("check", ["frobenius", "borel_weil"])
+@pytest.mark.parametrize("check", ["frobenius", "borel_weil", "invariants"])
 def test_forced_windows_at_the_asked_depth_pass(monkeypatch, check):
     _shallow_windows(monkeypatch, 0)
     assert verify.ALL_CHECKS[check](quick=True, algebra="A1")["passed"]
 
 
-@pytest.mark.parametrize("check", ["frobenius", "borel_weil"])
+@pytest.mark.parametrize("check", ["frobenius", "borel_weil", "invariants"])
 def test_a_window_above_the_deepest_unknown_fails(monkeypatch, check):
     _shallow_windows(monkeypatch, 2)
     assert not verify.ALL_CHECKS[check](quick=True, algebra="A1")["passed"]
